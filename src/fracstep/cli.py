@@ -4,7 +4,7 @@ Every subcommand reads one JSON config, computes everything in memory,
 and only then writes its artifacts, so a failing run leaves no partial
 outputs.  CSV cells carry 17 significant digits with LF line endings;
 ``meta.json`` echoes the config so a run can be reproduced bit-for-bit
-from its own artifacts (single-threaded mode).
+from its own artifacts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError, FracstepError
 from .l1 import L1Grid, solve_mode_l1
 from .operator import ModalBasis
 from .solver import ZeroSource, solve
-from .special import ml_values, reset_ml_accelerator
+from .special import ml_values
 from . import verify as verify_mod
 
 log = logging.getLogger("fracstep")
@@ -54,8 +54,7 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _meta(cfg: RunConfig, timings: dict, threads: int,
-          deterministic: bool) -> dict:
+def _meta(cfg: RunConfig, timings: dict) -> dict:
     return {
         "config": cfg.raw,
         "versions": {
@@ -65,8 +64,6 @@ def _meta(cfg: RunConfig, timings: dict, threads: int,
             "fracstep": __version__,
         },
         "timings": timings,
-        "threads": threads,
-        "deterministic": deterministic,
     }
 
 
@@ -257,11 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a JSON run configuration")
         p.add_argument("--out", default=".",
                        help="directory receiving the artifacts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; results are reduction-order "
-                            "deterministic only at 1")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded deterministic mode")
     return parser
 
 
@@ -271,14 +263,7 @@ def main(argv=None) -> int:
         format="%(name)s %(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-    # cold-start evaluation path: artifacts must not depend on whatever
-    # ran earlier in this process
-    reset_ml_accelerator()
     try:
-        if args.threads < 1:
-            raise ConfigError(f"thread count must be >= 1, "
-                              f"got {args.threads}")
-        threads = 1 if args.deterministic else args.threads
         raw = load_config(args.config)
         cfg = build_run_config(raw)
         log.info("running %s on %s", args.command, args.config)
@@ -293,7 +278,7 @@ def main(argv=None) -> int:
         return 3
     timings["total_seconds"] = time.perf_counter() - started
     _write_json(os.path.join(args.out, "meta.json"),
-                _meta(cfg, timings, threads, args.deterministic))
+                _meta(cfg, timings))
     log.info("done in %.2fs", timings["total_seconds"])
     return 0
 

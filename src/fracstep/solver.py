@@ -44,7 +44,7 @@ from .quadrature import (
     scaled_power_history,
 )
 from .schedule import OrderSchedule
-from .special import MLParams, gamma_fn, ml, ml_values
+from .special import gamma_fn, ml_values
 
 __all__ = [
     "ModalSource",
@@ -232,25 +232,28 @@ class ModeSegment:
         return self.entry_value + duhamel_convolve(
             self.order, self.eigenvalue, sub_nodes, sub_density)
 
-    def derivative(self, t: float) -> float:
+    def derivative(self, t):
         """Closed-form time derivative, valid on the half-open segment.
 
         The impulse part carries the exact ``(t - start)**(order - 1)``
         blow-up; the forced tail is interpolated from its tabulation.
         The segment start itself is rejected because the derivative is
-        unbounded there whenever the impulse strength is nonzero.
+        unbounded there whenever the impulse strength is nonzero.  ``t``
+        may be an array, evaluated with one ``ml_values`` call; a scalar
+        gives a float.
         """
-        t = float(t)
-        if not self.start < t <= self.end:
+        t = np.asarray(t, dtype=float)
+        outside = ~((self.start < t) & (t <= self.end))
+        if outside.any():
             raise DomainError(
-                f"time {t} outside half-open segment "
+                f"time {t[outside].flat[0]} outside half-open segment "
                 f"({self.start}, {self.end}]")
         dt = t - self.start
-        impulse = self.impulse_strength * dt ** (self.order - 1.0) * ml(
-            MLParams(self.order, self.order),
-            -self.eigenvalue * dt ** self.order)
-        tail = float(np.interp(t, self.nodes, self.tail_samples))
-        return impulse + tail
+        impulse = self.impulse_strength * dt ** (self.order - 1.0) \
+            * ml_values(self.order, self.order,
+                        -self.eigenvalue * dt ** self.order)
+        out = impulse + np.interp(t, self.nodes, self.tail_samples)
+        return float(out) if out.ndim == 0 else out
 
     def tail_interpolant(self, s) -> np.ndarray:
         """Forced derivative part at arbitrary points, for memory kernels."""
@@ -397,31 +400,48 @@ class ModeSolution:
     def is_zero(self) -> bool:
         return not self.segments
 
-    def _segment_at(self, t: float) -> ModeSegment:
+    def _segment_indices(self, t: np.ndarray) -> np.ndarray:
         grid = self.breakpoints
-        if not grid[0] <= t <= grid[-1]:
+        outside = ~((grid[0] <= t) & (t <= grid[-1]))
+        if outside.any():
             raise DomainError(
-                f"time {t} outside the horizon [{grid[0]}, {grid[-1]}]")
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        return self.segments[min(j, len(self.segments) - 1)]
+                f"time {t[outside].flat[0]} outside the horizon "
+                f"[{grid[0]}, {grid[-1]}]")
+        j = np.searchsorted(grid, t, side="right") - 1
+        return np.minimum(j, len(self.segments) - 1)
 
     def value(self, t: float) -> float:
         if self.is_zero:
             return 0.0
-        return self._segment_at(float(t)).value(float(t))
-
-    def derivative(self, t: float) -> float:
-        """Closed-form derivative; at interior junctions the left limit."""
         t = float(t)
-        if self.is_zero:
-            return 0.0
-        seg = self._segment_at(t)
-        if t == seg.start:
-            if seg.index == 0:
-                raise DomainError(
-                    "derivative is unbounded at the initial time")
-            return self.segments[seg.index - 1].exit_derivative
-        return seg.derivative(t)
+        j = int(self._segment_indices(np.asarray(t)))
+        return self.segments[j].value(t)
+
+    def derivative(self, t):
+        """Closed-form derivative; at interior junctions the left limit.
+
+        ``t`` may be an array; each segment evaluates its points with one
+        ``ml_values`` call.  A scalar gives a float.
+        """
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        if not self.is_zero:
+            flat = t.reshape(-1)
+            res = out.reshape(-1)
+            index = self._segment_indices(flat)
+            for seg in self.segments:
+                here = index == seg.index
+                at_start = here & (flat == seg.start)
+                if at_start.any():
+                    if seg.index == 0:
+                        raise DomainError(
+                            "derivative is unbounded at the initial time")
+                    res[at_start] = \
+                        self.segments[seg.index - 1].exit_derivative
+                inner = here & ~at_start
+                if inner.any():
+                    res[inner] = seg.derivative(flat[inner])
+        return float(out) if out.ndim == 0 else out
 
     def trajectory(self, times) -> np.ndarray:
         times = np.asarray(times, dtype=float)

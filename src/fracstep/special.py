@@ -1,9 +1,11 @@
 """Gamma, Beta, and Mittag-Leffler evaluation on the negative real axis.
 
 The two-parameter Mittag-Leffler function is the workhorse: relaxation
-profiles, convolution kernels, and exact kernel primitives are all thin
-wrappers around ``ml``.  Evaluation is split into three bands chosen by the
-size of ``x**(1/alpha)`` with ``x = -z``:
+profiles, convolution kernels, and exact kernel primitives all go through
+one array evaluator, ``ml_values``, whose result depends on
+``(alpha, beta, z)`` alone; ``ml`` is that evaluator at one point.
+Evaluation is split into three bands chosen by the size of
+``y = x**(1/alpha)`` with ``x = -z``:
 
 * small arguments: the defining Taylor series in double precision.  The
   alternating series loses roughly ``x**(1/alpha)`` / ln(10) digits to
@@ -13,11 +15,12 @@ size of ``x**(1/alpha)`` with ``x = -z``:
   truncated once terms drop below the target or start to diverge.  For
   ``alpha > 1`` the exponentially small oscillatory contribution is added;
   on the negative axis it decays but is not always negligible.
-* intermediate band (``alpha < 1``): a real integral representation
-  obtained by collapsing the Hankel contour, evaluated adaptively.  Repeat
-  queries with the same ``(alpha, beta)`` trigger a Chebyshev interpolant
-  in ``log x`` so that solver-scale workloads pay the quadrature cost only
-  once.
+* intermediate band (``alpha < 1``): a Chebyshev interpolant in ``log x``
+  of a real integral representation, obtained by collapsing the Hankel
+  contour and evaluated adaptively at the interpolation nodes.  The
+  interpolant is built the first time a parameter pair needs it and also
+  serves the low end of the asymptotic band, where it is cheaper than
+  optimal truncation.
 
 Crossover constants were fixed with ``scripts/calibrate_ml_crossovers.py``,
 which sweeps each band edge against a big-float reference.
@@ -25,6 +28,7 @@ which sweeps each band edge against a big-float reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,11 +47,9 @@ __all__ = [
     "gamma_fn",
     "beta_fn",
     "ml",
+    "ml_values",
     "relaxation",
-    "duhamel_kernel",
-    "integrated_kernel",
     "measured_envelope",
-    "reset_ml_accelerator",
 ]
 
 # Band edges in terms of y = x**(1/alpha).  Below ML_SERIES_YMAX the double
@@ -69,22 +71,11 @@ _QUAD_TAIL_Y = 44.0
 _QUAD_ABS_TOL = 1e-12
 _QUAD_ACCEPT = 5e-11
 
-# Chebyshev accelerator for the intermediate band.
-_CHEB_BUILD_AFTER = 8
+# Intermediate-band interpolant: degree, and its domain in x as multiples
+# of the band edges ML_SERIES_YMAX**alpha and ML_ASYM_YMIN**alpha.
 _CHEB_DEGREE = 128
-_CHEB_CACHE_MAX = 128
-_cheb_cache: dict[tuple[float, float], list] = {}
-
-
-def reset_ml_accelerator() -> None:
-    """Drop the lazily built intermediate-band interpolants.
-
-    The accelerator agrees with the direct quadrature only to a few units
-    in the last place, so results can depend on how warm the cache is.
-    Entry points that promise bit-reproducible artifacts call this first
-    to pin every run to the cold-start evaluation path.
-    """
-    _cheb_cache.clear()
+_CHEB_LOWER = 0.5
+_CHEB_UPPER = 2.0
 
 
 def gamma_fn(x: float) -> float:
@@ -133,109 +124,21 @@ def ml(params: MLParams, z: float) -> float:
     Absolute accuracy is 1e-10 or better on ``z in [-1e6, 0]`` for
     ``alpha in (0, 1]``; for ``alpha in (1, 2)`` the same holds outside a
     mid-range band where no real-arithmetic algorithm is implemented and an
-    :class:`AccuracyError` is raised instead of degrading silently.
+    :class:`AccuracyError` is raised instead of degrading silently.  The
+    value is :func:`ml_values` at a one-element array, bit for bit.
     """
     if not isinstance(params, MLParams):
         params = MLParams(*params)
     z = float(z)
     if not math.isfinite(z) or z > 0.0:
         raise DomainError(f"ml is restricted to finite z <= 0, got {z}")
-    return _ml_raw(params.alpha, params.beta, z)
+    return float(ml_values(params.alpha, params.beta, np.array([z]))[0])
 
 
-def _ml_raw(alpha: float, beta: float, z: float) -> float:
-    if z == 0.0:
-        return float(_rgamma(beta))
-    x = -z
-    y = x ** (1.0 / alpha)
-    if y <= ML_SERIES_YMAX:
-        return _ml_series(alpha, beta, z)
-    if y >= ML_ASYM_YMIN:
-        val = _ml_asymptotic(alpha, beta, x)
-        if val is not None:
-            return val
-        if alpha > 1.0:
-            raise AccuracyError(
-                f"asymptotic series for E_({alpha},{beta})({z}) did not reach "
-                "the tolerance within the term budget")
-        # fall through to the integral representation / confluent route
-    if alpha < 1.0:
-        return _ml_intermediate(alpha, beta, x)
-    if alpha == 1.0:
-        # E_{1,beta}(z) = M(1, beta, z) / Gamma(beta)
-        return float(_hyp1f1(1.0, beta, z) * _rgamma(beta))
-    raise AccuracyError(
-        f"E_({alpha},{beta})({z}): no certified algorithm for alpha in (1, 2) "
-        f"with {ML_SERIES_YMAX} < (-z)**(1/alpha) < {ML_ASYM_YMIN}")
-
-
-def _ml_series(alpha: float, beta: float, z: float) -> float:
-    """Defining power series; only safe when cancellation is mild.
-
-    All gamma arguments are positive, so term magnitudes are unimodal in k
-    and summation can stop at the first small term past the peak.
-    """
-    terms = [float(_rgamma(beta))]
-    power = 1.0
-    largest = abs(terms[0])
-    prev = largest
-    for k in range(1, _SERIES_MAX_TERMS):
-        power *= z
-        term = power * float(_rgamma(alpha * k + beta))
-        terms.append(term)
-        size = abs(term)
-        largest = max(largest, size)
-        if size <= prev and size < 1e-18 * max(1.0, largest):
-            return math.fsum(terms)
-        prev = size
-    raise AccuracyError(
-        f"Taylor series for E_({alpha},{beta})({z}) needed more than "
-        f"{_SERIES_MAX_TERMS} terms")
-
-
-def _ml_asymptotic(alpha: float, beta: float, x: float) -> float | None:
-    """Algebraic expansion in 1/x, plus the oscillatory term for alpha > 1.
-
-    The series is divergent, so it is summed to its optimal truncation
-    point.  Term magnitudes oscillate through the sine factor of the
-    reflection formula, which makes them useless for deciding where the
-    optimum lies; the decision uses the sine-free envelope
-    ``x**-k * Gamma(1 + alpha*k - beta) / pi`` instead, which is unimodal
-    in k.  Returns None when even the smallest envelope value misses the
-    tolerance, signalling that x is too small for this branch.
-    """
-    log_x = math.log(x)
-    log_tol = math.log(_ASYM_TOL)
-    terms: list[float] = []
-    log_envs: list[float] = []
-    power = 1.0
-    inv = 1.0 / x
-    best = math.inf
-    for k in range(1, _ASYM_MAX_TERMS):
-        power *= -inv
-        g = beta - alpha * k
-        terms.append(-power * float(_rgamma(g)))
-        if g >= 0.5:
-            log_env = -k * log_x - math.lgamma(g)
-        else:
-            log_env = -k * log_x + math.lgamma(1.0 - g) - math.log(math.pi)
-        log_envs.append(log_env)
-        best = min(best, log_env)
-        if log_env < log_tol - 7.0:
-            break
-        if log_env > best + 2.5:
-            break
-    k_star = int(np.argmin(log_envs))
-    if log_envs[k_star] > log_tol:
-        return None
-    total = math.fsum(terms[:k_star + 1])
-    if alpha > 1.0:
-        y = x ** (1.0 / alpha)
-        phase = math.pi / alpha
-        # conjugate pair of exponential contributions, combined real
-        total += (2.0 / alpha) * y ** (1.0 - beta) * math.exp(y * math.cos(phase)) \
-            * math.cos(y * math.sin(phase) + (1.0 - beta) * phase)
-    return total
+def _band_error(alpha: float, beta: float, band: str, z: float,
+                reason: str) -> AccuracyError:
+    return AccuracyError(
+        f"E_({alpha},{beta})({z}) in the {band} band: {reason}")
 
 
 def _reduce_beta(alpha: float, beta: float, x: float) -> tuple[float, float, float]:
@@ -277,7 +180,7 @@ def _ml_integrand(alpha: float, beta: float, x: float) -> Callable[[float], floa
     return kernel
 
 
-def _ml_quad(alpha: float, beta: float, x: float) -> float:
+def _ml_quad(alpha: float, beta: float, x: float, band: str) -> float:
     shift, factor, b = _reduce_beta(alpha, beta, x)
     kernel = _ml_integrand(alpha, b, x)
     upper = 1.05 * _QUAD_TAIL_Y ** alpha
@@ -286,52 +189,42 @@ def _ml_quad(alpha: float, beta: float, x: float) -> float:
         kernel, 0.0, upper, points=points, limit=400,
         epsabs=_QUAD_ABS_TOL, epsrel=1e-11, full_output=1)
     if rest and len(rest) > 1:
-        raise AccuracyError(
-            f"integral representation for E_({alpha},{beta})({-x}) "
-            f"failed: {rest[1]}")
+        raise _band_error(alpha, beta, band, -x,
+                          f"integral representation failed: {rest[1]}")
     if abserr > _QUAD_ACCEPT:
-        raise AccuracyError(
-            f"integral representation for E_({alpha},{beta})({-x}) reached "
-            f"only {abserr:.2e} estimated absolute error")
+        raise _band_error(alpha, beta, band, -x,
+                          f"integral representation reached only "
+                          f"{abserr:.2e} estimated absolute error")
     return shift + factor * val
 
 
-def _ml_intermediate(alpha: float, beta: float, x: float) -> float:
-    """Intermediate band with a per-(alpha, beta) Chebyshev accelerator."""
-    key = (alpha, beta)
-    entry = _cheb_cache.get(key)
-    if entry is None:
-        if len(_cheb_cache) >= _CHEB_CACHE_MAX:
-            _cheb_cache.pop(next(iter(_cheb_cache)))
-        entry = [0, None, None]
-        _cheb_cache[key] = entry
-    hits, interp, domain = entry
-    if interp is not None and domain[0] <= x <= domain[1]:
-        return float(interp(math.log(x))) / (1.0 + x)
-    entry[0] = hits + 1
-    if entry[0] >= _CHEB_BUILD_AFTER and interp is None:
-        lo = 0.5 * ML_SERIES_YMAX ** alpha
-        hi = 2.0 * ML_ASYM_YMIN ** alpha
-        # interpolating the (1+x)-normalized value keeps the dynamic range
-        # of the interpolated quantity near one across the whole band
-        interp = Chebyshev.interpolate(
-            lambda w: np.array(
-                [(1.0 + math.exp(wi)) * _ml_quad(alpha, beta, math.exp(wi))
-                 for wi in np.atleast_1d(w)]),
-            _CHEB_DEGREE, domain=[math.log(lo), math.log(hi)])
-        entry[1] = interp
-        entry[2] = (lo, hi)
-        if lo <= x <= hi:
-            return float(interp(math.log(x))) / (1.0 + x)
-    return _ml_quad(alpha, beta, x)
+@functools.lru_cache(maxsize=128)
+def _mid_interpolant(alpha: float, beta: float) -> Chebyshev:
+    """Chebyshev interpolant of ``(1 + x) * E_{alpha,beta}(-x)`` in ``log x``.
+
+    Covers ``x`` in ``[_CHEB_LOWER, _CHEB_UPPER]`` times the band edges
+    for ``alpha < 1``.  Interpolating the (1+x)-normalized value keeps the
+    dynamic range of the interpolated quantity near one across the band.
+    """
+    lo = _CHEB_LOWER * ML_SERIES_YMAX ** alpha
+    hi = _CHEB_UPPER * ML_ASYM_YMIN ** alpha
+    return Chebyshev.interpolate(
+        lambda w: np.array(
+            [(1.0 + math.exp(wi))
+             * _ml_quad(alpha, beta, math.exp(wi), "intermediate")
+             for wi in np.atleast_1d(w)]),
+        _CHEB_DEGREE, domain=[math.log(lo), math.log(hi)])
 
 
 def ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized ``E_{alpha,beta}`` over an array of non-positive arguments.
+    """``E_{alpha,beta}`` over an array of non-positive arguments.
 
-    Matches :func:`ml` to a few units in the last place; the array form
-    exists because the solver evaluates the same parameter pair at whole
-    meshes of arguments at once.
+    Each entry depends on ``(alpha, beta)`` and its own argument only: the
+    band is a fixed function of ``z``, and the intermediate band's
+    interpolant is the same whenever it is built.  For ``alpha < 1`` the
+    interpolant serves every argument with ``y > ML_SERIES_YMAX`` up to
+    the top of its domain.  Failures raise :class:`AccuracyError` naming
+    the parameters, the band and the first offending argument.
     """
     MLParams(alpha, beta)
     z = np.asarray(z, dtype=float)
@@ -345,16 +238,13 @@ def ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     x = -flat
     y = np.where(x > 0, x, 1.0) ** (1.0 / alpha)
     ser = (x == 0) | (y <= ML_SERIES_YMAX)
-    asy = ~ser & (y >= ML_ASYM_YMIN)
-    mid = ~ser & ~asy
-    if alpha < 1.0 and np.any(asy):
-        # a built accelerator covers part of the asymptotic band and is
-        # much cheaper there than optimal truncation near its lower edge
-        entry = _cheb_cache.get((alpha, beta))
-        if entry is not None and entry[1] is not None:
-            served = asy & (x <= entry[2][1])
-            mid |= served
-            asy &= ~served
+    if alpha < 1.0:
+        # the interpolant also covers the low end of the asymptotic band,
+        # where it is much cheaper than optimal truncation
+        mid = ~ser & (x <= _CHEB_UPPER * ML_ASYM_YMIN ** alpha)
+    else:
+        mid = ~ser & (y < ML_ASYM_YMIN)
+    asy = ~ser & ~mid
     if np.any(ser):
         res[ser] = _ml_series_vec(alpha, beta, flat[ser])
     if np.any(asy):
@@ -362,25 +252,34 @@ def ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         bad = ~np.isfinite(vals)
         if np.any(bad):
             if alpha > 1.0:
-                raise AccuracyError(
-                    "asymptotic series did not converge for some arguments")
-            idx = np.flatnonzero(bad)
-            for i in idx:
-                vals[i] = _ml_intermediate(alpha, beta, x[asy][i])
+                raise _band_error(
+                    alpha, beta, "asymptotic", flat[asy][bad][0],
+                    "the series did not reach the tolerance within the "
+                    "term budget")
+            vals[bad] = [_ml_quad(alpha, beta, xi, "asymptotic")
+                         for xi in x[asy][bad]]
         res[asy] = vals
     if np.any(mid):
         if alpha < 1.0:
-            res[mid] = _ml_intermediate_vec(alpha, beta, x[mid])
+            res[mid] = _mid_interpolant(alpha, beta)(np.log(x[mid])) \
+                / (1.0 + x[mid])
         elif alpha == 1.0:
+            # E_{1,beta}(z) = M(1, beta, z) / Gamma(beta)
             res[mid] = _hyp1f1(1.0, beta, flat[mid]) * _rgamma(beta)
         else:
-            raise AccuracyError(
+            raise _band_error(
+                alpha, beta, "intermediate", flat[mid][0],
                 f"no certified algorithm for alpha in (1, 2) with "
                 f"{ML_SERIES_YMAX} < (-z)**(1/alpha) < {ML_ASYM_YMIN}")
     return out
 
 
 def _ml_series_vec(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Defining power series; only safe when cancellation is mild.
+
+    All gamma arguments are positive, so term magnitudes are unimodal in k
+    and each entry stops at its first small term past the peak.
+    """
     total = np.full(z.shape, float(_rgamma(beta)))
     power = np.ones_like(z)
     largest = np.abs(total)
@@ -396,10 +295,22 @@ def _ml_series_vec(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         if not active.any():
             return total
         prev = size
-    raise AccuracyError("vectorized Taylor series exhausted its term budget")
+    raise _band_error(alpha, beta, "Taylor", z[active][0],
+                      f"the series needed more than {_SERIES_MAX_TERMS} "
+                      "terms")
 
 
 def _ml_asymptotic_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Algebraic expansion in 1/x, plus the oscillatory term for alpha > 1.
+
+    The series is divergent, so it is summed to its optimal truncation
+    point.  Term magnitudes oscillate through the sine factor of the
+    reflection formula, which makes them useless for deciding where the
+    optimum lies; the decision uses the sine-free envelope
+    ``x**-k * Gamma(1 + alpha*k - beta) / pi`` instead, which is unimodal
+    in k.  Entries whose smallest envelope value misses the tolerance come
+    back as NaN, signalling that x is too small for this band.
+    """
     log_x = np.log(x)
     log_tol = math.log(_ASYM_TOL)
     power = np.ones_like(x)
@@ -427,33 +338,11 @@ def _ml_asymptotic_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     if alpha > 1.0:
         y = x ** (1.0 / alpha)
         phase = math.pi / alpha
+        # conjugate pair of exponential contributions, combined real
         out = out + (2.0 / alpha) * y ** (1.0 - beta) \
             * np.exp(y * math.cos(phase)) \
             * np.cos(y * math.sin(phase) + (1.0 - beta) * phase)
     return out
-
-
-def _ml_intermediate_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    key = (alpha, beta)
-    entry = _cheb_cache.get(key)
-    if entry is None:
-        if len(_cheb_cache) >= _CHEB_CACHE_MAX:
-            _cheb_cache.pop(next(iter(_cheb_cache)))
-        entry = [0, None, None]
-        _cheb_cache[key] = entry
-    entry[0] += len(x)
-    if entry[1] is None and entry[0] >= _CHEB_BUILD_AFTER:
-        _ml_intermediate(alpha, beta, float(x[0]))  # triggers the build
-    interp, domain = entry[1], entry[2]
-    if interp is not None:
-        inside = (x >= domain[0]) & (x <= domain[1])
-        out = np.empty_like(x)
-        if inside.any():
-            out[inside] = interp(np.log(x[inside])) / (1.0 + x[inside])
-        for i in np.flatnonzero(~inside):
-            out[i] = _ml_quad(alpha, beta, float(x[i]))
-        return out
-    return np.array([_ml_quad(alpha, beta, float(xi)) for xi in x])
 
 
 def relaxation(alpha: float, lam: float, t: float) -> float:
@@ -465,43 +354,7 @@ def relaxation(alpha: float, lam: float, t: float) -> float:
         raise DomainError(f"relaxation requires alpha in (0, 1], got {alpha}")
     if lam < 0.0 or t < 0.0:
         raise DomainError("relaxation requires lam >= 0 and t >= 0")
-    return _ml_raw(alpha, 1.0, -lam * t ** alpha)
-
-
-def duhamel_kernel(alpha: float, lam: float, s: float) -> float:
-    """Convolution kernel ``s**(alpha-1) * E_{alpha,alpha}(-lam * s**alpha)``.
-
-    Defined for ``s > 0``; it integrates to a finite limit at the origin
-    despite the algebraic blow-up there.
-    """
-    alpha = float(alpha)
-    lam = float(lam)
-    s = float(s)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"duhamel_kernel requires alpha in (0, 1), got {alpha}")
-    if lam < 0.0:
-        raise DomainError(f"duhamel_kernel requires lam >= 0, got {lam}")
-    if s <= 0.0:
-        raise DomainError(f"duhamel_kernel requires s > 0, got {s}")
-    return s ** (alpha - 1.0) * _ml_raw(alpha, alpha, -lam * s ** alpha)
-
-
-def integrated_kernel(alpha: float, lam: float, tau: float) -> float:
-    """Exact primitive of the convolution kernel over ``[0, tau]``.
-
-    Equals ``tau**alpha * E_{alpha,alpha+1}(-lam * tau**alpha)`` and tends
-    to ``1/lam`` as ``tau`` grows.
-    """
-    alpha = float(alpha)
-    lam = float(lam)
-    tau = float(tau)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"integrated_kernel requires alpha in (0, 1), got {alpha}")
-    if lam < 0.0 or tau < 0.0:
-        raise DomainError("integrated_kernel requires lam >= 0 and tau >= 0")
-    if tau == 0.0:
-        return 0.0
-    return tau ** alpha * _ml_raw(alpha, alpha + 1.0, -lam * tau ** alpha)
+    return ml(MLParams(alpha, 1.0), -lam * t ** alpha)
 
 
 def measured_envelope(params: MLParams, z_max: float = 1e6,
@@ -516,7 +369,5 @@ def measured_envelope(params: MLParams, z_max: float = 1e6,
         params = MLParams(*params)
     grid = np.concatenate([[0.0], np.logspace(-6, math.log10(z_max),
                                               n_points - 1)])
-    worst = 0.0
-    for x in grid:
-        worst = max(worst, abs(_ml_raw(params.alpha, params.beta, -x)) * (1.0 + x))
-    return worst
+    values = ml_values(params.alpha, params.beta, -grid)
+    return float(np.max(np.abs(values) * (1.0 + grid)))

@@ -127,10 +127,10 @@ def _fit_offsets(width: float, count: int = 9) -> np.ndarray:
     return width * np.geomspace(lo, hi, count)
 
 
-def _mode_norms(field: SolutionField, per_mode) -> float:
-    """l2 norm across modes of a per-mode scalar functional."""
-    vals = [0.0 if m.is_zero else float(per_mode(m)) for m in field.modes]
-    return float(np.sqrt(np.sum(np.square(vals))))
+def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
+    """l2 norm across modes of the time derivative at each of ``times``."""
+    rows = np.vstack([m.derivative(times) for m in field.modes])
+    return np.sqrt(np.sum(np.square(rows), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +286,7 @@ def w11_norm(field: SolutionField, n_cells: int = 48,
             s = np.atleast_1d(s)
             dt = s - a
             base = dt ** (order - 1.0) * impulse_norm_y(dt ** order)
-            out = np.empty(s.size)
-            for i, si in enumerate(s):
-                out[i] = _mode_norms(field, lambda m: m.derivative(si))
-            return out - base
+            return _derivative_norms(field, s) - base
 
         part += composite_graded_integral(
             correction, a, b, left_exponent=0.0,
@@ -310,9 +307,7 @@ def blowup_fit_samples(field: SolutionField, j: int):
     schedule = field.problem.schedule
     a, b = schedule.segment(j)
     offsets = _fit_offsets(b - a)
-    values = np.array([_mode_norms(field, lambda m: m.derivative(a + d))
-                       for d in offsets])
-    return offsets, values
+    return offsets, _derivative_norms(field, a + offsets)
 
 
 def blowup_rate_fit(field: SolutionField, j: int):
@@ -342,8 +337,7 @@ def _mode_history(field: SolutionField, n: int, k: int, t: float,
 
     def profile(w):
         w = np.atleast_1d(w)
-        vals = np.array([mode.derivative(a + wi ** inv) for wi in w])
-        return vals * w ** (inv - 1.0) * order
+        return mode.derivative(a + w ** inv) * w ** (inv - 1.0) * order
 
     # profile(w) = order * w**(1/order - 1) * u'(a + w**(1/order)) makes
     # (s-a)**(order-1) * profile((s-a)**order) equal u'(s) exactly

@@ -7,6 +7,8 @@ machinery whenever all segment orders coincide.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,17 @@ class TestEqualOrderSplit:
         got = split_run.modes[0].derivative(0.4)
         assert got == first.exit_derivative
 
+    def test_array_derivative_matches_pointwise(self, split_run):
+        mode = split_run.modes[0]
+        ts = np.array([[0.1, 0.4], [0.7, 1.0]])
+        got = mode.derivative(ts)
+        assert got.shape == ts.shape
+        assert got[0, 1] == mode.segments[0].exit_derivative
+        want = [[mode.derivative(float(t)) for t in row] for row in ts]
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(DomainError):
+            mode.derivative(np.array([0.5, 0.0]))
+
 
 class TestThreeSegmentChain:
     def test_double_split_still_invariant(self):
@@ -357,6 +370,37 @@ class TestSolutionField:
     def test_mode_index_validation(self, single_run):
         with pytest.raises(DomainError):
             single_run.mode_trajectory(2, TIMES)
+
+
+class TestJunctionGapsAfterSampling:
+    def test_forced_three_segment_gaps_stay_zero(self):
+        # each gap re-evaluates a segment's end and compares it with the
+        # entry the next segment was built from, so sampling the field
+        # first must not move it.  The amplitudes are the forced_modes
+        # benchmark workload's at seed 10; a fresh interpreter keeps
+        # evaluations made by earlier tests out of the check
+        code = """
+import numpy as np
+from fracstep.operator import OperatorSpec
+from fracstep.schedule import OrderSchedule
+from fracstep.solver import ProblemSpec, SeparableSource, solve
+spec = ProblemSpec(
+    schedule=OrderSchedule((0.0, 0.25, 0.625, 1.0), (0.3, 0.8, 0.5)),
+    operator=OperatorSpec(),
+    initial_coefficients=(0.8935513157715842, 0.4863796638501986,
+                          0.2211551787031044),
+    source=SeparableSource(
+        (1.0539097901660093, 0.8543537578972036, 1.0637802198761999),
+        lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float),
+        lambda t: np.full_like(np.asarray(t, dtype=float), 0.5)))
+field = solve(spec, n_cells=8, n_quad=16)
+field.evaluate_grid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 65))
+print(field.junction_gaps().tolist())
+"""
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0.0, 0.0]"
 
 
 class TestSolveValidation:

@@ -7,6 +7,8 @@ than against itself.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +21,7 @@ from fracstep.special import (
     ML_SERIES_YMAX,
     MLParams,
     beta_fn,
-    duhamel_kernel,
     gamma_fn,
-    integrated_kernel,
     measured_envelope,
     ml,
     ml_values,
@@ -47,6 +47,17 @@ RELAX_0_7_5_0_3 = 0.19798766099663128277
 DKER_0_6_3_0_2 = 0.27798540607258802782
 IKER_0_4_2_0_7 = 0.34751140580717904992
 IKER_0_5_10_9 = 0.09812041111385832485
+
+
+def duhamel_kernel(alpha, lam, s):
+    """Convolution kernel ``s**(alpha-1) * E_{alpha,alpha}(-lam s**alpha)``."""
+    return s ** (alpha - 1.0) * ml(MLParams(alpha, alpha), -lam * s ** alpha)
+
+
+def integrated_kernel(alpha, lam, tau):
+    """Its primitive ``tau**alpha * E_{alpha,alpha+1}(-lam tau**alpha)``."""
+    return tau ** alpha * ml(MLParams(alpha, alpha + 1.0),
+                             -lam * tau ** alpha)
 
 
 class TestGammaBeta:
@@ -115,7 +126,9 @@ class TestMLPointValues:
         # alpha in (1, 2) has no certified algorithm between the bands
         x = 15.0 ** 1.5
         assert ML_SERIES_YMAX ** 1.5 < x < ML_ASYM_YMIN ** 1.5
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError,
+                           match=r"E_\(1\.5,1\.0\)\(-58\.09\d*\) in the "
+                                 r"intermediate band"):
             ml(MLParams(1.5, 1.0), -x)
 
 
@@ -152,9 +165,6 @@ class TestMLAccuracy:
                                             (0.9, 1.9)])
     def test_band_seams_are_continuous(self, alpha, beta):
         params = MLParams(alpha, beta)
-        mid = 0.5 * (ML_SERIES_YMAX ** alpha + ML_ASYM_YMIN ** alpha)
-        for _ in range(20):  # ensure the accelerator is in play
-            ml(params, -mid)
         for y_edge in (ML_SERIES_YMAX, ML_ASYM_YMIN):
             x = y_edge ** alpha
             below = ml(params, -x * (1.0 - 1e-9))
@@ -184,10 +194,24 @@ class TestMLArray:
         for alpha, beta in [(0.25, 1.0), (0.6, 0.6), (1.0, 1.7)]:
             z = -np.concatenate([[0.0], 10.0 ** rng.uniform(-3, 5.5, 48)])
             params = MLParams(alpha, beta)
-            for _ in range(2):  # second pass exercises the warm accelerator
-                vals = ml_values(alpha, beta, z)
-                scalars = np.array([ml(params, float(zi)) for zi in z])
-                np.testing.assert_allclose(vals, scalars, atol=1e-11, rtol=0)
+            vals = ml_values(alpha, beta, z)
+            scalars = np.array([ml(params, float(zi)) for zi in z])
+            np.testing.assert_array_equal(vals, scalars)
+
+    def test_mid_band_value_does_not_depend_on_history(self):
+        # a fresh interpreter, so nothing has been evaluated before the
+        # first call; y = 2.2**(1/0.3) ~ 13.8 lies in the intermediate band
+        code = (
+            "import numpy as np\n"
+            "from fracstep.special import ml_values\n"
+            "z = np.array([-2.2])\n"
+            "cold = ml_values(0.3, 0.3, z).tobytes()\n"
+            "ml_values(0.3, 0.3, -np.linspace(1.9, 2.6, 40))\n"
+            "print(cold == ml_values(0.3, 0.3, z).tobytes())\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_empty_input(self):
         out = ml_values(0.5, 1.0, np.array([]))
@@ -241,12 +265,6 @@ class TestDuhamelKernel:
         expected = s ** (-0.3) / gamma_fn(0.7)
         assert duhamel_kernel(0.7, 0.0, s) == pytest.approx(expected,
                                                             rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            duhamel_kernel(0.6, 3.0, 0.0)
-        with pytest.raises(DomainError):
-            duhamel_kernel(1.0, 3.0, 0.5)
 
 
 class TestIntegratedKernel:

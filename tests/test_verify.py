@@ -77,9 +77,8 @@ def trapezoid_w11(field):
         span = (b - a) ** order
         y = span * (np.arange(1, 8001) / 8000.0) ** 2
         t = np.minimum(a + y ** (1.0 / order), b)
-        vals = np.array([
-            np.linalg.norm([0.0 if m.is_zero else m.derivative(ti)
-                            for m in field.modes]) for ti in t])
+        vals = np.linalg.norm([m.derivative(t) for m in field.modes],
+                              axis=0)
         integrand = vals * y ** (1.0 / order - 1.0) / order
         amps = [0.0 if m.is_zero else m.segments[j].impulse_strength
                 for m in field.modes]
