@@ -1,8 +1,9 @@
 """Constructive solver for subdiffusion with piecewise-constant order.
 
 The package builds each spectral mode of the solution segment by
-segment: Mittag-Leffler relaxation plus a singular-kernel convolution
-on every segment, with the memory of earlier segments folded into the
+segment: on every segment the value is the entry value plus a
+singular-kernel convolution, ``entry + int K(t - s) * (load(s) -
+lam * entry) ds``, with the memory of earlier segments folded into the
 segment's effective load.  An independent L1 time stepper, a spatial
 finite-difference twin, and a regularity verification layer cross-check
 the construction.

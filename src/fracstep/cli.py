@@ -25,7 +25,7 @@ from .config import RunConfig, build_run_config, load_config
 from .errors import ConfigError, DomainError, FracstepError
 from .l1 import L1Grid, solve_mode_l1
 from .operator import ModalBasis
-from .solver import ZeroSource, solve
+from .solver import solve
 from .special import ml_values
 from . import verify as verify_mod
 
@@ -84,8 +84,7 @@ def _oracle_grid(cfg: RunConfig, key: str, exponent: int) -> L1Grid:
 
 def _mode_loads(cfg: RunConfig, times: np.ndarray) -> list:
     spec = cfg.problem
-    source = spec.source or ZeroSource(spec.num_modes)
-    return [np.asarray(source.mode_values(n, times), dtype=float)
+    return [np.asarray(spec.source.mode_values(n, times), dtype=float)
             for n in range(1, spec.num_modes + 1)]
 
 
@@ -96,12 +95,10 @@ def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
                      int(cfg.run_value("space_points", 33)))
     ts = np.linspace(0.0, spec.schedule.horizon,
                      int(cfg.run_value("time_points", 33)))
-    grid = field.evaluate_grid(xs, ts)
-    mode_rows = []
-    for t in ts:
-        values = field.mode_values(t)
-        mode_rows.extend((t, float(n + 1), values[n])
-                         for n in range(values.size))
+    values = field.mode_values(ts)
+    grid = np.column_stack([field.basis.synthesize(c, xs) for c in values.T])
+    mode_rows = ((t, float(n + 1), values[n, k])
+                 for k, t in enumerate(ts) for n in range(spec.num_modes))
     sol_rows = ((x, t, grid[i, k])
                 for k, t in enumerate(ts) for i, x in enumerate(xs))
     _write_csv(os.path.join(out, "solution.csv"), ["x", "t", "u"], sol_rows)
@@ -154,9 +151,7 @@ def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
     coarse = grids[exponents[0]]
 
     field, t_solve = _solve_field(cfg)
-    reference = np.vstack([
-        field.mode_trajectory(n, coarse.times)
-        for n in range(1, spec.num_modes + 1)])
+    reference = field.mode_values(coarse.times)
 
     basis = ModalBasis(spec.operator, spec.num_modes)
     t0 = time.perf_counter()

@@ -25,12 +25,11 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .errors import DomainError, NumericError
 from .operator import GridOperator, ModalBasis
 from .schedule import OrderSchedule
-from .solver import ProblemSpec, ZeroSource
+from .solver import ProblemSpec
 from .special import gamma_fn
 
 __all__ = [
     "L1Grid",
-    "l1_weights",
     "solve_mode_l1",
     "solve_full_l1_fd",
 ]
@@ -82,24 +81,6 @@ class L1Grid:
         return cls(step=step, num_steps=round(schedule.horizon / step))
 
 
-def l1_weights(order: float, m: int, tau: float) -> np.ndarray:
-    """Increment weights of the L1 sum at step ``m``.
-
-    Entry ``k`` multiplies ``u_{k+1} - u_k``; the weights are the exact
-    kernel moments of the piecewise-linear reconstruction, positive, and
-    decreasing with history depth.
-    """
-    if not 0.0 < order < 1.0:
-        raise DomainError(f"order must be in (0, 1), got {order}")
-    if m < 1:
-        raise DomainError(f"step index must be >= 1, got {m}")
-    if not tau > 0.0:
-        raise DomainError(f"step must be positive, got {tau}")
-    depth = np.arange(m, 0, -1, dtype=float)
-    scale = tau ** (-order) / gamma_fn(2.0 - order)
-    return (depth ** (1.0 - order) - (depth - 1.0) ** (1.0 - order)) * scale
-
-
 def _segment_of_step(grid: L1Grid, schedule: OrderSchedule) -> np.ndarray:
     """Schedule segment index of each grid node, order-evaluation view.
 
@@ -122,6 +103,12 @@ class _IncrementLadder:
         self._scales: dict[float, float] = {}
 
     def weights(self, order: float, m: int, tau: float) -> np.ndarray:
+        """Increment weights of the L1 sum at step ``m``.
+
+        Entry ``k`` multiplies ``u_{k+1} - u_k``; the weights are the exact
+        kernel moments of the piecewise-linear reconstruction, positive
+        and decreasing with history depth.
+        """
         if order not in self._diffs:
             p = np.arange(self.num_steps + 1, dtype=float) ** (1.0 - order)
             self._diffs[order] = np.diff(p)
@@ -189,7 +176,6 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     op = GridOperator(spec.operator, spatial_points)
     diag, off = op.tridiagonal()
     xs = op.x
-    source = spec.source or ZeroSource(spec.num_modes)
 
     # data synthesized from the analytic eigenfunctions: this is input
     # data, not solver output, so no spectral machinery is borrowed
@@ -198,7 +184,7 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     u_now = shapes @ np.asarray(spec.initial_coefficients)
     times = grid.times
     mode_loads = np.vstack([
-        np.asarray(source.mode_values(n, times), dtype=float)
+        np.asarray(spec.source.mode_values(n, times), dtype=float)
         for n in range(1, spec.num_modes + 1)])  # (N, M+1)
 
     seg = _segment_of_step(grid, schedule)

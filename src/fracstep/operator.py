@@ -1,17 +1,16 @@
 """Self-adjoint spatial operator on an interval with Dirichlet ends.
 
 The operator is ``-a u'' + c u`` on ``(0, L)`` with homogeneous Dirichlet
-boundary values.  Two backends expose the same modal vocabulary:
+boundary values.  Two representations serve the two solution paths:
 
 * :class:`ModalBasis` uses the closed-form eigensystem, sine modes with
-  eigenvalues ``a (n pi / L)**2 + c``, and projects with a composite
-  Simpson rule dense enough that the discrete Gram matrix of the first
-  few dozen modes is orthonormal to about 1e-9.
+  eigenvalues ``a (n pi / L)**2 + c``, to synthesize fields from modal
+  coefficients and to measure fractional-power norms.
 * :class:`GridOperator` discretizes with second-order central differences
-  on a uniform interior grid and takes its eigensystem from the
-  symmetric tridiagonal eigensolver.  It exists so results obtained
-  through the modal route can be cross-checked against a discretization
-  that shares no code with it.
+  on a uniform interior grid.  Its tridiagonal matrix drives the
+  finite-difference L1 solve, so results obtained through the modal
+  route can be cross-checked against a discretization that shares no
+  code with it.
 
 Coercivity is enforced at construction: the smallest eigenvalue must be
 positive, i.e. the reaction coefficient may be negative but not reach
@@ -22,19 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
 __all__ = ["OperatorSpec", "ModalBasis", "GridOperator"]
-
-#: Simpson intervals per requested mode when projecting analytically.
-_POINTS_PER_MODE = 256
-_MIN_INTERVALS = 2048
 
 
 @dataclass(frozen=True)
@@ -104,30 +96,6 @@ class ModalBasis:
         n = np.arange(1, self.size + 1)
         return math.sqrt(2.0 / L) * np.sin(np.outer(x, n) * math.pi / L)
 
-    def _projection_grid(self, n_points: int | None) -> np.ndarray:
-        if n_points is None:
-            n_points = max(_MIN_INTERVALS, _POINTS_PER_MODE * self.size) + 1
-        if n_points < 2 * self.size + 3:
-            raise DomainError(
-                f"{n_points} points cannot resolve {self.size} modes")
-        if n_points % 2 == 0:
-            n_points += 1  # Simpson needs an even interval count
-        return np.linspace(0.0, self.spec.length, n_points)
-
-    def project(self, func, n_points: int | None = None) -> np.ndarray:
-        """Modal coefficients ``<func, X_n>`` by composite Simpson.
-
-        ``func`` maps a node array to values; it is sampled once on a
-        uniform grid sized for about nine digits of Gram orthonormality.
-        """
-        x = self._projection_grid(n_points)
-        values = np.asarray(func(x), dtype=float)
-        if values.shape != x.shape:
-            raise DomainError("func must return one value per node")
-        basis = self.evaluation_matrix(x)
-        return np.array([simpson(values * basis[:, k], x=x)
-                         for k in range(self.size)])
-
     def synthesize(self, coefficients, x) -> np.ndarray:
         """Evaluate ``sum_n coefficients[n-1] X_n(x)``."""
         c = np.asarray(coefficients, dtype=float)
@@ -159,17 +127,6 @@ class ModalBasis:
         return float(np.sqrt(np.sum(self.eigenvalues ** (2.0 * power)
                                     * c ** 2)))
 
-    def gram_defect(self, n_points: int | None = None) -> float:
-        """Largest deviation of the discrete Gram matrix from identity."""
-        x = self._projection_grid(n_points)
-        basis = self.evaluation_matrix(x)
-        gram = np.empty((self.size, self.size))
-        for i in range(self.size):
-            for j in range(i, self.size):
-                gram[i, j] = gram[j, i] = simpson(
-                    basis[:, i] * basis[:, j], x=x)
-        return float(np.max(np.abs(gram - np.eye(self.size))))
-
 
 class GridOperator:
     """Central-difference discretization on a uniform Dirichlet grid."""
@@ -191,47 +148,3 @@ class GridOperator:
         d = np.full(self.interior_points, 2.0 * a / self.h ** 2 + c)
         e = np.full(self.interior_points - 1, -a / self.h ** 2)
         return d, e
-
-    @cached_property
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and continuum-normalized eigenvector columns.
-
-        The discrete eigenvectors are orthonormal in the grid inner
-        product ``h * dot``; dividing by ``sqrt(h)`` makes their columns
-        approximate the unit-norm sine modes pointwise.
-        """
-        d, e = self.tridiagonal()
-        vals, vecs = eigh_tridiagonal(d, e)
-        vecs = vecs / math.sqrt(self.h)
-        # fix sign so each mode starts positive like the sine modes
-        signs = np.sign(vecs[0, :])
-        signs[signs == 0.0] = 1.0
-        return vals, vecs * signs
-
-    def eigenvalue(self, n: int) -> float:
-        """Discrete eigenvalue; approximates the continuous one from below."""
-        if n < 1:
-            raise DomainError(f"mode index must be >= 1, got {n}")
-        vals, _ = self.eigensystem
-        if n > vals.size:
-            raise DomainError(f"grid resolves only {vals.size} modes")
-        return float(vals[n - 1])
-
-    def project(self, samples) -> np.ndarray:
-        """Grid inner products of interior samples with all eigenvectors."""
-        v = np.asarray(samples, dtype=float)
-        if v.shape != (self.interior_points,):
-            raise DomainError(
-                f"expected {self.interior_points} samples, got {v.shape}")
-        _, vecs = self.eigensystem
-        return self.h * (vecs.T @ v)
-
-    def synthesize(self, coefficients) -> np.ndarray:
-        """Grid values of a modal vector (all resolved modes)."""
-        c = np.asarray(coefficients, dtype=float)
-        _, vecs = self.eigensystem
-        if c.shape != (self.interior_points,):
-            raise DomainError(
-                f"expected {self.interior_points} coefficients, "
-                f"got {c.shape}")
-        return vecs @ c

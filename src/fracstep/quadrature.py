@@ -34,9 +34,7 @@ from .special import ml_values
 
 __all__ = [
     "graded_mesh",
-    "gauss_cell_integral",
     "jacobi_weighted_integral",
-    "weighted_history_integral",
     "scaled_power_history",
     "power_kernel_convolve",
     "duhamel_convolve",
@@ -112,16 +110,6 @@ def graded_mesh(a: float, b: float, n: int, grading: float = 2.0,
     return nodes
 
 
-def gauss_cell_integral(smooth, a: float, b: float, n: int = 24) -> float:
-    """Plain Gauss-Legendre integral of a smooth callable over ``[a, b]``."""
-    if b <= a:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    x, w = _legendre_rule(int(n))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, np.asarray(smooth(mid + half * x),
-                                             dtype=float)))
-
-
 def jacobi_weighted_integral(smooth, a: float, b: float,
                              left_exponent: float = 0.0,
                              right_exponent: float = 0.0,
@@ -167,69 +155,6 @@ def _stretched_kernel_integral(smooth_of_u, lo: float, hi: float,
     return total
 
 
-def weighted_history_integral(smooth, a: float, b: float, t: float,
-                              kernel_exponent: float,
-                              left_exponent: float = 0.0,
-                              n: int = 32) -> float:
-    """``int_a^b (s-a)**p * (t-s)**(-kappa) * smooth(s) ds`` for ``t >= b``.
-
-    This is the memory footprint of a past segment ``[a, b]`` evaluated at
-    a later time ``t``.  The kernel exponent ``kappa`` may lie in (0, 2):
-    below one the integral exists up to ``t == b``, while the stronger
-    kernels of memory *rates* (exponent ``1 + order``) are only integrable
-    with strict separation ``t > b``.  The left exponent ``p`` must exceed
-    -1.  Three regimes:
-
-    * far field (``t - b`` at least ``FAR_FIELD_FRACTION`` of the width):
-      the kernel is smooth on the segment, one Jacobi rule in the left
-      weight handles everything;
-    * near field with ``t > b``: split at the midpoint; the left half is a
-      Jacobi rule, the right half is integrated in the kernel variable
-      ``u = t - s`` on a stretched grid reaching down to ``u = t - b``;
-    * coincident (``t == b``, needs ``kappa < 1``): the right half gains
-      an exact Jacobi weight ``u**(-kappa)`` instead.
-    """
-    a, b, t = float(a), float(b), float(t)
-    kappa = float(kernel_exponent)
-    p = float(left_exponent)
-    if b <= a:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    if t < b:
-        raise DomainError(f"evaluation time {t} precedes segment end {b}")
-    if not 0.0 < kappa < 2.0:
-        raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and t == b:
-        raise DomainError(
-            f"kernel exponent {kappa} is not integrable up to t == b")
-    if p <= -1.0:
-        raise DomainError(f"left exponent must exceed -1, got {p}")
-
-    width = b - a
-    if t - b >= FAR_FIELD_FRACTION * width:
-        return jacobi_weighted_integral(
-            lambda s: (t - s) ** (-kappa) * np.asarray(smooth(s), dtype=float),
-            a, b, left_exponent=p, n=n)
-
-    mid = 0.5 * (a + b)
-    left = jacobi_weighted_integral(
-        lambda s: (t - s) ** (-kappa) * np.asarray(smooth(s), dtype=float),
-        a, mid, left_exponent=p, n=n)
-
-    def right_smooth(u):
-        s = t - np.asarray(u, dtype=float)
-        return (s - a) ** p * np.asarray(smooth(s), dtype=float)
-
-    delta = t - b
-    if delta == 0.0:
-        right = jacobi_weighted_integral(
-            lambda u: right_smooth(u), 0.0, t - mid,
-            left_exponent=-kappa, n=n)
-    else:
-        right = _stretched_kernel_integral(right_smooth, delta, t - mid,
-                                           kappa, n)
-    return left + right
-
-
 def scaled_power_history(profile, a: float, b: float, t: float,
                          kernel_exponent: float, power: float,
                          n: int = 24, n_cells: int = 8) -> float:
@@ -248,9 +173,11 @@ def scaled_power_history(profile, a: float, b: float, t: float,
 
     Composite Gauss on a mildly left-graded mesh (the map ``w**(1/power)``
     has limited smoothness at zero) integrates this to near machine
-    accuracy in the far field.  Near ``t == b`` the right half is done in
-    the original variable like in :func:`weighted_history_integral`, where
-    the peeled weight is smooth.
+    accuracy in the far field.  Near ``t == b`` the integral is split at
+    the midpoint and the right half is done in the kernel variable
+    ``u = t - s``, where the peeled weight is smooth: on a stretched grid
+    reaching down to ``u = t - b``, or with an exact Jacobi weight
+    ``u**(-kappa)`` when ``t == b``.
     """
     a, b, t = float(a), float(b), float(t)
     kappa = float(kernel_exponent)
@@ -387,8 +314,8 @@ def _kernel_antiderivatives(alpha: float, lam: float,
 
 
 def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
-                     samples: np.ndarray) -> float:
-    """``int_{nodes[0]}^{t} K(t-s) g(s) ds`` with ``t = nodes[-1]``.
+                     samples: np.ndarray, times):
+    """``int_{nodes[0]}^{t} K(t-s) g(s) ds`` for every ``t`` in ``times``.
 
     ``K(u) = u**(alpha-1) * E_{alpha,alpha}(-lam * u**alpha)`` is the
     subdiffusive impulse response and ``g`` is known through ``samples``
@@ -398,6 +325,11 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
     so affine densities are integrated exactly, the kernel is never
     evaluated pointwise, and the global error is second order in the mesh
     width for twice-differentiable densities.
+
+    Each ``t`` in ``(nodes[0], nodes[-1]]`` gets the nodes below it and
+    ``t`` itself, with the density interpolated there, and a result that
+    depends on its own ``t`` alone; one pair of ``ml_values`` calls
+    serves all times.  A scalar ``times`` gives a float.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
@@ -409,19 +341,35 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
         raise DomainError("need at least two mesh nodes")
     if samples.shape != nodes.shape:
         raise DomainError("samples must align with nodes")
-    widths = np.diff(nodes)
-    if np.any(widths <= 0.0):
+    if np.any(np.diff(nodes) <= 0.0):
         raise DomainError("mesh nodes must be strictly increasing")
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    if not np.all((nodes[0] < flat) & (flat <= nodes[-1])):
+        raise DomainError(
+            f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
 
-    u = nodes[-1] - nodes  # decreasing, ends at zero
+    # mesh k is nodes[:below[k]] then flat[k], ending at ends[k];
+    # np.interp returns a node's own sample exactly, as slicing would
+    below = np.searchsorted(nodes, flat)
+    ends = np.cumsum(below + 1) - 1
+    pos = np.arange((below + 1).sum()) - np.repeat(ends - below, below + 1)
+    mesh = nodes[pos]
+    mesh[ends] = flat
+    density = samples[pos]
+    density[ends] = np.interp(flat, nodes, samples)
+    u = np.repeat(flat, below + 1) - mesh  # zero at the end of each mesh
     ik, ik2 = _kernel_antiderivatives(alpha, lam, u)
     # cell i spans [u[i+1], u[i]] in the kernel variable
     mass = ik[:-1] - ik[1:]
     # int (u - u[i+1]) K(u) du over the cell, via parts: exact and free of
     # the cancellation that a direct first-moment difference would incur
-    right_weight = (ik2[:-1] - ik2[1:]) / widths - ik[1:]
-    return float(np.dot(samples[:-1], mass)
-                 + np.dot(samples[1:] - samples[:-1], right_weight))
+    right_weight = (ik2[:-1] - ik2[1:]) / np.diff(mesh) - ik[1:]
+    step = np.diff(density)
+    out = np.array([float(np.dot(density[lo:hi], mass[lo:hi])
+                          + np.dot(step[lo:hi], right_weight[lo:hi]))
+                    for lo, hi in zip(ends - below, ends)])
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
 def composite_graded_integral(smooth, a: float, b: float,

@@ -139,6 +139,7 @@ class ProblemSpec:
 
     ``initial_coefficients`` are the modal coefficients of the initial
     state; their length fixes the number of modes carried throughout.
+    A ``source`` of ``None`` becomes a :class:`ZeroSource`.
     ``regularity_margins`` hold one exponent reserve per segment, each in
     ``(0, 1 - order)``; they parameterize how close to the worst case the
     load derivative is allowed to blow up at the segment start and
@@ -162,13 +163,14 @@ class ProblemSpec:
             raise DomainError("need at least one initial mode coefficient")
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("initial coefficients must be finite")
-        if self.source is not None:
-            if not isinstance(self.source, ModalSource):
-                raise DomainError("source must be a ModalSource")
-            if self.source.num_modes != len(coeffs):
-                raise DomainError(
-                    f"source carries {self.source.num_modes} modes, "
-                    f"expected {len(coeffs)}")
+        if self.source is None:
+            object.__setattr__(self, "source", ZeroSource(len(coeffs)))
+        if not isinstance(self.source, ModalSource):
+            raise DomainError("source must be a ModalSource")
+        if self.source.num_modes != len(coeffs):
+            raise DomainError(
+                f"source carries {self.source.num_modes} modes, "
+                f"expected {len(coeffs)}")
         orders = self.schedule.orders
         if self.regularity_margins is None:
             margins = tuple(0.5 * (1.0 - b) for b in orders)
@@ -206,31 +208,29 @@ class ModeSegment:
     exit_value: float
     exit_derivative: float
 
-    def value(self, t: float) -> float:
+    def value(self, t):
         """Trajectory value, valid on the closed segment.
 
         Evaluated as ``entry + int K(t - s) * (load(s) - lam * entry) ds``.
         The convolution integrates affine densities exactly, so a steady
         state, whose load is the constant ``lam * entry``, returns
-        ``entry`` exactly.
+        ``entry`` exactly.  ``t`` may be an array, evaluated with one
+        ``duhamel_convolve`` call; a scalar gives a float.
         """
-        t = float(t)
-        if not self.start <= t <= self.end:
+        t = np.asarray(t, dtype=float)
+        outside = ~((self.start <= t) & (t <= self.end))
+        if outside.any():
             raise DomainError(
-                f"time {t} outside segment [{self.start}, {self.end}]")
-        if t == self.start:
-            return self.entry_value
-        density = self.load_samples - self.eigenvalue * self.entry_value
-        idx = int(np.searchsorted(self.nodes, t))
-        if self.nodes[idx] == t:
-            sub_nodes = self.nodes[:idx + 1]
-            sub_density = density[:idx + 1]
-        else:
-            sub_nodes = np.append(self.nodes[:idx], t)
-            sub_density = np.append(density[:idx],
-                                    np.interp(t, self.nodes, density))
-        return self.entry_value + duhamel_convolve(
-            self.order, self.eigenvalue, sub_nodes, sub_density)
+                f"time {t[outside].flat[0]} outside segment "
+                f"[{self.start}, {self.end}]")
+        out = np.full(t.shape, self.entry_value)
+        later = t > self.start
+        if later.any():
+            out[later] += duhamel_convolve(
+                self.order, self.eigenvalue, self.nodes,
+                self.load_samples - self.eigenvalue * self.entry_value,
+                t[later])
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
         """Closed-form time derivative, valid on the half-open segment.
@@ -255,11 +255,6 @@ class ModeSegment:
         out = impulse + np.interp(t, self.nodes, self.tail_samples)
         return float(out) if out.ndim == 0 else out
 
-    def tail_interpolant(self, s) -> np.ndarray:
-        """Forced derivative part at arbitrary points, for memory kernels."""
-        return np.interp(np.asarray(s, dtype=float), self.nodes,
-                         self.tail_samples)
-
 
 def _impulse_history(seg: ModeSegment, t: float, kernel_exponent: float,
                      n_quad: int) -> float:
@@ -278,18 +273,6 @@ def _impulse_history(seg: ModeSegment, t: float, kernel_exponent: float,
 
     return scaled_power_history(profile, seg.start, seg.end, t,
                                 kernel_exponent, seg.order, n=n_quad)
-
-
-def _tail_history(seg: ModeSegment, t: float, kernel_exponent: float,
-                  n_quad: int) -> float:
-    """Memory kernel applied to the forced part of a past derivative.
-
-    The forced part is known through its tabulation, so the kernel is
-    applied to the piecewise-linear interpolant exactly; no quadrature
-    error enters beyond the tabulation itself.
-    """
-    return power_kernel_convolve(seg.nodes, seg.tail_samples, t,
-                                 kernel_exponent)
 
 
 def _blowup_weight(order: float, eigenvalue: float, dt: np.ndarray,
@@ -334,7 +317,8 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
             mem = 0.0
             for seg in previous:
                 mem += _impulse_history(seg, s, beta, n_quad)
-                mem += _tail_history(seg, s, beta, n_quad)
+                mem += power_kernel_convolve(seg.nodes, seg.tail_samples,
+                                             s, beta)
             load[i] -= inv_gamma * mem
 
     impulse_strength = load[0] - lam * entry_value
@@ -349,7 +333,8 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
             rate = 0.0
             for seg in previous:
                 rate += _impulse_history(seg, s, 1.0 + beta, n_quad)
-                rate += _tail_history(seg, s, 1.0 + beta, n_quad)
+                rate += power_kernel_convolve(seg.nodes, seg.tail_samples,
+                                              s, 1.0 + beta)
             rate *= beta * inv_gamma
             rate_remainder[i] = rate - memory_amplitude * (s - a) ** (-beta)
         # the remainder stays bounded; the first node gets its neighbor's
@@ -368,14 +353,10 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
         # the forced derivative at that cell's scale
         smooth_rate[0] = smooth_rate[1]
 
-    tail = np.empty_like(nodes)
     blow = (_blowup_weight(beta, lam, nodes - a, n_quad)
             if memory_amplitude != 0.0 else np.zeros_like(nodes))
-    tail[0] = memory_amplitude * blow[0]
-    for i in range(1, nodes.size):
-        tail[i] = duhamel_convolve(beta, lam, nodes[:i + 1],
-                                   smooth_rate[:i + 1]) \
-            + memory_amplitude * blow[i]
+    tail = memory_amplitude * blow
+    tail[1:] += duhamel_convolve(beta, lam, nodes, smooth_rate, nodes[1:])
 
     segment = ModeSegment(
         index=j, order=beta, eigenvalue=lam, start=a, end=b,
@@ -400,22 +381,31 @@ class ModeSolution:
     def is_zero(self) -> bool:
         return not self.segments
 
-    def _segment_indices(self, t: np.ndarray) -> np.ndarray:
-        grid = self.breakpoints
-        outside = ~((grid[0] <= t) & (t <= grid[-1]))
-        if outside.any():
-            raise DomainError(
-                f"time {t[outside].flat[0]} outside the horizon "
-                f"[{grid[0]}, {grid[-1]}]")
-        j = np.searchsorted(grid, t, side="right") - 1
-        return np.minimum(j, len(self.segments) - 1)
+    def _by_segment(self, t, side: str, evaluate):
+        """``evaluate(segment, times)`` once per segment, zeros if no
+        segments.  A breakpoint goes to the segment on its ``side``; times
+        outside the horizon reach an end segment, which rejects them.
+        """
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        if not self.is_zero:
+            flat = t.reshape(-1)
+            res = out.reshape(-1)
+            index = np.clip(np.searchsorted(self.breakpoints, flat, side) - 1,
+                            0, len(self.segments) - 1)
+            for seg in self.segments:
+                here = index == seg.index
+                if here.any():
+                    res[here] = evaluate(seg, flat[here])
+        return float(out) if out.ndim == 0 else out
 
-    def value(self, t: float) -> float:
-        if self.is_zero:
-            return 0.0
-        t = float(t)
-        j = int(self._segment_indices(np.asarray(t)))
-        return self.segments[j].value(t)
+    def value(self, t):
+        """Trajectory value; at interior junctions the later segment's entry.
+
+        ``t`` may be an array; each segment evaluates its points with one
+        ``duhamel_convolve`` call.  A scalar gives a float.
+        """
+        return self._by_segment(t, "right", ModeSegment.value)
 
     def derivative(self, t):
         """Closed-form derivative; at interior junctions the left limit.
@@ -423,30 +413,7 @@ class ModeSolution:
         ``t`` may be an array; each segment evaluates its points with one
         ``ml_values`` call.  A scalar gives a float.
         """
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        if not self.is_zero:
-            flat = t.reshape(-1)
-            res = out.reshape(-1)
-            index = self._segment_indices(flat)
-            for seg in self.segments:
-                here = index == seg.index
-                at_start = here & (flat == seg.start)
-                if at_start.any():
-                    if seg.index == 0:
-                        raise DomainError(
-                            "derivative is unbounded at the initial time")
-                    res[at_start] = \
-                        self.segments[seg.index - 1].exit_derivative
-                inner = here & ~at_start
-                if inner.any():
-                    res[inner] = seg.derivative(flat[inner])
-        return float(out) if out.ndim == 0 else out
-
-    def trajectory(self, times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        return np.array([self.value(t) for t in times.reshape(-1)]) \
-            .reshape(times.shape)
+        return self._by_segment(t, "left", ModeSegment.derivative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,13 +424,14 @@ class SolutionField:
     basis: ModalBasis
     modes: tuple[ModeSolution, ...]
 
-    def mode_values(self, t: float) -> np.ndarray:
+    def mode_values(self, t) -> np.ndarray:
+        """Mode coefficients at ``t``, one column per time for an array."""
         return np.array([m.value(t) for m in self.modes])
 
     def mode_trajectory(self, n: int, times) -> np.ndarray:
         if not 1 <= n <= len(self.modes):
             raise DomainError(f"mode index {n} outside [1, {len(self.modes)}]")
-        return self.modes[n - 1].trajectory(times)
+        return self.modes[n - 1].value(times)
 
     def evaluate(self, x, t: float):
         """Field value ``u(x, t)``; ``x`` may be a scalar or an array."""
@@ -471,12 +439,10 @@ class SolutionField:
 
     def evaluate_grid(self, xs, ts) -> np.ndarray:
         """Matrix ``u[i, k] = u(xs[i], ts[k])``."""
-        xs = np.asarray(xs, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty((xs.size, ts.size))
-        for k, t in enumerate(ts):
-            out[:, k] = self.evaluate(xs, t)
-        return out
+        values = self.mode_values(np.ravel(ts))
+        # synthesize per time, as evaluate does; one matmul rounds differently
+        return np.column_stack([self.basis.synthesize(c, np.ravel(xs))
+                                for c in values.T])
 
     def junction_gaps(self) -> np.ndarray:
         """Trajectory mismatch at each interior breakpoint, per junction.
@@ -512,7 +478,7 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
 
     schedule = problem.schedule
     basis = ModalBasis(problem.operator, problem.num_modes)
-    source = problem.source or ZeroSource(problem.num_modes)
+    source = problem.source
 
     modes = []
     for n in range(1, problem.num_modes + 1):

@@ -19,7 +19,7 @@ from .operator import ModalBasis
 from .quadrature import composite_graded_integral, graded_mesh, \
     scaled_power_history
 from .schedule import OrderSchedule
-from .solver import ProblemSpec, SolutionField, ZeroSource
+from .solver import ProblemSpec, SolutionField
 from .special import gamma_fn, ml_values
 
 __all__ = [
@@ -138,15 +138,13 @@ def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
 
 
 def _load_derivative_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    source = spec.source or ZeroSource(spec.num_modes)
-    rows = [np.asarray(source.mode_derivative(n, times), dtype=float)
+    rows = [np.asarray(spec.source.mode_derivative(n, times), dtype=float)
             for n in range(1, spec.num_modes + 1)]
     return np.sqrt(np.sum(np.square(np.vstack(rows)), axis=0))
 
 
 def _load_value_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    source = spec.source or ZeroSource(spec.num_modes)
-    rows = [np.asarray(source.mode_values(n, times), dtype=float)
+    rows = [np.asarray(spec.source.mode_values(n, times), dtype=float)
             for n in range(1, spec.num_modes + 1)]
     return np.sqrt(np.sum(np.square(np.vstack(rows)), axis=0))
 
@@ -185,8 +183,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
     width = b - a
     order = schedule.orders[k]
     margin = spec.regularity_margins[k]
-    source = spec.source or ZeroSource(spec.num_modes)
-    if all(source.is_zero_mode(n) for n in range(1, spec.num_modes + 1)):
+    if all(spec.source.is_zero_mode(n) for n in range(1, spec.num_modes + 1)):
         return 0.0
 
     rate_norm = lambda t: _load_derivative_norms(spec, np.atleast_1d(t))
@@ -242,9 +239,9 @@ def c0_dL_norm(field: SolutionField, probes=None) -> float:
     probes = np.asarray(probes, dtype=float)
     if probes.size == 0:
         raise DomainError("need at least one probe time")
-    basis = field.basis
-    return max(basis.fractional_norm(field.mode_values(t), 1.0)
-               for t in probes)
+    values = field.mode_values(probes)
+    return max(field.basis.fractional_norm(column, 1.0)
+               for column in values.T)
 
 
 def w11_norm(field: SolutionField, n_cells: int = 48,
@@ -360,7 +357,6 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     a, b = schedule.segment(j)
     order = schedule.orders[j]
     offsets = _fit_offsets(b - a)
-    source = spec.source or ZeroSource(spec.num_modes)
     prefac = order / gamma_fn(1.0 - order)
 
     values = np.empty(offsets.size)
@@ -369,7 +365,7 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
         per_mode = np.zeros(spec.num_modes)
         for n in range(1, spec.num_modes + 1):
             rate = float(np.asarray(
-                source.mode_derivative(n, np.array([t])))[0])
+                spec.source.mode_derivative(n, np.array([t])))[0])
             if field.modes[n - 1].is_zero and rate == 0.0:
                 continue
             for k in range(j):
@@ -433,20 +429,21 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
         if np.min(np.abs(marks - t)) < floor:
             raise DomainError(
                 f"probe time {t} closer than {floor} to a breakpoint")
-    source = spec.source or ZeroSource(spec.num_modes)
+    times = np.unique(probes[:, 1])
+    values = field.mode_values(times)
 
     worst = 0.0
-    for t in np.unique(probes[:, 1]):
+    for k, t in enumerate(times):
         defect = np.empty(spec.num_modes)
         for n in range(1, spec.num_modes + 1):
             mode = field.modes[n - 1]
-            if mode.is_zero and source.is_zero_mode(n):
+            if mode.is_zero and spec.source.is_zero_mode(n):
                 defect[n - 1] = 0.0
                 continue
             mem = vo_caputo_derivative(field, n, t, n_quad)
-            load = float(np.asarray(source.mode_values(
+            load = float(np.asarray(spec.source.mode_values(
                 n, np.array([t])))[0])
-            defect[n - 1] = mem + mode.eigenvalue * mode.value(t) - load
+            defect[n - 1] = mem + mode.eigenvalue * values[n - 1, k] - load
         xs = probes[probes[:, 1] == t, 0]
         vals = np.atleast_1d(field.basis.synthesize(defect, xs))
         worst = max(worst, float(np.max(np.abs(vals))))
@@ -466,8 +463,9 @@ def initial_limit_check(field: SolutionField, u0=None) -> np.ndarray:
         u0 = np.asarray(u0, dtype=float)
     horizon = field.problem.schedule.horizon
     times = horizon * np.array([1e-3, 1e-4, 1e-5, 1e-6])
-    return np.array([
-        float(np.linalg.norm(field.mode_values(t) - u0)) for t in times])
+    values = field.mode_values(times)
+    return np.array([float(np.linalg.norm(column - u0))
+                     for column in values.T])
 
 
 # ---------------------------------------------------------------------------

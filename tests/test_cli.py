@@ -227,7 +227,9 @@ class TestConfigSources:
 
     def test_zero_source_builds_none(self):
         from fracstep.config import build_run_config
-        assert build_run_config(reference_config()).problem.source is None
+        from fracstep.solver import ZeroSource
+        source = build_run_config(reference_config()).problem.source
+        assert isinstance(source, ZeroSource)
 
     def test_coefficient_count_mismatch_pointer(self, tmp_path, capsys):
         payload = reference_config()

@@ -16,25 +16,15 @@ from fracstep.errors import DomainError
 from fracstep.quadrature import (
     composite_graded_integral,
     duhamel_convolve,
-    gauss_cell_integral,
     graded_mesh,
     jacobi_weighted_integral,
     power_kernel_convolve,
     scaled_power_history,
-    weighted_history_integral,
 )
 from fracstep.special import ml_values
 
 # int_0^1 s**-0.3 (1-s)**-0.5 cos(s) ds
 JACOBI_REF = 1.9750703494713134626
-
-# int_0.2^0.5 (s-0.2)**-0.4 (t-s)**-0.7 cos(s) ds at several t
-HISTORY_REFS = {
-    1.0: 1.0050156930619231139,       # far field
-    0.5008: 3.7490342123285787987,    # near field
-    0.5: 4.3081329061726569196,       # coincident endpoint
-    0.5 + 3e-10: 4.3015494392169204627,  # barely separated
-}
 
 # int_0^1 s**-0.4 exp(s) ds
 GRADED_REF = 2.541056465464061297
@@ -99,44 +89,11 @@ class TestJacobiIntegral:
                                        left_exponent=1.5, n=6)
         assert got == pytest.approx(1.0 / 5.5, rel=1e-14)
 
-    def test_plain_gauss_cell(self):
-        got = gauss_cell_integral(np.sin, 0.0, math.pi, n=20)
-        assert got == pytest.approx(2.0, rel=1e-14)
-
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             jacobi_weighted_integral(np.cos, 0.0, 1.0, left_exponent=-1.0)
         with pytest.raises(DomainError):
             jacobi_weighted_integral(np.cos, 1.0, 0.0)
-
-
-class TestHistoryIntegral:
-    A, B, P, KAPPA = 0.2, 0.5, -0.4, 0.7
-
-    @pytest.mark.parametrize("t,tol", [
-        (1.0, 1e-12), (0.5008, 1e-11), (0.5, 1e-10), (0.5 + 3e-10, 1e-9),
-    ])
-    def test_all_regimes(self, t, tol):
-        got = weighted_history_integral(np.cos, self.A, self.B, t,
-                                        self.KAPPA, self.P, n=32)
-        assert got == pytest.approx(HISTORY_REFS[t], abs=tol)
-
-    def test_matches_jacobi_when_coincident(self):
-        # at t == b the integral is a pure two-sided Jacobi integral
-        direct = jacobi_weighted_integral(np.cos, self.A, self.B,
-                                          self.P, -self.KAPPA, n=48)
-        got = weighted_history_integral(np.cos, self.A, self.B, self.B,
-                                        self.KAPPA, self.P, n=48)
-        assert got == pytest.approx(direct, abs=1e-10)
-
-    def test_rejects_early_time_and_bad_kernel(self):
-        with pytest.raises(DomainError):
-            weighted_history_integral(np.cos, 0.2, 0.5, 0.49, 0.7, -0.4)
-        with pytest.raises(DomainError):
-            # strong kernels need strict separation from the segment end
-            weighted_history_integral(np.cos, 0.2, 0.5, 0.5, 1.2, -0.4)
-        with pytest.raises(DomainError):
-            weighted_history_integral(np.cos, 0.2, 0.5, 1.0, 0.7, -1.5)
 
 
 class TestScaledPowerHistory:
@@ -242,23 +199,24 @@ class TestPowerKernelConvolve:
 class TestDuhamelConvolve:
     def test_constant_density_is_exact(self):
         nodes = np.linspace(0.0, 0.7, 23)
-        got = duhamel_convolve(0.35, 5.0, nodes, np.full(23, 2.5))
+        got = duhamel_convolve(0.35, 5.0, nodes, np.full(23, 2.5),
+                               times=nodes[-1])
         want = 2.5 * float(integrated_kernel_oracle(0.35, 5.0, 0.7))
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_affine_density_is_exact(self):
         nodes = graded_mesh(0.1, 0.9, 17, 3.0, "left")
         got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes,
-                               2.0 - 3.0 * nodes)
+                               2.0 - 3.0 * nodes, times=nodes[-1])
         fine = graded_mesh(0.1, 0.9, 4096, 3.0, "left")
         want = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, fine,
-                                2.0 - 3.0 * fine)
+                                2.0 - 3.0 * fine, times=fine[-1])
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_smooth_density_reference(self):
         nodes = np.linspace(0.0, DUHAMEL_T, 257)
         got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes,
-                               np.cos(3.0 * nodes))
+                               np.cos(3.0 * nodes), times=nodes[-1])
         assert got == pytest.approx(DUHAMEL_SMOOTH_REF, abs=5e-6)
 
     def test_second_order_convergence(self):
@@ -266,21 +224,42 @@ class TestDuhamelConvolve:
         for n in (32, 64, 128, 256):
             nodes = np.linspace(0.0, DUHAMEL_T, n + 1)
             got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes,
-                                   np.cos(3.0 * nodes))
+                                   np.cos(3.0 * nodes), times=nodes[-1])
             errs.append(abs(got - DUHAMEL_SMOOTH_REF))
         rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(rates) > 1.5
 
+    def test_batch_matches_one_time_at_a_time(self):
+        # each time's mesh is the nodes below it plus the time itself, so
+        # batching must not change a single bit; the batch holds a time
+        # on a node, times between nodes and the last node
+        nodes = graded_mesh(0.1, 0.9, 40, 3.0, "left")
+        samples = np.cos(3.0 * nodes)
+        times = np.array([[0.1 + 1e-9, nodes[7], 0.3],
+                          [0.55, 0.8999, nodes[-1]]])
+        got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes, samples,
+                               times)
+        assert got.shape == times.shape
+        want = [[duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes,
+                                  samples, float(t)) for t in row]
+                for row in times]
+        np.testing.assert_array_equal(got, want)
+        assert isinstance(want[0][0], float)
+
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 5)
         with pytest.raises(DomainError):
-            duhamel_convolve(1.0, 1.0, nodes, np.ones(5))
+            duhamel_convolve(1.0, 1.0, nodes, np.ones(5), 1.0)
         with pytest.raises(DomainError):
-            duhamel_convolve(0.5, -1.0, nodes, np.ones(5))
+            duhamel_convolve(0.5, -1.0, nodes, np.ones(5), 1.0)
         with pytest.raises(DomainError):
-            duhamel_convolve(0.5, 1.0, nodes, np.ones(4))
+            duhamel_convolve(0.5, 1.0, nodes, np.ones(4), 1.0)
         with pytest.raises(DomainError):
-            duhamel_convolve(0.5, 1.0, nodes[::-1], np.ones(5))
+            duhamel_convolve(0.5, 1.0, nodes[::-1], np.ones(5), 1.0)
+        # times must lie in (nodes[0], nodes[-1]]
+        for times in (0.0, -0.5, 1.0 + 1e-12, np.array([0.5, 2.0])):
+            with pytest.raises(DomainError):
+                duhamel_convolve(0.5, 1.0, nodes, np.ones(5), times)
 
 
 class TestCompositeGraded:

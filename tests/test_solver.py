@@ -214,6 +214,26 @@ class TestEqualOrderSplit:
         with pytest.raises(DomainError):
             mode.derivative(np.array([0.5, 0.0]))
 
+    def test_array_value_matches_pointwise(self, split_run):
+        mode = split_run.modes[0]
+        first, second = mode.segments
+        ts = np.array([[0.0, 0.1, 0.4], [0.4 + 1e-9, 0.7, 1.0]])
+        got = mode.value(ts)
+        assert got.shape == ts.shape
+        assert got[0, 0] == 1.0
+        assert got[0, 2] == second.entry_value
+        assert got[1, 2] == second.exit_value
+        want = [[mode.value(float(t)) for t in row] for row in ts]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(first.value(ts[0]),
+                                      [first.value(float(t)) for t in ts[0]])
+        np.testing.assert_array_equal(second.value(ts[1]),
+                                      [second.value(float(t)) for t in ts[1]])
+        with pytest.raises(DomainError):
+            mode.value(np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            second.value(np.array([0.5, 0.3]))
+
 
 class TestThreeSegmentChain:
     def test_double_split_still_invariant(self):
