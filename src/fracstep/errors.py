@@ -18,17 +18,8 @@ class DomainError(FracstepError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class AccuracyError(FracstepError, ArithmeticError):
-    """A numerical routine could not reach its accuracy target.
-
-    Raised instead of silently returning a degraded value.
-    """
-
-
-class NumericError(FracstepError, ArithmeticError):
-    """Overflow, non-finite intermediate, or failed solve inside the solver.
-
-    Carries the mode index and segment index where the failure occurred
+class _LocatedError(FracstepError):
+    """Carries the mode index and segment index where a failure occurred
     so batch drivers can report the offending subproblem.
     """
 
@@ -39,6 +30,21 @@ class NumericError(FracstepError, ArithmeticError):
         super().__init__(message)
         self.mode = mode
         self.segment = segment
+
+
+class AccuracyError(_LocatedError, ArithmeticError):
+    """A numerical routine could not reach its accuracy target.
+
+    Raised instead of silently returning a degraded value; the solver
+    re-raises it with the mode and segment it was building.
+    """
+
+
+class NumericError(_LocatedError, ArithmeticError):
+    """Overflow, non-finite intermediate, or failed solve inside the solver.
+
+    Carries the mode and segment indices like :class:`AccuracyError`.
+    """
 
 
 class RegularityError(FracstepError, ValueError):

@@ -81,14 +81,6 @@ class ModalBasis:
         self.size = int(size)
         self.eigenvalues = spec.eigenvalues(self.size)
 
-    def eigenfunction(self, n: int, x) -> np.ndarray:
-        """Unit-norm sine mode ``sqrt(2/L) sin(n pi x / L)``."""
-        if not 1 <= n <= self.size:
-            raise DomainError(f"mode index {n} outside [1, {self.size}]")
-        L = self.spec.length
-        x = np.asarray(x, dtype=float)
-        return math.sqrt(2.0 / L) * np.sin(n * math.pi * x / L)
-
     def evaluation_matrix(self, x) -> np.ndarray:
         """Matrix ``B[i, n-1] = X_n(x_i)`` for synthesis at many points."""
         L = self.spec.length
@@ -105,14 +97,6 @@ class ModalBasis:
         shape = np.shape(x)
         out = self.evaluation_matrix(x) @ c
         return out.reshape(shape) if shape else float(out[0])
-
-    def apply(self, coefficients) -> np.ndarray:
-        """Modal image under the operator: multiply by the eigenvalues."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != (self.size,):
-            raise DomainError(
-                f"expected {self.size} coefficients, got shape {c.shape}")
-        return self.eigenvalues * c
 
     def fractional_norm(self, coefficients, power: float = 0.0) -> float:
         """Norm ``(sum_n lam_n**(2 p) c_n**2)**0.5`` of a modal vector.

@@ -6,16 +6,22 @@ gets a dedicated rule here:
 * ``int_a^b (s-a)**p * (b-s)**q * g(s) ds`` with smooth ``g``: Gauss-Jacobi
   after an affine map, so the endpoint weights are handled exactly.
 * ``int_a^b (s-a)**p * (t-s)**(-kappa) * g(s) ds`` with ``t >= b``: the
-  memory integral of a past segment.  When ``t`` is well clear of ``b`` the
-  kernel factor is smooth and a single Jacobi rule suffices; when ``t``
-  approaches ``b`` the interval is split and the nearly singular right part
-  is integrated on an exponentially stretched grid (or with an exact
-  Jacobi weight when ``t == b``).
+  memory integral of a past segment, for an array of times at once.
+  When ``t`` is well clear of ``b`` the kernel factor is smooth and
+  composite Gauss in a scaled variable suffices; when ``t`` approaches
+  ``b`` the interval is split and the nearly singular right part is
+  integrated on an exponentially stretched grid (or with an exact Jacobi
+  weight when ``t == b``).
 * ``int_a^t K(t-s) * g(s) ds`` with the subdiffusive impulse response
   ``K``: product integration against samples of ``g`` on a mesh, using
   exact cell masses of ``K`` obtained from its closed-form antiderivative.
   The kernel is never evaluated pointwise, so its blow-up at ``s = t``
   costs nothing.
+
+``scaled_power_history`` and ``composite_graded_integral`` evaluate the
+integrand's smooth factor once, on the nodes of every cell and every
+time, and then sum cell by cell, so a batched result equals the
+one-at-a-time result bit for bit.
 
 Graded meshes concentrate nodes near an endpoint with algebraic rate and
 guard against node collapse in double precision.
@@ -51,6 +57,11 @@ FAR_FIELD_FRACTION = 0.1
 MIN_CELL_FRACTION = 1e-14
 
 _EXP_CELL_SPAN = 1.5  # cell length in log coordinates for stretched grids
+
+# duhamel_convolve lays one mesh per time end to end and evaluates them in
+# blocks of about this many mesh nodes, so its memory stays bounded (a few
+# MB) however many times are asked for
+_DUHAMEL_BLOCK_NODES = 1 << 16
 
 
 @functools.lru_cache(maxsize=256)
@@ -134,61 +145,84 @@ def jacobi_weighted_integral(smooth, a: float, b: float,
     return half ** (p + q + 1.0) * float(np.dot(w, vals))
 
 
-def _stretched_kernel_integral(smooth_of_u, lo: float, hi: float,
-                               kappa: float, n: int) -> float:
-    """``int_lo^hi u**(-kappa) * smooth_of_u(u) du`` with ``0 < lo < hi``.
+def _stretched_cells(lo: float, hi: float) -> np.ndarray:
+    """Cell edges of the stretched grid on ``[lo, hi]``, ``0 < lo < hi``.
 
-    Substituting ``u = lo * exp(v)`` moves the origin singularity to
-    ``v -> -inf``; composite Gauss-Legendre on cells of bounded span in
-    ``v`` then converges rapidly even when ``lo`` is tiny.
+    Substituting ``u = lo * exp(v)`` moves the origin singularity of
+    ``u**(-kappa)`` to ``v -> -inf``; composite Gauss-Legendre on cells of
+    bounded span in ``v`` then converges rapidly even when ``lo`` is tiny.
     """
     span = math.log(hi / lo)
     cells = max(1, math.ceil(span / _EXP_CELL_SPAN))
     edges = lo * np.exp(np.linspace(0.0, span, cells + 1))
     edges[-1] = hi
-    x, w = _legendre_rule(int(n))
-    total = 0.0
-    for ua, ub in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-        u = mid + half * x
-        total += half * float(np.dot(w, u ** (-kappa) * smooth_of_u(u)))
+    return edges
+
+
+def _cell_nodes(edges: np.ndarray, x: np.ndarray):
+    """Gauss nodes ``mid + half * x`` of every cell, one row per cell."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x, half
+
+
+def _cell_sum(w: np.ndarray, half: np.ndarray, values: np.ndarray,
+              total: float = 0.0) -> float:
+    """``total + sum_c half[c] * (w . values[c])``, added cell by cell."""
+    for h, row in zip(half, values):
+        total += h * float(np.dot(w, row))
     return total
 
 
-def scaled_power_history(profile, a: float, b: float, t: float,
+def scaled_power_history(profile, a: float, b: float, times,
                          kernel_exponent: float, power: float,
-                         n: int = 24, n_cells: int = 8) -> float:
+                         n: int = 24, n_cells: int = 8):
     """Memory integral of a fractional impulse response shape.
 
     Computes ``int_a^b (t-s)**(-kappa) * (s-a)**(power-1)
-    * profile((s-a)**power) ds`` for ``t >= b`` with analytic ``profile``
-    (typically a Mittag-Leffler factor).  The profile's argument scales
-    like ``(s-a)**power``, so after peeling the algebraic weight the
-    remaining factor still has a branch point at ``s = a`` and a plain
-    Jacobi rule stalls at low accuracy.  Substituting ``w = (s-a)**power``
-    absorbs the weight exactly and removes the branch:
+    * profile((s-a)**power) ds`` for every ``t >= b`` in ``times``, with
+    analytic ``profile`` (typically a Mittag-Leffler factor).  The
+    profile's argument scales like ``(s-a)**power``, so after peeling the
+    algebraic weight the remaining factor still has a branch point at
+    ``s = a`` and a plain Jacobi rule stalls at low accuracy.
+    Substituting ``w = (s-a)**power`` absorbs the weight exactly and
+    removes the branch:
 
         (1/power) * int_0^{(b-a)**power}
             (t - a - w**(1/power))**(-kappa) * profile(w) dw.
 
     Composite Gauss on a mildly left-graded mesh (the map ``w**(1/power)``
     has limited smoothness at zero) integrates this to near machine
-    accuracy in the far field.  Near ``t == b`` the integral is split at
-    the midpoint and the right half is done in the kernel variable
-    ``u = t - s``, where the peeled weight is smooth: on a stretched grid
-    reaching down to ``u = t - b``, or with an exact Jacobi weight
+    accuracy in the far field, ``t - b >= FAR_FIELD_FRACTION * (b - a)``.
+    Nearer to ``b`` the integral is split at the midpoint: the left half
+    is done the same way, and the right half in the kernel variable
+    ``u = t - s``, where the peeled weight is smooth, on a stretched grid
+    reaching down to ``u = t - b`` or with an exact Jacobi weight
     ``u**(-kappa)`` when ``t == b``.
+
+    The far-field nodes and the left-half nodes do not depend on ``t``,
+    so ``profile`` is called once, on those two node sets and on every
+    near time's right-half nodes together.  Each ``t`` is then reduced
+    cell by cell on the same values as a call with that ``t`` alone, so
+    batching changes no bit.  ``profile`` must act elementwise and may
+    return rows with the nodes on the last axis; the result then has the
+    rows' leading shape followed by the shape of ``times``.  A scalar
+    ``times`` and a 1-d profile give a float.
     """
-    a, b, t = float(a), float(b), float(t)
+    a, b = float(a), float(b)
     kappa = float(kernel_exponent)
     power = float(power)
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1).tolist()
     if b <= a:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    if t < b:
-        raise DomainError(f"evaluation time {t} precedes segment end {b}")
+    early = [t for t in flat if t < b]
+    if early:
+        raise DomainError(
+            f"evaluation time {early[0]} precedes segment end {b}")
     if not 0.0 < kappa < 2.0:
         raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and t == b:
+    if kappa >= 1.0 and b in flat:
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == b")
     if not 0.0 < power < 1.0:
@@ -196,40 +230,59 @@ def scaled_power_history(profile, a: float, b: float, t: float,
 
     inv = 1.0 / power
     x, w = _legendre_rule(int(n))
+    width = b - a
+    mid = 0.5 * (a + b)
+    near = [t - b < FAR_FIELD_FRACTION * width for t in flat]
 
-    def transformed_part(s_hi: float) -> float:
-        # integral over [a, s_hi] in the scaled variable
+    # left parts in the scaled variable: [a, b] for far times, [a, mid]
+    # for near ones; then each near time's right half in u = t - s
+    args = []
+    left = {}
+    for s_hi in dict.fromkeys(mid if is_near else b for is_near in near):
         edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
                             3.0, "left")
-        total = 0.0
-        for ca, cb in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (ca + cb), 0.5 * (cb - ca)
-            xi = mid + half * x
-            kern = (t - a - xi ** inv) ** (-kappa)
-            total += half * float(np.dot(
-                w, kern * np.asarray(profile(xi), dtype=float)))
-        return total * inv
+        xi, half = _cell_nodes(edges, x)
+        left[s_hi] = (len(args), xi ** inv, half)
+        args.append(xi)
+    right = []
+    for t, is_near in zip(flat, near):
+        if not is_near:
+            continue
+        delta = t - b
+        if delta == 0.0:  # one cell with the exact Jacobi weight u**(-kappa)
+            xj, wr = _jacobi_rule(int(n), -kappa, 0.0)
+            half = 0.5 * (t - mid)
+            u, rkern = half * (xj[None, :] + 1.0), 1.0
+            scale = np.array([half ** (1.0 - kappa)])
+        else:
+            u, scale = _cell_nodes(_stretched_cells(delta, t - mid), x)
+            rkern, wr = u ** (-kappa), w
+        ds = (t - u) - a
+        right.append((len(args), ds ** (power - 1.0), rkern, wr, scale))
+        args.append(ds ** power)
 
-    width = b - a
-    if t - b >= FAR_FIELD_FRACTION * width:
-        return transformed_part(b)
-
-    mid = 0.5 * (a + b)
-
-    def right_smooth(u):
-        s = t - np.asarray(u, dtype=float)
-        ds = s - a
-        return ds ** (power - 1.0) * np.asarray(profile(ds ** power),
-                                                dtype=float)
-
-    delta = t - b
-    if delta == 0.0:
-        right = jacobi_weighted_integral(right_smooth, 0.0, t - mid,
-                                         left_exponent=-kappa, n=n)
-    else:
-        right = _stretched_kernel_integral(right_smooth, delta, t - mid,
-                                           kappa, n)
-    return transformed_part(mid) + right
+    values = np.asarray(profile(np.concatenate(
+        [arg.ravel() for arg in args] or [np.empty(0)])), dtype=float)
+    lead = values.shape[:-1]
+    rows = values.reshape(-1, values.shape[-1])
+    pieces = np.split(rows, np.cumsum([arg.size for arg in args])[:-1],
+                      axis=1)
+    out = np.empty((rows.shape[0], len(flat)))
+    right = iter(right)
+    for k, (t, is_near) in enumerate(zip(flat, near)):
+        i, xi_inv, half = left[mid if is_near else b]
+        kern = (t - a - xi_inv) ** (-kappa)
+        if is_near:
+            j, weight, rkern, wr, scale = next(right)
+        for r in range(rows.shape[0]):
+            part = pieces[i][r].reshape(kern.shape)
+            total = _cell_sum(w, half, kern * part) * inv
+            if is_near:
+                smooth = weight * pieces[j][r].reshape(weight.shape)
+                total += _cell_sum(wr, scale, rkern * smooth)
+            out[r, k] = total
+    out = out.reshape(lead + times.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, t: float,
@@ -328,8 +381,11 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
 
     Each ``t`` in ``(nodes[0], nodes[-1]]`` gets the nodes below it and
     ``t`` itself, with the density interpolated there, and a result that
-    depends on its own ``t`` alone; one pair of ``ml_values`` calls
-    serves all times.  A scalar ``times`` gives a float.
+    depends on its own ``t`` alone.  The meshes of consecutive times are
+    laid end to end in blocks of about ``_DUHAMEL_BLOCK_NODES`` nodes, and
+    one pair of ``ml_values`` calls serves each block, so memory stays
+    bounded however many times are asked for.  A scalar ``times`` gives
+    a float.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
@@ -349,9 +405,23 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
         raise DomainError(
             f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
 
+    below = np.searchsorted(nodes, flat)
+    # a block holds the times whose meshes end in the same multiple of
+    # the node budget, so it exceeds the budget by at most one mesh
+    block = (np.cumsum(below + 1) - 1) // _DUHAMEL_BLOCK_NODES
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), flat.size]
+    out = np.concatenate([
+        _duhamel_block(alpha, lam, nodes, samples, flat[lo:hi], below[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])])
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+
+
+def _duhamel_block(alpha: float, lam: float, nodes: np.ndarray,
+                   samples: np.ndarray, flat: np.ndarray,
+                   below: np.ndarray) -> np.ndarray:
+    """``duhamel_convolve`` for validated times, ``below`` nodes under each."""
     # mesh k is nodes[:below[k]] then flat[k], ending at ends[k];
     # np.interp returns a node's own sample exactly, as slicing would
-    below = np.searchsorted(nodes, flat)
     ends = np.cumsum(below + 1) - 1
     pos = np.arange((below + 1).sum()) - np.repeat(ends - below, below + 1)
     mesh = nodes[pos]
@@ -366,10 +436,9 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
     # the cancellation that a direct first-moment difference would incur
     right_weight = (ik2[:-1] - ik2[1:]) / np.diff(mesh) - ik[1:]
     step = np.diff(density)
-    out = np.array([float(np.dot(density[lo:hi], mass[lo:hi])
-                          + np.dot(step[lo:hi], right_weight[lo:hi]))
-                    for lo, hi in zip(ends - below, ends)])
-    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+    return np.array([float(np.dot(density[lo:hi], mass[lo:hi])
+                           + np.dot(step[lo:hi], right_weight[lo:hi]))
+                     for lo, hi in zip(ends - below, ends)])
 
 
 def composite_graded_integral(smooth, a: float, b: float,
@@ -379,18 +448,19 @@ def composite_graded_integral(smooth, a: float, b: float,
 
     The first cell is handled with an exact Jacobi weight for the endpoint
     factor; the remaining cells use plain Gauss-Legendre on the full
-    integrand, which the grading keeps accurate.
+    integrand, which the grading keeps accurate.  ``smooth`` must act
+    elementwise: it is called once, on the nodes of every cell.
     """
     p = float(left_exponent)
     if p <= -1.0:
         raise DomainError(f"left exponent must exceed -1, got {p}")
     nodes = graded_mesh(a, b, n_cells, grading, "left")
-    total = jacobi_weighted_integral(smooth, nodes[0], nodes[1],
-                                     left_exponent=p, n=n_gauss)
+    xj, wj = _jacobi_rule(int(n_gauss), p, 0.0)
     x, w = _legendre_rule(int(n_gauss))
-    for ca, cb in zip(nodes[1:-1], nodes[2:]):
-        mid, half = 0.5 * (ca + cb), 0.5 * (cb - ca)
-        s = mid + half * x
-        total += half * float(np.dot(
-            w, (s - a) ** p * np.asarray(smooth(s), dtype=float)))
-    return total
+    first = 0.5 * (float(nodes[1]) - float(nodes[0]))
+    s, half = _cell_nodes(nodes[1:], x)
+    values = np.asarray(smooth(np.concatenate(
+        [nodes[0] + first * (xj + 1.0), s.ravel()])), dtype=float)
+    total = first ** (p + 1.0) * float(np.dot(wj, values[:xj.size]))
+    rest = (s - a) ** p * values[xj.size:].reshape(s.shape)
+    return _cell_sum(w, half, rest, total)

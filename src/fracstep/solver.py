@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import AccuracyError, DomainError, NumericError
 from .operator import ModalBasis, OperatorSpec
 from .quadrature import (
     duhamel_convolve,
@@ -256,22 +256,23 @@ class ModeSegment:
         return float(out) if out.ndim == 0 else out
 
 
-def _impulse_history(seg: ModeSegment, t: float, kernel_exponent: float,
-                     n_quad: int) -> float:
+def _impulse_history(seg: ModeSegment, times: np.ndarray,
+                     kernel_exponent: float, n_quad: int) -> np.ndarray:
     """Memory kernel applied to the impulse part of a past derivative.
 
     The impulse part is ``strength * (s - start)**(order - 1)`` times a
     Mittag-Leffler factor whose argument scales like ``(s - start)**
     order``; the scaled-variable rule resolves that combination exactly.
+    One value per time in ``times``, all from one profile evaluation.
     """
     if seg.impulse_strength == 0.0:
-        return 0.0
+        return np.zeros(np.shape(times))
 
     def profile(xi):
         arg = -seg.eigenvalue * np.asarray(xi, dtype=float)
         return seg.impulse_strength * ml_values(seg.order, seg.order, arg)
 
-    return scaled_power_history(profile, seg.start, seg.end, t,
+    return scaled_power_history(profile, seg.start, seg.end, times,
                                 kernel_exponent, seg.order, n=n_quad)
 
 
@@ -282,23 +283,22 @@ def _blowup_weight(order: float, eigenvalue: float, dt: np.ndarray,
     Returns ``int_0^dt K_b(dt - u) u**(-b) du`` for each elapsed time in
     ``dt``.  Rescaling to the unit interval and mirroring shows the value
     equals ``int_0^1 (1-s)**(-b) s**(b-1) E_{b,b}(-lam dt**b s**b) ds``,
-    which is the coincident case of the scaled-variable memory rule.  At
+    which is the coincident case of the scaled-variable memory rule; one
+    call serves every elapsed time, with one profile row each.  At
     ``dt == 0`` the limit is ``Gamma(1 - b)``.
     """
     dt = np.asarray(dt, dtype=float)
-    out = np.empty_like(dt)
-    for i, d in enumerate(dt):
-        if d == 0.0:
-            out[i] = gamma_fn(1.0 - order)
-            continue
-        scale = -eigenvalue * d ** order
+    out = np.full(dt.shape, gamma_fn(1.0 - order))
+    later = dt != 0.0
+    if later.any():
+        # scalar powers: an array ** may round differently in the last bit
+        scale = np.array([-eigenvalue * d ** order for d in dt[later]])
 
         def profile(xi):
-            return ml_values(order, order, scale * np.asarray(xi,
-                                                              dtype=float))
+            return ml_values(order, order, scale[:, None] * xi)
 
-        out[i] = scaled_power_history(profile, 0.0, 1.0, 1.0,
-                                      order, order, n=n_quad)
+        out[later] = scaled_power_history(profile, 0.0, 1.0, 1.0,
+                                          order, order, n=n_quad)
     return out
 
 
@@ -313,10 +313,12 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
 
     load = np.asarray(base_values(nodes), dtype=float).copy()
     if previous:
+        impulse = [_impulse_history(seg, nodes, beta, n_quad)
+                   for seg in previous]
         for i, s in enumerate(nodes):
             mem = 0.0
-            for seg in previous:
-                mem += _impulse_history(seg, s, beta, n_quad)
+            for seg, history in zip(previous, impulse):
+                mem += history[i]
                 mem += power_kernel_convolve(seg.nodes, seg.tail_samples,
                                              s, beta)
             load[i] -= inv_gamma * mem
@@ -328,11 +330,13 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
         exit_slope = previous[-1].exit_derivative
         memory_amplitude = exit_slope * inv_gamma
         rate_remainder = np.zeros_like(nodes)
+        impulse = [_impulse_history(seg, nodes[1:], 1.0 + beta, n_quad)
+                   for seg in previous]
         for i in range(1, nodes.size):
             s = nodes[i]
             rate = 0.0
-            for seg in previous:
-                rate += _impulse_history(seg, s, 1.0 + beta, n_quad)
+            for seg, history in zip(previous, impulse):
+                rate += history[i - 1]
                 rate += power_kernel_convolve(seg.nodes, seg.tail_samples,
                                               s, 1.0 + beta)
             rate *= beta * inv_gamma
@@ -489,11 +493,16 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
             continue
         segments: list[ModeSegment] = []
         for j in range(schedule.num_segments):
-            seg = _build_mode_segment(
-                j, schedule, lam, entry, segments,
-                lambda ts, n=n: source.mode_values(n, ts),
-                lambda ts, n=n: source.mode_derivative(n, ts),
-                n_cells, n_quad)
+            try:
+                seg = _build_mode_segment(
+                    j, schedule, lam, entry, segments,
+                    lambda ts, n=n: source.mode_values(n, ts),
+                    lambda ts, n=n: source.mode_derivative(n, ts),
+                    n_cells, n_quad)
+            except AccuracyError as exc:
+                # one ml_values call serves every node of a segment, so
+                # the failing point alone no longer locates the failure
+                raise AccuracyError(str(exc), mode=n, segment=j) from exc
             if not (np.isfinite(seg.load_samples).all()
                     and np.isfinite(seg.tail_samples).all()
                     and math.isfinite(seg.exit_value)

@@ -317,17 +317,20 @@ def blowup_rate_fit(field: SolutionField, j: int):
     return _fit_slope(offsets, values)
 
 
-def _mode_history(field: SolutionField, n: int, k: int, t: float,
-                  kernel_exponent: float, n_quad: int) -> float:
-    """Kernel integral of mode ``n``'s derivative over past segment ``k``.
+def _mode_history(field: SolutionField, n: int, k: int, times,
+                  kernel_exponent: float, n_quad: int):
+    """Kernel integral of mode ``n``'s derivative over segment ``k``.
 
-    Independent of the solver's internal tabulations: the derivative is
-    re-evaluated through the public closed form, with the segment's own
-    power scaled out so the transformed profile is smooth.
+    The segment is cut at the earliest of ``times``, so a scalar time
+    inside segment ``k`` integrates its part up to that time, and times
+    past the segment end share one call.  Independent of the solver's
+    internal tabulations: the derivative is re-evaluated through the
+    public closed form, with the segment's own power scaled out so the
+    transformed profile is smooth.
     """
     schedule = field.problem.schedule
     a, b = schedule.segment(k)
-    b = min(b, t)
+    b = min(b, float(np.min(times)))
     order = schedule.orders[k]
     mode = field.modes[n - 1]
     inv = 1.0 / order
@@ -338,7 +341,7 @@ def _mode_history(field: SolutionField, n: int, k: int, t: float,
 
     # profile(w) = order * w**(1/order - 1) * u'(a + w**(1/order)) makes
     # (s-a)**(order-1) * profile((s-a)**order) equal u'(s) exactly
-    return scaled_power_history(profile, a, b, t, kernel_exponent, order,
+    return scaled_power_history(profile, a, b, times, kernel_exponent, order,
                                 n=n_quad) / order
 
 
@@ -358,21 +361,18 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     order = schedule.orders[j]
     offsets = _fit_offsets(b - a)
     prefac = order / gamma_fn(1.0 - order)
+    times = a + offsets
 
-    values = np.empty(offsets.size)
-    for i, d in enumerate(offsets):
-        t = a + d
-        per_mode = np.zeros(spec.num_modes)
-        for n in range(1, spec.num_modes + 1):
-            rate = float(np.asarray(
-                spec.source.mode_derivative(n, np.array([t])))[0])
-            if field.modes[n - 1].is_zero and rate == 0.0:
-                continue
+    # rows are offsets, so each norm sums its modes in mode order
+    per_mode = np.zeros((offsets.size, spec.num_modes))
+    for n in range(1, spec.num_modes + 1):
+        rate = np.asarray(spec.source.mode_derivative(n, times), dtype=float)
+        if not field.modes[n - 1].is_zero:
             for k in range(j):
-                rate += prefac * _mode_history(field, n, k, t,
-                                               order + 1.0, n_quad)
-            per_mode[n - 1] = rate
-        values[i] = float(np.sqrt(np.sum(per_mode ** 2)))
+                rate = rate + prefac * _mode_history(field, n, k, times,
+                                                     order + 1.0, n_quad)
+        per_mode[:, n - 1] = rate
+    values = np.array([float(np.sqrt(np.sum(row ** 2))) for row in per_mode])
     return offsets, values
 
 
@@ -387,27 +387,40 @@ def source_rate_fit(spec: ProblemSpec, field: SolutionField, j: int,
 # equation residual and initial limit
 
 
-def vo_caputo_derivative(field: SolutionField, n: int, t: float,
-                         n_quad: int = 24) -> float:
+def vo_caputo_derivative(field: SolutionField, n: int, t,
+                         n_quad: int = 24):
     """Variable-order memory derivative of mode ``n`` at time ``t``.
 
     Quadrature of the defining integral with the exponent frozen at the
     current time's order, using only the public derivative evaluator;
-    this is the independent path the residual check relies on.
+    this is the independent path the residual check relies on.  ``t``
+    may be an array: times on the same segment share one call per past
+    segment.  A scalar gives a float.
     """
     schedule = field.problem.schedule
-    t = float(t)
-    if not 0.0 < t <= schedule.horizon:
+    t = np.asarray(t, dtype=float)
+    flat = t.reshape(-1)
+    outside = ~((0.0 < flat) & (flat <= schedule.horizon))
+    if outside.any():
         raise DomainError(
-            f"time {t} outside the half-open horizon (0, {schedule.horizon}]")
-    cur, kappa = _order_at_clamped(schedule, t)
-    total = 0.0
-    for k in range(cur + 1):
-        a, _ = schedule.segment(k)
-        if t <= a:
-            break
-        total += _mode_history(field, n, k, t, kappa, n_quad)
-    return total / gamma_fn(1.0 - kappa)
+            f"time {flat[outside][0]} outside the half-open horizon "
+            f"(0, {schedule.horizon}]")
+    current = np.array([_order_at_clamped(schedule, s)[0]
+                        for s in flat.tolist()], dtype=int)
+    out = np.empty(flat.size)
+    for j in np.unique(current).tolist():
+        here = np.flatnonzero(current == j)
+        kappa = schedule.orders[j]
+        total = np.zeros(here.size)
+        for k in range(j):
+            total += _mode_history(field, n, k, flat[here], kappa, n_quad)
+        # the current segment is cut at each time separately
+        a, _ = schedule.segment(j)
+        for i, s in enumerate(flat[here].tolist()):
+            if s > a:
+                total[i] += _mode_history(field, n, j, s, kappa, n_quad)
+        out[here] = total / gamma_fn(1.0 - kappa)
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def residual_check(field: SolutionField, spec: ProblemSpec, probes,
@@ -432,20 +445,20 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     times = np.unique(probes[:, 1])
     values = field.mode_values(times)
 
+    # rows are times, so each row is one contiguous modal vector
+    defect = np.zeros((times.size, spec.num_modes))
+    for n in range(1, spec.num_modes + 1):
+        mode = field.modes[n - 1]
+        if mode.is_zero and spec.source.is_zero_mode(n):
+            continue
+        mem = vo_caputo_derivative(field, n, times, n_quad)
+        load = np.asarray(spec.source.mode_values(n, times), dtype=float)
+        defect[:, n - 1] = mem + mode.eigenvalue * values[n - 1] - load
+
     worst = 0.0
-    for k, t in enumerate(times):
-        defect = np.empty(spec.num_modes)
-        for n in range(1, spec.num_modes + 1):
-            mode = field.modes[n - 1]
-            if mode.is_zero and spec.source.is_zero_mode(n):
-                defect[n - 1] = 0.0
-                continue
-            mem = vo_caputo_derivative(field, n, t, n_quad)
-            load = float(np.asarray(spec.source.mode_values(
-                n, np.array([t])))[0])
-            defect[n - 1] = mem + mode.eigenvalue * values[n - 1, k] - load
+    for t, row in zip(times, defect):
         xs = probes[probes[:, 1] == t, 0]
-        vals = np.atleast_1d(field.basis.synthesize(defect, xs))
+        vals = np.atleast_1d(field.basis.synthesize(row, xs))
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst
 

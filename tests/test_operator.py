@@ -54,17 +54,6 @@ def grid():
 
 class TestModalBasis:
 
-    def test_eigenfunctions_vanish_at_ends(self, basis):
-        for n in (1, 5, 24):
-            vals = basis.eigenfunction(n, np.array([0.0, 1.0]))
-            np.testing.assert_allclose(vals, 0.0, atol=1e-12)
-
-    def test_apply_scales_by_eigenvalues(self, basis):
-        c = np.zeros(24)
-        c[4] = 2.0
-        out = basis.apply(c)
-        assert out[4] == pytest.approx(2.0 * basis.eigenvalues[4], rel=1e-15)
-
     def test_fractional_norm_powers(self, basis):
         c = np.zeros(24)
         c[0], c[3] = 3.0, 4.0
@@ -77,10 +66,6 @@ class TestModalBasis:
         assert basis.fractional_norm(c, 1.0) > basis.fractional_norm(c, 0.5)
 
     def test_validation(self, basis):
-        with pytest.raises(DomainError):
-            basis.eigenfunction(0, 0.5)
-        with pytest.raises(DomainError):
-            basis.eigenfunction(25, 0.5)
         with pytest.raises(DomainError):
             basis.synthesize(np.ones(7), 0.5)
         with pytest.raises(DomainError):

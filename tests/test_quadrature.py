@@ -12,6 +12,7 @@ import pytest
 
 from oracles import integrated_kernel_oracle
 
+from fracstep import quadrature
 from fracstep.errors import DomainError
 from fracstep.quadrature import (
     composite_graded_integral,
@@ -130,18 +131,58 @@ class TestScaledPowerHistory:
                                     1.45, SCALED_ORDER, n=48, n_cells=24)
         assert coarse == pytest.approx(fine, rel=1e-11)
 
+    def test_batch_matches_one_time_at_a_time(self):
+        # the batch holds far times, near times with t > b and t == b;
+        # each time is reduced on the same values as a call of its own
+        b = 0.4
+        for kappa in (0.45, 1.45):
+            times = np.array([[0.9, b + 1e-9, 0.41],
+                              [b + 0.04, b + 0.0399, b]])
+            if kappa > 1.0:
+                times[1, 2] = 0.5
+            got = scaled_power_history(self._profile, 0.0, b, times, kappa,
+                                       SCALED_ORDER)
+            assert got.shape == times.shape
+            want = [[scaled_power_history(self._profile, 0.0, b, float(t),
+                                          kappa, SCALED_ORDER)
+                     for t in row] for row in times]
+            np.testing.assert_array_equal(got, want)
+            assert isinstance(want[0][0], float)
+
+    def test_row_profile_gives_one_result_per_row(self):
+        lams = np.array([1.0, 9.0, 40.0])
+
+        def rows(xi):
+            return ml_values(SCALED_ORDER, SCALED_ORDER,
+                             -lams[:, None] * np.asarray(xi, dtype=float))
+
+        times = np.array([0.4, 0.41, 0.9])
+        got = scaled_power_history(rows, 0.0, 0.4, times, 0.45,
+                                   SCALED_ORDER)
+        assert got.shape == (3, 3)
+        for lam, row in zip(lams, got):
+            want = scaled_power_history(
+                lambda xi: ml_values(SCALED_ORDER, SCALED_ORDER, -lam * xi),
+                0.0, 0.4, times, 0.45, SCALED_ORDER)
+            np.testing.assert_array_equal(row, want)
+        single = scaled_power_history(rows, 0.0, 0.4, 0.41, 0.45,
+                                      SCALED_ORDER)
+        np.testing.assert_array_equal(single, got[:, 1])
+
     def test_validation(self):
         one = lambda xi: np.ones_like(xi)
-        with pytest.raises(DomainError):
-            scaled_power_history(one, 0.0, 0.4, 0.3, 0.5, 0.5)  # t < b
-        with pytest.raises(DomainError):
-            scaled_power_history(one, 0.4, 0.4, 0.5, 0.5, 0.5)  # empty
-        with pytest.raises(DomainError):
-            scaled_power_history(one, 0.0, 0.4, 0.4, 1.5, 0.5)  # t == b
-        with pytest.raises(DomainError):
-            scaled_power_history(one, 0.0, 0.4, 0.5, 2.5, 0.5)  # kappa
-        with pytest.raises(DomainError):
-            scaled_power_history(one, 0.0, 0.4, 0.5, 0.5, 1.5)  # power
+        for a, b, t, kappa, power in [
+                (0.0, 0.4, 0.3, 0.5, 0.5),   # t < b
+                (0.4, 0.4, 0.5, 0.5, 0.5),   # empty
+                (0.0, 0.4, 0.4, 1.5, 0.5),   # t == b
+                (0.0, 0.4, 0.5, 2.5, 0.5),   # kappa
+                (0.0, 0.4, 0.5, 0.5, 1.5)]:  # power
+            with pytest.raises(DomainError):
+                scaled_power_history(one, a, b, t, kappa, power)
+            # an array with this time among good ones is rejected too
+            with pytest.raises(DomainError):
+                scaled_power_history(one, a, b, np.array([0.9, t, 0.6]),
+                                     kappa, power)
 
 
 class TestPowerKernelConvolve:
@@ -229,7 +270,7 @@ class TestDuhamelConvolve:
         rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(rates) > 1.5
 
-    def test_batch_matches_one_time_at_a_time(self):
+    def test_batch_matches_one_time_at_a_time(self, monkeypatch):
         # each time's mesh is the nodes below it plus the time itself, so
         # batching must not change a single bit; the batch holds a time
         # on a node, times between nodes and the last node
@@ -245,6 +286,15 @@ class TestDuhamelConvolve:
                 for row in times]
         np.testing.assert_array_equal(got, want)
         assert isinstance(want[0][0], float)
+        # a budget of 60 mesh nodes splits 50 times into many blocks,
+        # some holding one mesh longer than the budget
+        monkeypatch.setattr(quadrature, "_DUHAMEL_BLOCK_NODES", 60)
+        times = np.linspace(0.1 + 1e-9, 0.9, 50)
+        got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes, samples,
+                               times)
+        np.testing.assert_array_equal(got, [
+            duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes, samples,
+                             float(t)) for t in times])
 
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 5)
@@ -266,6 +316,18 @@ class TestCompositeGraded:
     def test_reference(self):
         got = composite_graded_integral(np.exp, 0.0, 1.0, -0.4, n_cells=32)
         assert got == pytest.approx(GRADED_REF, abs=1e-10)
+
+    def test_calls_smooth_once(self):
+        calls = []
+
+        def smooth(s):
+            calls.append(np.size(s))
+            return np.exp(s)
+
+        got = composite_graded_integral(smooth, 0.0, 1.0, -0.4, n_cells=32)
+        assert calls == [32 * 12]
+        assert got == composite_graded_integral(np.exp, 0.0, 1.0, -0.4,
+                                                n_cells=32)
 
     def test_plain_weight_reduces_to_smooth_integral(self):
         got = composite_graded_integral(np.sin, 0.0, math.pi,

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from fracstep.errors import DomainError, NumericError
+from fracstep import solver as solver_module
+from fracstep.errors import AccuracyError, DomainError, NumericError
 from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import (
@@ -347,6 +348,28 @@ class TestForcedProblems:
             solve(prob, n_cells=64, n_quad=16)
         assert info.value.mode == 1
         assert info.value.segment == 0
+
+
+    def test_accuracy_error_names_the_subproblem(self, monkeypatch):
+        # one ml_values call serves a whole segment, so the solver must
+        # say which mode and segment it was building when one fails
+        real = solver_module.ml_values
+
+        def failing(alpha, beta, z):
+            if alpha == 0.8:
+                raise AccuracyError("E_(0.8,0.8) failed")
+            return real(alpha, beta, z)
+
+        monkeypatch.setattr(solver_module, "ml_values", failing)
+        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=(0.0, 1.0))
+        with pytest.raises(AccuracyError,
+                           match=r"mode=2, segment=1") as info:
+            solve(prob, n_cells=16, n_quad=8)
+        assert info.value.mode == 2
+        assert info.value.segment == 1
+        assert isinstance(info.value.__cause__, AccuracyError)
 
 
 class TestZeroModes:

@@ -285,6 +285,20 @@ class TestResidual:
             V.vo_caputo_derivative(field, 1, 0.0)
         with pytest.raises(DomainError):
             V.vo_caputo_derivative(field, 1, 1.5)
+        with pytest.raises(DomainError):
+            V.vo_caputo_derivative(field, 1, np.array([0.5, 1.5]))
+
+    def test_caputo_array_matches_scalar_calls(self, mixed_run):
+        # times on both segments, the breakpoint and the horizon; each
+        # past segment is one call over all later times, bit for bit
+        _, field = mixed_run
+        times = np.array([[0.05, 0.3, 0.5], [0.5 + 1e-6, 0.77, 1.0]])
+        for n in (1, 2):
+            got = V.vo_caputo_derivative(field, n, times)
+            assert got.shape == times.shape
+            want = [[V.vo_caputo_derivative(field, n, float(t)) for t in row]
+                    for row in times]
+            np.testing.assert_array_equal(got, want)
 
 
 class TestInitialLimit:
