@@ -3,15 +3,17 @@
 Every integral in the segment recursion has one of three shapes and each
 gets a dedicated rule here:
 
-* ``int_a^b (s-a)**p * (b-s)**q * g(s) ds`` with smooth ``g``: Gauss-Jacobi
-  after an affine map, so the endpoint weights are handled exactly.
 * ``int_a^b (s-a)**p * (t-s)**(-kappa) * g(s) ds`` with ``t >= b``: the
-  memory integral of a past segment, for an array of times at once.
+  memory integral of a past segment's impulse part, for an array of
+  times at once.
   When ``t`` is well clear of ``b`` the kernel factor is smooth and
   composite Gauss in a scaled variable suffices; when ``t`` approaches
   ``b`` the interval is split and the nearly singular right part is
-  integrated on an exponentially stretched grid (or with an exact Jacobi
-  weight when ``t == b``).
+  integrated on an exponentially stretched grid (or with a Gauss-Jacobi
+  rule for the endpoint weight when ``t == b``).
+* ``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``: the memory of a
+  past segment's forced tail, exact for the piecewise-linear interpolant
+  and computed as one (times x cells) array per block of times.
 * ``int_a^t K(t-s) * g(s) ds`` with the subdiffusive impulse response
   ``K``: product integration against samples of ``g`` on a mesh, using
   exact cell masses of ``K`` obtained from its closed-form antiderivative.
@@ -20,8 +22,9 @@ gets a dedicated rule here:
 
 ``scaled_power_history`` and ``composite_graded_integral`` evaluate the
 integrand's smooth factor once, on the nodes of every cell and every
-time, and then sum cell by cell, so a batched result equals the
-one-at-a-time result bit for bit.
+time, and then sum cell by cell; ``power_kernel_convolve`` and
+``duhamel_convolve`` reduce each time on its own row.  Either way a
+batched result equals the one-at-a-time result bit for bit.
 
 Graded meshes concentrate nodes near an endpoint with algebraic rate and
 guard against node collapse in double precision.
@@ -40,7 +43,6 @@ from .special import ml_values
 
 __all__ = [
     "graded_mesh",
-    "jacobi_weighted_integral",
     "scaled_power_history",
     "power_kernel_convolve",
     "duhamel_convolve",
@@ -58,10 +60,10 @@ MIN_CELL_FRACTION = 1e-14
 
 _EXP_CELL_SPAN = 1.5  # cell length in log coordinates for stretched grids
 
-# duhamel_convolve lays one mesh per time end to end and evaluates them in
-# blocks of about this many mesh nodes, so its memory stays bounded (a few
-# MB) however many times are asked for
-_DUHAMEL_BLOCK_NODES = 1 << 16
+# power_kernel_convolve and duhamel_convolve evaluate their times in blocks
+# of about this many quadrature or mesh nodes, so their memory stays
+# bounded (a few MB) however many times are asked for
+_BLOCK_NODES = 1 << 16
 
 
 @functools.lru_cache(maxsize=256)
@@ -119,30 +121,6 @@ def graded_mesh(a: float, b: float, n: int, grading: float = 2.0,
     nodes = a + (b - a) * frac
     nodes[0], nodes[-1] = a, b
     return nodes
-
-
-def jacobi_weighted_integral(smooth, a: float, b: float,
-                             left_exponent: float = 0.0,
-                             right_exponent: float = 0.0,
-                             n: int = 24) -> float:
-    """``int_a^b (s-a)**p * (b-s)**q * smooth(s) ds`` by Gauss-Jacobi.
-
-    Both exponents must exceed -1 for integrability; ``smooth`` receives a
-    node array and must return values of the smooth factor only, the
-    endpoint weights are supplied by the rule.
-    """
-    a, b = float(a), float(b)
-    p, q = float(left_exponent), float(right_exponent)
-    if b <= a:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    if p <= -1.0 or q <= -1.0:
-        raise DomainError(
-            f"endpoint exponents must exceed -1, got p={p}, q={q}")
-    x, w = _jacobi_rule(int(n), p, q)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    vals = np.asarray(smooth(nodes), dtype=float)
-    return half ** (p + q + 1.0) * float(np.dot(w, vals))
 
 
 def _stretched_cells(lo: float, hi: float) -> np.ndarray:
@@ -204,10 +182,8 @@ def scaled_power_history(profile, a: float, b: float, times,
     so ``profile`` is called once, on those two node sets and on every
     near time's right-half nodes together.  Each ``t`` is then reduced
     cell by cell on the same values as a call with that ``t`` alone, so
-    batching changes no bit.  ``profile`` must act elementwise and may
-    return rows with the nodes on the last axis; the result then has the
-    rows' leading shape followed by the shape of ``times``.  A scalar
-    ``times`` and a 1-d profile give a float.
+    batching changes no bit.  ``profile`` must act elementwise.  A scalar
+    ``times`` gives a float.
     """
     a, b = float(a), float(b)
     kappa = float(kernel_exponent)
@@ -263,45 +239,45 @@ def scaled_power_history(profile, a: float, b: float, times,
 
     values = np.asarray(profile(np.concatenate(
         [arg.ravel() for arg in args] or [np.empty(0)])), dtype=float)
-    lead = values.shape[:-1]
-    rows = values.reshape(-1, values.shape[-1])
-    pieces = np.split(rows, np.cumsum([arg.size for arg in args])[:-1],
-                      axis=1)
-    out = np.empty((rows.shape[0], len(flat)))
+    pieces = np.split(values, np.cumsum([arg.size for arg in args])[:-1])
+    out = np.empty(len(flat))
     right = iter(right)
     for k, (t, is_near) in enumerate(zip(flat, near)):
         i, xi_inv, half = left[mid if is_near else b]
         kern = (t - a - xi_inv) ** (-kappa)
+        out[k] = _cell_sum(w, half, kern * pieces[i].reshape(kern.shape)) \
+            * inv
         if is_near:
             j, weight, rkern, wr, scale = next(right)
-        for r in range(rows.shape[0]):
-            part = pieces[i][r].reshape(kern.shape)
-            total = _cell_sum(w, half, kern * part) * inv
-            if is_near:
-                smooth = weight * pieces[j][r].reshape(weight.shape)
-                total += _cell_sum(wr, scale, rkern * smooth)
-            out[r, k] = total
-    out = out.reshape(lead + times.shape)
+            smooth = weight * pieces[j].reshape(weight.shape)
+            out[k] += _cell_sum(wr, scale, rkern * smooth)
+    out = out.reshape(times.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, t: float,
-                          kernel_exponent: float) -> float:
-    """``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``, ``t`` beyond.
+def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
+                          kernel_exponent: float):
+    """``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``, every ``t``.
 
     ``g`` is the piecewise-linear interpolant of ``samples`` on ``nodes``
     and the integral runs over the full node range, which must end at or
-    before ``t`` (strictly before for ``kappa >= 1``).  Cells close to the
-    kernel singularity use the closed-form kernel moments, which are
-    stable there; cells far from it use a short Gauss rule, which is
-    exact to machine accuracy at that separation and avoids the
-    subtractive cancellation the moment differences would suffer.  The
-    result is exact for the interpolant, so the only error is the
-    interpolation error of the tabulation itself.
+    before every ``t`` in ``times`` (strictly before for ``kappa >= 1``).
+    Cells close to the kernel singularity use the closed-form kernel
+    moments, which are stable there; cells far from it use a short Gauss
+    rule, which is exact to machine accuracy at that separation and
+    avoids the subtractive cancellation the moment differences would
+    suffer.  The result is exact for the interpolant, so the only error
+    is the interpolation error of the tabulation itself.
+
+    Both cell formulas are evaluated as (times x cells) arrays, in blocks
+    of times holding about ``_BLOCK_NODES`` Gauss nodes, and each time is
+    summed over its own row, so a batched result equals the
+    one-at-a-time result bit for bit.  A scalar ``times`` gives a float.
     """
     nodes = np.asarray(nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
-    t = float(t)
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
     kappa = float(kernel_exponent)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DomainError("need at least two mesh nodes")
@@ -310,39 +286,34 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, t: float,
     widths = np.diff(nodes)
     if np.any(widths <= 0.0):
         raise DomainError("mesh nodes must be strictly increasing")
-    if t < nodes[-1]:
-        raise DomainError(
-            f"evaluation time {t} precedes the last node {nodes[-1]}")
+    early = flat < nodes[-1]
+    if early.any():
+        raise DomainError(f"evaluation time {flat[early][0]} precedes "
+                          f"the last node {nodes[-1]}")
     if not 0.0 < kappa < 2.0:
         raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and t == nodes[-1]:
+    if kappa >= 1.0 and np.any(flat == nodes[-1]):
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == end")
 
-    u0 = t - nodes[:-1]
-    u1 = t - nodes[1:]
     g0 = samples[:-1]
     slope = np.diff(samples) / widths
-
-    total = 0.0
-    near = u1 <= 3.0 * widths
-    if np.any(near):
-        a0, a1 = u0[near], u1[near]
-        m0 = (a0 ** (1.0 - kappa) - a1 ** (1.0 - kappa)) / (1.0 - kappa)
-        m1 = a0 * m0 - (a0 ** (2.0 - kappa) - a1 ** (2.0 - kappa)) \
+    x, w = _legendre_rule(8)
+    s, half = _cell_nodes(nodes, x)
+    lin = g0[:, None] + slope[:, None] * (s - nodes[:-1, None])
+    step = max(1, _BLOCK_NODES // s.size)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, step):
+        t = flat[lo:lo + step, None]
+        u0 = t - nodes[:-1]
+        u1 = t - nodes[1:]
+        m0 = (u0 ** (1.0 - kappa) - u1 ** (1.0 - kappa)) / (1.0 - kappa)
+        m1 = u0 * m0 - (u0 ** (2.0 - kappa) - u1 ** (2.0 - kappa)) \
             / (2.0 - kappa)
-        total += float(np.dot(g0[near], m0) + np.dot(slope[near], m1))
-    far = ~near
-    if np.any(far):
-        x, w = _legendre_rule(8)
-        mid = 0.5 * (nodes[:-1][far] + nodes[1:][far])
-        half = 0.5 * widths[far]
-        s = mid[:, None] + half[:, None] * x[None, :]
-        kern = (t - s) ** (-kappa)
-        lin = g0[far][:, None] + slope[far][:, None] \
-            * (s - nodes[:-1][far][:, None])
-        total += float(np.dot(half, (kern * lin) @ w))
-    return total
+        gauss = half * (((t[:, :, None] - s) ** (-kappa) * lin) @ w)
+        out[lo:lo + step] = np.where(u1 <= 3.0 * widths,
+                                     g0 * m0 + slope * m1, gauss).sum(axis=1)
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
 def _kernel_antiderivatives(alpha: float, lam: float,
@@ -382,7 +353,7 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
     Each ``t`` in ``(nodes[0], nodes[-1]]`` gets the nodes below it and
     ``t`` itself, with the density interpolated there, and a result that
     depends on its own ``t`` alone.  The meshes of consecutive times are
-    laid end to end in blocks of about ``_DUHAMEL_BLOCK_NODES`` nodes, and
+    laid end to end in blocks of about ``_BLOCK_NODES`` nodes, and
     one pair of ``ml_values`` calls serves each block, so memory stays
     bounded however many times are asked for.  A scalar ``times`` gives
     a float.
@@ -408,7 +379,7 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
     below = np.searchsorted(nodes, flat)
     # a block holds the times whose meshes end in the same multiple of
     # the node budget, so it exceeds the budget by at most one mesh
-    block = (np.cumsum(below + 1) - 1) // _DUHAMEL_BLOCK_NODES
+    block = (np.cumsum(below + 1) - 1) // _BLOCK_NODES
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), flat.size]
     out = np.concatenate([
         _duhamel_block(alpha, lam, nodes, samples, flat[lo:hi], below[lo:hi])

@@ -256,50 +256,27 @@ class ModeSegment:
         return float(out) if out.ndim == 0 else out
 
 
-def _impulse_history(seg: ModeSegment, times: np.ndarray,
-                     kernel_exponent: float, n_quad: int) -> np.ndarray:
-    """Memory kernel applied to the impulse part of a past derivative.
+def _memory(seg: ModeSegment, times: np.ndarray, kernel_exponent: float,
+            n_quad: int) -> np.ndarray:
+    """Memory kernel applied to a past segment's derivative at ``times``.
 
     The impulse part is ``strength * (s - start)**(order - 1)`` times a
     Mittag-Leffler factor whose argument scales like ``(s - start)**
-    order``; the scaled-variable rule resolves that combination exactly.
-    One value per time in ``times``, all from one profile evaluation.
+    order``; the scaled-variable rule resolves that combination exactly,
+    from one profile evaluation for all times.  The tabulated forced tail
+    goes through ``power_kernel_convolve``, also for all times at once.
     """
+    tail = power_kernel_convolve(seg.nodes, seg.tail_samples, times,
+                                 kernel_exponent)
     if seg.impulse_strength == 0.0:
-        return np.zeros(np.shape(times))
+        return tail
 
     def profile(xi):
         arg = -seg.eigenvalue * np.asarray(xi, dtype=float)
         return seg.impulse_strength * ml_values(seg.order, seg.order, arg)
 
     return scaled_power_history(profile, seg.start, seg.end, times,
-                                kernel_exponent, seg.order, n=n_quad)
-
-
-def _blowup_weight(order: float, eigenvalue: float, dt: np.ndarray,
-                   n_quad: int) -> np.ndarray:
-    """Forced response of the peeled-off memory-rate blow-up.
-
-    Returns ``int_0^dt K_b(dt - u) u**(-b) du`` for each elapsed time in
-    ``dt``.  Rescaling to the unit interval and mirroring shows the value
-    equals ``int_0^1 (1-s)**(-b) s**(b-1) E_{b,b}(-lam dt**b s**b) ds``,
-    which is the coincident case of the scaled-variable memory rule; one
-    call serves every elapsed time, with one profile row each.  At
-    ``dt == 0`` the limit is ``Gamma(1 - b)``.
-    """
-    dt = np.asarray(dt, dtype=float)
-    out = np.full(dt.shape, gamma_fn(1.0 - order))
-    later = dt != 0.0
-    if later.any():
-        # scalar powers: an array ** may round differently in the last bit
-        scale = np.array([-eigenvalue * d ** order for d in dt[later]])
-
-        def profile(xi):
-            return ml_values(order, order, scale[:, None] * xi)
-
-        out[later] = scaled_power_history(profile, 0.0, 1.0, 1.0,
-                                          order, order, n=n_quad)
-    return out
+                                kernel_exponent, seg.order, n=n_quad) + tail
 
 
 def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
@@ -312,41 +289,22 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
     inv_gamma = 1.0 / gamma_fn(1.0 - beta)
 
     load = np.asarray(base_values(nodes), dtype=float).copy()
+    memory_amplitude = 0.0
+    rate_remainder = np.zeros_like(nodes)
     if previous:
-        impulse = [_impulse_history(seg, nodes, beta, n_quad)
-                   for seg in previous]
-        for i, s in enumerate(nodes):
-            mem = 0.0
-            for seg, history in zip(previous, impulse):
-                mem += history[i]
-                mem += power_kernel_convolve(seg.nodes, seg.tail_samples,
-                                             s, beta)
-            load[i] -= inv_gamma * mem
+        load -= inv_gamma * sum(_memory(seg, nodes, beta, n_quad)
+                                for seg in previous)
+        # memory rate: amplitude of its (s - a)**(-beta) blow-up plus a
+        # bounded remainder; the first node gets its neighbor's value,
+        # which only the vanishing first cell mass ever weights
+        memory_amplitude = previous[-1].exit_derivative * inv_gamma
+        rate = beta * inv_gamma * sum(
+            _memory(seg, nodes[1:], 1.0 + beta, n_quad) for seg in previous)
+        rate_remainder[1:] = rate \
+            - memory_amplitude * (nodes[1:] - a) ** (-beta)
+        rate_remainder[0] = rate_remainder[1]
 
     impulse_strength = load[0] - lam * entry_value
-
-    # memory rate: amplitude of its (s - a)**(-beta) blow-up plus remainder
-    if previous:
-        exit_slope = previous[-1].exit_derivative
-        memory_amplitude = exit_slope * inv_gamma
-        rate_remainder = np.zeros_like(nodes)
-        impulse = [_impulse_history(seg, nodes[1:], 1.0 + beta, n_quad)
-                   for seg in previous]
-        for i in range(1, nodes.size):
-            s = nodes[i]
-            rate = 0.0
-            for seg, history in zip(previous, impulse):
-                rate += history[i - 1]
-                rate += power_kernel_convolve(seg.nodes, seg.tail_samples,
-                                              s, 1.0 + beta)
-            rate *= beta * inv_gamma
-            rate_remainder[i] = rate - memory_amplitude * (s - a) ** (-beta)
-        # the remainder stays bounded; the first node gets its neighbor's
-        # value, which only the vanishing first cell mass ever weights
-        rate_remainder[0] = rate_remainder[1]
-    else:
-        memory_amplitude = 0.0
-        rate_remainder = np.zeros_like(nodes)
 
     smooth_rate = np.asarray(base_derivative(nodes), dtype=float) \
         + rate_remainder
@@ -357,9 +315,12 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
         # the forced derivative at that cell's scale
         smooth_rate[0] = smooth_rate[1]
 
-    blow = (_blowup_weight(beta, lam, nodes - a, n_quad)
-            if memory_amplitude != 0.0 else np.zeros_like(nodes))
-    tail = memory_amplitude * blow
+    # the blow-up's forced response int_0^dt K_b(dt - u) u**(-b) du is
+    # Gamma(1 - b) * E_{b,1}(-lam dt**b) in closed form
+    tail = np.zeros_like(nodes)
+    if memory_amplitude != 0.0:
+        tail = memory_amplitude * gamma_fn(1.0 - beta) \
+            * ml_values(beta, 1.0, -lam * (nodes - a) ** beta)
     tail[1:] += duhamel_convolve(beta, lam, nodes, smooth_rate, nodes[1:])
 
     segment = ModeSegment(

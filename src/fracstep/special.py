@@ -1,4 +1,4 @@
-"""Gamma, Beta, and Mittag-Leffler evaluation on the negative real axis.
+"""Gamma and Mittag-Leffler evaluation on the negative real axis.
 
 The two-parameter Mittag-Leffler function is the workhorse: relaxation
 profiles, convolution kernels, and exact kernel primitives all go through
@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy.integrate import quad as _quad
-from scipy.special import beta as _scipy_beta
 from scipy.special import hyp1f1 as _hyp1f1
 from scipy.special import rgamma as _rgamma
 
@@ -45,7 +44,6 @@ from .errors import AccuracyError, DomainError
 __all__ = [
     "MLParams",
     "gamma_fn",
-    "beta_fn",
     "ml",
     "ml_values",
     "relaxation",
@@ -84,15 +82,6 @@ def gamma_fn(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
     return math.gamma(x)
-
-
-def beta_fn(r1: float, r2: float) -> float:
-    """Euler Beta function ``B(r1, r2)`` for positive arguments."""
-    r1 = float(r1)
-    r2 = float(r2)
-    if not (math.isfinite(r1) and math.isfinite(r2)) or r1 <= 0 or r2 <= 0:
-        raise DomainError(f"beta_fn requires positive arguments, got ({r1}, {r2})")
-    return float(_scipy_beta(r1, r2))
 
 
 @dataclass(frozen=True)
@@ -142,19 +131,21 @@ def _band_error(alpha: float, beta: float, band: str, z: float,
 
 
 def _reduce_beta(alpha: float, beta: float, x: float) -> tuple[float, float, float]:
-    """Lower beta below 1 + alpha via E_{a,b}(z) = (E_{a,b-a}(z) - 1/G(b-a))/z.
+    """Lower beta to at most 1 via E_{a,b}(z) = (E_{a,b-a}(z) - 1/G(b-a))/z.
 
     Returns ``(shift, factor, beta_reduced)`` so that the original value is
     ``shift + factor * E_{alpha,beta_reduced}(-x)``.  Only used off the
     origin, where the division by z is well conditioned.  The integral
-    representation needs the second parameter below ``1 + alpha`` for its
-    integrand to stay integrable at the origin.
+    representation's integrand behaves like ``chi**((1 - beta)/alpha)`` at
+    the origin: bounded for ``beta <= 1``, but singular for ``beta`` in
+    ``(1, 1 + alpha)``, and nearly non-integrable as ``beta`` nears
+    ``1 + alpha``, where the adaptive rule can fail.
     """
     shift = 0.0
     factor = 1.0
     b = beta
     z = -x
-    while b >= 1.0 + alpha - 1e-12:
+    while b > 1.0 + 1e-12:
         b_next = b - alpha
         shift += factor * (-float(_rgamma(b_next)) / z)
         factor /= z

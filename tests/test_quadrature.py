@@ -7,6 +7,7 @@ scipy integral of the independently verified kernel to ~1e-12.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,7 +19,6 @@ from fracstep.quadrature import (
     composite_graded_integral,
     duhamel_convolve,
     graded_mesh,
-    jacobi_weighted_integral,
     power_kernel_convolve,
     scaled_power_history,
 )
@@ -80,21 +80,20 @@ class TestGradedMesh:
 
 
 class TestJacobiIntegral:
+    @staticmethod
+    def _integral(smooth, p, q, n):
+        # int_0^1 s**p (1-s)**q smooth(s) ds with the cached Jacobi rule
+        x, w = quadrature._jacobi_rule(n, p, q)
+        return 0.5 ** (p + q + 1.0) * float(np.dot(w, smooth(0.5 * (x + 1.0))))
+
     def test_two_sided_reference(self):
-        got = jacobi_weighted_integral(np.cos, 0.0, 1.0, -0.3, -0.5, n=24)
+        got = self._integral(np.cos, -0.3, -0.5, 24)
         assert got == pytest.approx(JACOBI_REF, abs=1e-13)
 
     def test_polynomial_exactness(self):
-        # (s-a)**1.5 weight against a cubic: exact beta-function value
-        got = jacobi_weighted_integral(lambda s: s ** 3, 0.0, 1.0,
-                                       left_exponent=1.5, n=6)
+        # s**1.5 weight against a cubic: exact beta-function value
+        got = self._integral(lambda s: s ** 3, 1.5, 0.0, 6)
         assert got == pytest.approx(1.0 / 5.5, rel=1e-14)
-
-    def test_rejects_bad_exponents(self):
-        with pytest.raises(DomainError):
-            jacobi_weighted_integral(np.cos, 0.0, 1.0, left_exponent=-1.0)
-        with pytest.raises(DomainError):
-            jacobi_weighted_integral(np.cos, 1.0, 0.0)
 
 
 class TestScaledPowerHistory:
@@ -113,15 +112,17 @@ class TestScaledPowerHistory:
 
     def test_constant_profile_is_beta_integral(self):
         # profile == 1 turns the far-field integral into
-        # int_a^b (t-s)**-k (s-a)**(p-1) ds, checked against the
-        # Jacobi rule applied to the explicitly smooth kernel factor
+        # int_a^b (t-s)**-k (s-a)**(p-1) ds, checked against mpmath's
+        # tanh-sinh rule in x = s - a; its nodes stop near 10**-dps, and
+        # the neglected x**(p-1) mass is that to the power p, so 60 digits
         a, b, t, kappa, p = 0.1, 0.5, 2.0, 0.7, 0.3
         got = scaled_power_history(lambda xi: np.ones_like(xi),
                                    a, b, t, kappa, p)
-        want = jacobi_weighted_integral(
-            lambda s: (t - s) ** (-kappa), a, b, left_exponent=p - 1.0,
-            n=48)
-        assert got == pytest.approx(want, rel=1e-12)
+        with mp.workdps(60):
+            width = mp.mpf(t) - mp.mpf(a)
+            want = mp.quad(lambda x: (width - x) ** (-kappa)
+                           * x ** (p - 1.0), [0, mp.mpf(b) - mp.mpf(a)])
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_rule_refinement_is_converged(self):
         # defaults must already sit at the refined value
@@ -148,26 +149,6 @@ class TestScaledPowerHistory:
                      for t in row] for row in times]
             np.testing.assert_array_equal(got, want)
             assert isinstance(want[0][0], float)
-
-    def test_row_profile_gives_one_result_per_row(self):
-        lams = np.array([1.0, 9.0, 40.0])
-
-        def rows(xi):
-            return ml_values(SCALED_ORDER, SCALED_ORDER,
-                             -lams[:, None] * np.asarray(xi, dtype=float))
-
-        times = np.array([0.4, 0.41, 0.9])
-        got = scaled_power_history(rows, 0.0, 0.4, times, 0.45,
-                                   SCALED_ORDER)
-        assert got.shape == (3, 3)
-        for lam, row in zip(lams, got):
-            want = scaled_power_history(
-                lambda xi: ml_values(SCALED_ORDER, SCALED_ORDER, -lam * xi),
-                0.0, 0.4, times, 0.45, SCALED_ORDER)
-            np.testing.assert_array_equal(row, want)
-        single = scaled_power_history(rows, 0.0, 0.4, 0.41, 0.45,
-                                      SCALED_ORDER)
-        np.testing.assert_array_equal(single, got[:, 1])
 
     def test_validation(self):
         one = lambda xi: np.ones_like(xi)
@@ -222,6 +203,32 @@ class TestPowerKernelConvolve:
         # successive refinements must settle at second order
         assert abs(errs[1] - errs[2]) < abs(errs[0] - errs[1]) / 8.0
 
+    def test_batch_matches_one_time_at_a_time(self, monkeypatch):
+        # near times (t == end included, kappa < 1) and far ones; each
+        # time is summed on its own row, so batching changes no bit
+        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        samples = np.cos(3.0 * nodes)
+        for kappa in (0.45, 1.45):
+            times = np.array([[self.B + 1e-9, 0.71, 1.5],
+                              [self.B + 0.002, 0.9, self.B]])
+            if kappa > 1.0:
+                times[1, 2] = 0.75
+            got = power_kernel_convolve(nodes, samples, times, kappa)
+            assert got.shape == times.shape
+            want = [[power_kernel_convolve(nodes, samples, float(t), kappa)
+                     for t in row] for row in times]
+            np.testing.assert_array_equal(got, want)
+            assert isinstance(want[0][0], float)
+        # a budget of 600 Gauss nodes holds two times, so 51 times make
+        # many blocks, the last one short
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 600)
+        times = np.concatenate([[self.B], np.geomspace(1e-9, 2.0, 50)
+                                + self.B])
+        got = power_kernel_convolve(nodes, samples, times, 0.45)
+        np.testing.assert_array_equal(got, [
+            power_kernel_convolve(nodes, samples, float(t), 0.45)
+            for t in times])
+
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 9)
         ones = np.ones(9)
@@ -229,6 +236,13 @@ class TestPowerKernelConvolve:
             power_kernel_convolve(nodes, ones, 0.9, 0.5)   # t short
         with pytest.raises(DomainError):
             power_kernel_convolve(nodes, ones, 1.0, 1.5)   # t == end
+        # an array with one bad time among good ones is rejected too
+        with pytest.raises(DomainError):
+            power_kernel_convolve(nodes, ones, np.array([1.1, 0.9, 2.0]),
+                                  0.5)
+        with pytest.raises(DomainError):
+            power_kernel_convolve(nodes, ones, np.array([1.1, 1.0, 2.0]),
+                                  1.5)
         with pytest.raises(DomainError):
             power_kernel_convolve(nodes, ones, 1.1, 2.5)   # kappa
         with pytest.raises(DomainError):
@@ -288,7 +302,7 @@ class TestDuhamelConvolve:
         assert isinstance(want[0][0], float)
         # a budget of 60 mesh nodes splits 50 times into many blocks,
         # some holding one mesh longer than the budget
-        monkeypatch.setattr(quadrature, "_DUHAMEL_BLOCK_NODES", 60)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 60)
         times = np.linspace(0.1 + 1e-9, 0.9, 50)
         got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes, samples,
                                times)

@@ -13,6 +13,8 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import ml_oracle
+
 from fracstep import solver as solver_module
 from fracstep.errors import AccuracyError, DomainError, NumericError
 from fracstep.operator import OperatorSpec
@@ -23,7 +25,15 @@ from fracstep.solver import (
     ZeroSource,
     solve,
 )
-from fracstep.special import MLParams, gamma_fn, ml, relaxation
+from fracstep.special import (
+    ML_ASYM_YMIN,
+    ML_SERIES_YMAX,
+    MLParams,
+    gamma_fn,
+    ml,
+    ml_values,
+    relaxation,
+)
 
 OP = OperatorSpec()
 LAM1 = math.pi ** 2
@@ -270,6 +280,45 @@ class TestMixedOrders:
         # t == T belongs to the final segment
         end = mixed_run.modes[0].segments[-1]
         assert mixed_run.modes[0].value(1.0) == end.exit_value
+
+
+class TestBlowupResponse:
+    """Forced response of the memory rate's ``(s - a)**(-b)`` blow-up.
+
+    The solver tabulates ``int_0^dt K_b(dt - u) u**(-b) du`` as
+    ``Gamma(1 - b) * E_{b,1}(-lam dt**b)``.  The references are
+    ``oracles.blowup_response_oracle`` at 30 digits and dt = 0.5, frozen
+    here because the big-float quadrature takes about 20 s.
+    """
+
+    @pytest.mark.parametrize("order,lam,want", [
+        (0.3, math.pi ** 2, 0.11594385151841722724),
+        (0.8, 4.0 * math.pi ** 2, 0.046673773356054863598),
+        (0.5, 1024.0 * math.pi ** 2, 0.00013993143619123458813),
+        (0.8, 0.0, 4.5908437119988030532),
+    ])
+    def test_closed_form_matches_quadrature(self, order, lam, want):
+        dt = 0.5
+        got = gamma_fn(1.0 - order) \
+            * ml_values(order, 1.0, np.array([-lam * dt ** order]))[0]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestAwkwardOrders:
+    """Orders whose ``E_{b,b+2}`` interpolant once failed to build."""
+
+    @pytest.mark.parametrize("order", [0.34, 0.51])
+    def test_solves_and_mid_band_matches_oracle(self, order):
+        sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(order,))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=(1.0,))
+        field = solve(prob, n_cells=16, n_quad=16)
+        assert np.all(np.isfinite(field.mode_values(np.linspace(0, 1, 9))))
+        xs = np.geomspace(1.01 * ML_SERIES_YMAX ** order,
+                          0.99 * ML_ASYM_YMIN ** order, 7)
+        want = [float(ml_oracle(order, order + 2.0, -x)) for x in xs]
+        np.testing.assert_allclose(ml_values(order, order + 2.0, -xs), want,
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestLinearity:

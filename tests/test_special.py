@@ -20,7 +20,6 @@ from fracstep.special import (
     ML_ASYM_YMIN,
     ML_SERIES_YMAX,
     MLParams,
-    beta_fn,
     gamma_fn,
     measured_envelope,
     ml,
@@ -29,7 +28,6 @@ from fracstep.special import (
 )
 
 GAMMA_4_7 = 15.431411600047431712
-BETA_2_5_1_5 = 0.1963495408493620774
 
 # (alpha, beta, z) -> E_{alpha,beta}(z); covers the Taylor, intermediate
 # and asymptotic bands for alpha < 1 plus both live bands for alpha > 1.
@@ -75,14 +73,6 @@ class TestGammaBeta:
     def test_rejects_nonpositive(self, x):
         with pytest.raises(DomainError):
             gamma_fn(x)
-
-    def test_beta_reference_and_symmetry(self):
-        assert beta_fn(2.5, 1.5) == pytest.approx(BETA_2_5_1_5, rel=1e-14)
-        assert beta_fn(0.3, 1.8) == pytest.approx(beta_fn(1.8, 0.3), rel=1e-14)
-
-    def test_beta_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            beta_fn(0.0, 1.0)
 
 
 class TestMLParams:
