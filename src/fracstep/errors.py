@@ -35,8 +35,8 @@ class _LocatedError(FracstepError):
 class AccuracyError(_LocatedError, ArithmeticError):
     """A numerical routine could not reach its accuracy target.
 
-    Raised instead of silently returning a degraded value; the solver
-    re-raises it with the mode and segment it was building.
+    Raised instead of silently returning a degraded value, with the mode
+    and segment where that is known.
     """
 
 

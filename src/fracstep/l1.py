@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import DomainError, NumericError
 from .operator import GridOperator, ModalBasis
@@ -162,6 +161,10 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     step performs one banded Cholesky solve, with the factorization
     reused while the order (and hence the diagonal shift) is unchanged.
     """
+    # the only scipy.linalg user; importing it here keeps it out of
+    # every CLI start that does not build the oracle field
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     if not isinstance(spec, ProblemSpec):
         raise DomainError("spec must be a ProblemSpec")
     if not isinstance(grid, L1Grid):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .operator import ModalBasis, OperatorSpec
 from .quadrature import (
     duhamel_convolve,
@@ -264,10 +264,13 @@ def _memory(seg: ModeSegment, times: np.ndarray, kernel_exponent: float,
     Mittag-Leffler factor whose argument scales like ``(s - start)**
     order``; the scaled-variable rule resolves that combination exactly,
     from one profile evaluation for all times.  The tabulated forced tail
-    goes through ``power_kernel_convolve``, also for all times at once.
+    goes through ``power_kernel_convolve``, also for all times at once;
+    an unforced segment's tail is exactly zero and is skipped.
     """
-    tail = power_kernel_convolve(seg.nodes, seg.tail_samples, times,
-                                 kernel_exponent)
+    tail = np.zeros(np.shape(times))
+    if seg.tail_samples.any():
+        tail = power_kernel_convolve(seg.nodes, seg.tail_samples, times,
+                                     kernel_exponent)
     if seg.impulse_strength == 0.0:
         return tail
 
@@ -454,16 +457,11 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
             continue
         segments: list[ModeSegment] = []
         for j in range(schedule.num_segments):
-            try:
-                seg = _build_mode_segment(
-                    j, schedule, lam, entry, segments,
-                    lambda ts, n=n: source.mode_values(n, ts),
-                    lambda ts, n=n: source.mode_derivative(n, ts),
-                    n_cells, n_quad)
-            except AccuracyError as exc:
-                # one ml_values call serves every node of a segment, so
-                # the failing point alone no longer locates the failure
-                raise AccuracyError(str(exc), mode=n, segment=j) from exc
+            seg = _build_mode_segment(
+                j, schedule, lam, entry, segments,
+                lambda ts, n=n: source.mode_values(n, ts),
+                lambda ts, n=n: source.mode_derivative(n, ts),
+                n_cells, n_quad)
             if not (np.isfinite(seg.load_samples).all()
                     and np.isfinite(seg.tail_samples).all()
                     and math.isfinite(seg.exit_value)

@@ -4,42 +4,44 @@ The two-parameter Mittag-Leffler function is the workhorse: relaxation
 profiles, convolution kernels, and exact kernel primitives all go through
 one array evaluator, ``ml_values``, whose result depends on
 ``(alpha, beta, z)`` alone; ``ml`` is that evaluator at one point.
-Evaluation is split into three bands chosen by the size of
-``y = x**(1/alpha)`` with ``x = -z``:
 
-* small arguments: the defining Taylor series in double precision.  The
-  alternating series loses roughly ``x**(1/alpha)`` / ln(10) digits to
-  cancellation, so the band is capped where the loss stays under five
-  digits.
-* large arguments: the algebraic asymptotic series in powers of ``1/x``,
-  truncated once terms drop below the target or start to diverge.  For
-  ``alpha > 1`` the exponentially small oscillatory contribution is added;
-  on the negative axis it decays but is not always negligible.
-* intermediate band (``alpha < 1``): a Chebyshev interpolant in ``log x``
-  of a real integral representation, obtained by collapsing the Hankel
-  contour and evaluated adaptively at the interpolation nodes.  The
-  interpolant is built the first time a parameter pair needs it and also
-  serves the low end of the asymptotic band, where it is cheaper than
-  optimal truncation.
+For ``0 < alpha < 1`` and ``x >= 0`` the function is the inverse Laplace
+transform at ``t = 1``,
 
-Crossover constants were fixed with ``scripts/calibrate_ml_crossovers.py``,
-which sweeps each band edge against a big-float reference.
+    E_{alpha,beta}(-x) = (1/2 pi i) int_C e**s s**(alpha-beta)
+                         / (s**alpha + x) ds,
+
+whose integrand has only the branch cut on the negative real axis: the
+poles ``s**alpha = -x`` lie off the principal sheet.  ``C`` is the
+parabolic Hankel contour ``s(u) = mu (1 + i u)**2`` of Weideman and
+Trefethen, "Parabolic and hyperbolic contours for computing the Bromwich
+integral", Math. Comp. 76 (2007), with their optimal step ``h = 3/N`` and
+``mu = pi N / 12``; R. Garrappa, "Numerical evaluation of two and three
+parameter Mittag-Leffler functions", SIAM J. Numer. Anal. 53 (2015),
+applies such contours to Mittag-Leffler functions.  The trapezoidal rule
+with ``N = 20`` on ``u_k = k h``, folded by conjugate symmetry onto
+``k = 0..N``, turns the integral into ``Re sum_k c_k / (d_k + x)``, with
+weights ``c_k`` and poles ``d_k = s(u_k)**alpha`` that depend on
+``(alpha, beta)`` only.
+
+The accuracy contract is absolute: about 2e-14 or better against a
+big-float reference over ``alpha`` in [0.001, 0.9999], ``beta`` up to
+``alpha + 2`` and ``x`` up to 1e7.  More nodes lose digits to the
+``e**mu`` growth of the weights, fewer to the discretization.  Relative
+accuracy where the value is tiny, such as ``E_{alpha,alpha}(-x)`` for
+``x`` beyond about 1e10, is not claimed.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
-from scipy.integrate import quad as _quad
-from scipy.special import hyp1f1 as _hyp1f1
-from scipy.special import rgamma as _rgamma
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "MLParams",
@@ -50,30 +52,12 @@ __all__ = [
     "measured_envelope",
 ]
 
-# Band edges in terms of y = x**(1/alpha).  Below ML_SERIES_YMAX the double
-# precision Taylor series keeps absolute error under ~2e-11 (cancellation
-# costs a factor ~exp(y)); above ML_ASYM_YMIN the truncated asymptotic
-# series reaches ~2e-14.  The integral representation covers the gap for
-# alpha in (0, 1); see scripts/calibrate_ml_crossovers.py for the
-# measured error curves behind these values.
-ML_SERIES_YMAX = 8.0
-ML_ASYM_YMIN = 30.0
+# trapezoidal nodes per half-contour; h = 3/N and mu = pi N / 12
+_CONTOUR_NODES = 20
 
-_SERIES_MAX_TERMS = 4000
-_ASYM_MAX_TERMS = 800
-_ASYM_TOL = 1e-13
-
-# Tail cut for the integral representation: exp(-chi**(1/alpha)) is below
-# 1e-19 once chi**(1/alpha) exceeds this.
-_QUAD_TAIL_Y = 44.0
-_QUAD_ABS_TOL = 1e-12
-_QUAD_ACCEPT = 5e-11
-
-# Intermediate-band interpolant: degree, and its domain in x as multiples
-# of the band edges ML_SERIES_YMAX**alpha and ML_ASYM_YMIN**alpha.
-_CHEB_DEGREE = 128
-_CHEB_LOWER = 0.5
-_CHEB_UPPER = 2.0
+# Arguments beyond this are evaluated here, so that the squares in the
+# rule cannot overflow; every value past it is below 1e-149 in size.
+_X_CAP = 1e150
 
 
 def gamma_fn(x: float) -> float:
@@ -88,9 +72,8 @@ def gamma_fn(x: float) -> float:
 class MLParams:
     """Parameter pair ``(alpha, beta)`` of the Mittag-Leffler function.
 
-    ``alpha`` must lie in ``(0, 2)`` and ``beta`` must be positive; this is
-    the range on which the uniform algebraic decay bound on the negative
-    axis holds.
+    ``alpha`` must lie in ``(0, 1)``, the range of the solver's orders, and
+    ``beta`` must be positive.
     """
 
     alpha: float
@@ -101,8 +84,8 @@ class MLParams:
         b = float(self.beta)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-        if not (math.isfinite(a) and 0.0 < a < 2.0):
-            raise DomainError(f"alpha must lie in (0, 2), got {a}")
+        if not (math.isfinite(a) and 0.0 < a < 1.0):
+            raise DomainError(f"alpha must lie in (0, 1), got {a}")
         if not (math.isfinite(b) and b > 0.0):
             raise DomainError(f"beta must be positive, got {b}")
 
@@ -110,11 +93,7 @@ class MLParams:
 def ml(params: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function ``E_{alpha,beta}(z)``, z <= 0.
 
-    Absolute accuracy is 1e-10 or better on ``z in [-1e6, 0]`` for
-    ``alpha in (0, 1]``; for ``alpha in (1, 2)`` the same holds outside a
-    mid-range band where no real-arithmetic algorithm is implemented and an
-    :class:`AccuracyError` is raised instead of degrading silently.  The
-    value is :func:`ml_values` at a one-element array, bit for bit.
+    The value is :func:`ml_values` at a one-element array, bit for bit.
     """
     if not isinstance(params, MLParams):
         params = MLParams(*params)
@@ -124,215 +103,55 @@ def ml(params: MLParams, z: float) -> float:
     return float(ml_values(params.alpha, params.beta, np.array([z]))[0])
 
 
-def _band_error(alpha: float, beta: float, band: str, z: float,
-                reason: str) -> AccuracyError:
-    return AccuracyError(
-        f"E_({alpha},{beta})({z}) in the {band} band: {reason}")
-
-
-def _reduce_beta(alpha: float, beta: float, x: float) -> tuple[float, float, float]:
-    """Lower beta to at most 1 via E_{a,b}(z) = (E_{a,b-a}(z) - 1/G(b-a))/z.
-
-    Returns ``(shift, factor, beta_reduced)`` so that the original value is
-    ``shift + factor * E_{alpha,beta_reduced}(-x)``.  Only used off the
-    origin, where the division by z is well conditioned.  The integral
-    representation's integrand behaves like ``chi**((1 - beta)/alpha)`` at
-    the origin: bounded for ``beta <= 1``, but singular for ``beta`` in
-    ``(1, 1 + alpha)``, and nearly non-integrable as ``beta`` nears
-    ``1 + alpha``, where the adaptive rule can fail.
-    """
-    shift = 0.0
-    factor = 1.0
-    b = beta
-    z = -x
-    while b > 1.0 + 1e-12:
-        b_next = b - alpha
-        shift += factor * (-float(_rgamma(b_next)) / z)
-        factor /= z
-        b = b_next
-    return shift, factor, b
-
-
-def _ml_integrand(alpha: float, beta: float, x: float) -> Callable[[float], float]:
-    inv_alpha = 1.0 / alpha
-    expo = (1.0 - beta) * inv_alpha
-    sin_b = math.sin(math.pi * beta)
-    sin_ba = math.sin(math.pi * (beta - alpha))
-    cos_a = math.cos(math.pi * alpha)
-    pref = 1.0 / (alpha * math.pi)
-
-    def kernel(chi: float) -> float:
-        if chi <= 0.0:
-            return 0.0
-        num = chi * sin_b + x * sin_ba
-        den = chi * chi + 2.0 * chi * x * cos_a + x * x
-        return pref * chi ** expo * math.exp(-chi ** inv_alpha) * num / den
-
-    return kernel
-
-
-def _ml_quad(alpha: float, beta: float, x: float, band: str) -> float:
-    shift, factor, b = _reduce_beta(alpha, beta, x)
-    kernel = _ml_integrand(alpha, b, x)
-    upper = 1.05 * _QUAD_TAIL_Y ** alpha
-    points = [x] if 0.0 < x < upper else None
-    val, abserr, *rest = _quad(
-        kernel, 0.0, upper, points=points, limit=400,
-        epsabs=_QUAD_ABS_TOL, epsrel=1e-11, full_output=1)
-    if rest and len(rest) > 1:
-        raise _band_error(alpha, beta, band, -x,
-                          f"integral representation failed: {rest[1]}")
-    if abserr > _QUAD_ACCEPT:
-        raise _band_error(alpha, beta, band, -x,
-                          f"integral representation reached only "
-                          f"{abserr:.2e} estimated absolute error")
-    return shift + factor * val
-
-
 @functools.lru_cache(maxsize=128)
-def _mid_interpolant(alpha: float, beta: float) -> Chebyshev:
-    """Chebyshev interpolant of ``(1 + x) * E_{alpha,beta}(-x)`` in ``log x``.
+def _contour_rule(alpha: float, beta: float) -> tuple:
+    """Weights and poles ``(Re c, Im c, Re d, Im d)`` of the folded rule.
 
-    Covers ``x`` in ``[_CHEB_LOWER, _CHEB_UPPER]`` times the band edges
-    for ``alpha < 1``.  Interpolating the (1+x)-normalized value keeps the
-    dynamic range of the interpolated quantity near one across the band.
+    ``E_{alpha,beta}(-x) ~ Re sum_k c_k / (d_k + x)`` over ``k = 0..N``;
+    the ``k = 0`` node is on the real axis, the others stand for
+    themselves and their conjugates.
     """
-    lo = _CHEB_LOWER * ML_SERIES_YMAX ** alpha
-    hi = _CHEB_UPPER * ML_ASYM_YMIN ** alpha
-    return Chebyshev.interpolate(
-        lambda w: np.array(
-            [(1.0 + math.exp(wi))
-             * _ml_quad(alpha, beta, math.exp(wi), "intermediate")
-             for wi in np.atleast_1d(w)]),
-        _CHEB_DEGREE, domain=[math.log(lo), math.log(hi)])
+    n = _CONTOUR_NODES
+    h = 3.0 / n
+    mu = math.pi * n / 12.0
+    rule = []
+    for k in range(n + 1):
+        w = 1.0 + 1j * k * h
+        s = mu * w * w
+        c = (1.0 if k == 0 else 2.0) * h * mu / math.pi \
+            * cmath.exp(s) * s ** (alpha - beta) * w
+        d = s ** alpha
+        rule.append((c.real, c.imag, d.real, d.imag))
+    return tuple(rule)
 
 
 def ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """``E_{alpha,beta}`` over an array of non-positive arguments.
 
-    Each entry depends on ``(alpha, beta)`` and its own argument only: the
-    band is a fixed function of ``z``, and the intermediate band's
-    interpolant is the same whenever it is built.  For ``alpha < 1`` the
-    interpolant serves every argument with ``y > ML_SERIES_YMAX`` up to
-    the top of its domain.  Failures raise :class:`AccuracyError` naming
-    the parameters, the band and the first offending argument.
+    One fixed contour rule serves every argument, so each entry depends
+    on ``(alpha, beta)`` and its own argument only.  ``z == 0`` gives
+    ``1/Gamma(beta)`` exactly.
     """
     MLParams(alpha, beta)
     z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        return np.zeros_like(z)
     if not np.all(np.isfinite(z)) or np.any(z > 0.0):
         raise DomainError("ml_values is restricted to finite z <= 0")
-    out = np.empty_like(z)
-    flat = z.reshape(-1)
-    res = out.reshape(-1)
-    x = -flat
-    y = np.where(x > 0, x, 1.0) ** (1.0 / alpha)
-    ser = (x == 0) | (y <= ML_SERIES_YMAX)
-    if alpha < 1.0:
-        # the interpolant also covers the low end of the asymptotic band,
-        # where it is much cheaper than optimal truncation
-        mid = ~ser & (x <= _CHEB_UPPER * ML_ASYM_YMIN ** alpha)
-    else:
-        mid = ~ser & (y < ML_ASYM_YMIN)
-    asy = ~ser & ~mid
-    if np.any(ser):
-        res[ser] = _ml_series_vec(alpha, beta, flat[ser])
-    if np.any(asy):
-        vals = _ml_asymptotic_vec(alpha, beta, x[asy])
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if alpha > 1.0:
-                raise _band_error(
-                    alpha, beta, "asymptotic", flat[asy][bad][0],
-                    "the series did not reach the tolerance within the "
-                    "term budget")
-            vals[bad] = [_ml_quad(alpha, beta, xi, "asymptotic")
-                         for xi in x[asy][bad]]
-        res[asy] = vals
-    if np.any(mid):
-        if alpha < 1.0:
-            res[mid] = _mid_interpolant(alpha, beta)(np.log(x[mid])) \
-                / (1.0 + x[mid])
-        elif alpha == 1.0:
-            # E_{1,beta}(z) = M(1, beta, z) / Gamma(beta)
-            res[mid] = _hyp1f1(1.0, beta, flat[mid]) * _rgamma(beta)
-        else:
-            raise _band_error(
-                alpha, beta, "intermediate", flat[mid][0],
-                f"no certified algorithm for alpha in (1, 2) with "
-                f"{ML_SERIES_YMAX} < (-z)**(1/alpha) < {ML_ASYM_YMIN}")
-    return out
-
-
-def _ml_series_vec(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Defining power series; only safe when cancellation is mild.
-
-    All gamma arguments are positive, so term magnitudes are unimodal in k
-    and each entry stops at its first small term past the peak.
-    """
-    total = np.full(z.shape, float(_rgamma(beta)))
-    power = np.ones_like(z)
-    largest = np.abs(total)
-    prev = largest.copy()
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _SERIES_MAX_TERMS):
-        power = power * z
-        term = power * float(_rgamma(alpha * k + beta))
-        total = np.where(active, total + term, total)
-        size = np.abs(term)
-        np.maximum(largest, size, out=largest)
-        active &= ~((size <= prev) & (size < 1e-18 * np.maximum(1.0, largest)))
-        if not active.any():
-            return total
-        prev = size
-    raise _band_error(alpha, beta, "Taylor", z[active][0],
-                      f"the series needed more than {_SERIES_MAX_TERMS} "
-                      "terms")
-
-
-def _ml_asymptotic_vec(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Algebraic expansion in 1/x, plus the oscillatory term for alpha > 1.
-
-    The series is divergent, so it is summed to its optimal truncation
-    point.  Term magnitudes oscillate through the sine factor of the
-    reflection formula, which makes them useless for deciding where the
-    optimum lies; the decision uses the sine-free envelope
-    ``x**-k * Gamma(1 + alpha*k - beta) / pi`` instead, which is unimodal
-    in k.  Entries whose smallest envelope value misses the tolerance come
-    back as NaN, signalling that x is too small for this band.
-    """
-    log_x = np.log(x)
-    log_tol = math.log(_ASYM_TOL)
-    power = np.ones_like(x)
-    inv = -1.0 / x
-    total = np.zeros_like(x)
-    best_env = np.full(x.shape, np.inf)
-    best_sum = np.zeros_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, _ASYM_MAX_TERMS):
-        power = power * inv
-        g = beta - alpha * k
-        if g >= 0.5:
-            c_k = -math.lgamma(g)
-        else:
-            c_k = math.lgamma(1.0 - g) - math.log(math.pi)
-        total = np.where(active, total - power * float(_rgamma(g)), total)
-        log_env = c_k - k * log_x
-        better = active & (log_env < best_env)
-        best_env = np.where(better, log_env, best_env)
-        best_sum = np.where(better, total, best_sum)
-        active &= (log_env >= log_tol - 7.0) & (log_env <= best_env + 2.5)
-        if not active.any():
-            break
-    out = np.where(best_env <= log_tol, best_sum, np.nan)
-    if alpha > 1.0:
-        y = x ** (1.0 / alpha)
-        phase = math.pi / alpha
-        # conjugate pair of exponential contributions, combined real
-        out = out + (2.0 / alpha) * y ** (1.0 - beta) \
-            * np.exp(y * math.cos(phase)) \
-            * np.cos(y * math.sin(phase) + (1.0 - beta) * phase)
+    x = np.minimum(-z, _X_CAP)
+    out = np.zeros_like(x)
+    re = np.empty_like(x)
+    num = np.empty_like(x)
+    den = np.empty_like(x)
+    # Re c / (d + x) in real arithmetic, in place: a (points x nodes)
+    # complex array would be several times slower and larger
+    for cr, ci, dr, di in _contour_rule(alpha, beta):
+        np.add(x, dr, out=re)
+        np.multiply(re, cr, out=num)
+        num += ci * di
+        np.multiply(re, re, out=den)
+        den += di * di
+        num /= den
+        out += num
+    out[x == 0.0] = 1.0 / math.gamma(beta)
     return out
 
 
@@ -341,8 +160,8 @@ def relaxation(alpha: float, lam: float, t: float) -> float:
     alpha = float(alpha)
     lam = float(lam)
     t = float(t)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"relaxation requires alpha in (0, 1], got {alpha}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"relaxation requires alpha in (0, 1), got {alpha}")
     if lam < 0.0 or t < 0.0:
         raise DomainError("relaxation requires lam >= 0 and t >= 0")
     return ml(MLParams(alpha, 1.0), -lam * t ** alpha)

@@ -192,6 +192,17 @@ class TestConfigErrors:
         diag = json.loads(capsys.readouterr().err)
         assert diag["pointer"] == "/run/ml_z_min"
 
+    @pytest.mark.parametrize("key,value", [("ml_alpha", 1.0),
+                                           ("ml_beta", 0.0)])
+    def test_ml_parameter_out_of_range_pointer(self, tmp_path, capsys,
+                                               key, value):
+        cfg = write_config(tmp_path / "c.json",
+                           reference_config(**{key: value}))
+        assert cli.main(["ml-eval", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["pointer"] == f"/run/{key}"
+
 
 class TestConfigSources:
     def test_polynomial_profile_and_derivative(self):

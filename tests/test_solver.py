@@ -16,7 +16,7 @@ import pytest
 from oracles import ml_oracle
 
 from fracstep import solver as solver_module
-from fracstep.errors import AccuracyError, DomainError, NumericError
+from fracstep.errors import DomainError, NumericError
 from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import (
@@ -26,8 +26,6 @@ from fracstep.solver import (
     solve,
 )
 from fracstep.special import (
-    ML_ASYM_YMIN,
-    ML_SERIES_YMAX,
     MLParams,
     gamma_fn,
     ml,
@@ -305,7 +303,8 @@ class TestBlowupResponse:
 
 
 class TestAwkwardOrders:
-    """Orders whose ``E_{b,b+2}`` interpolant once failed to build."""
+    """Orders whose ``E_{b,b+2}`` values once failed to build, checked
+    over the window ``y = x**(1/b)`` in [8, 30] where that happened."""
 
     @pytest.mark.parametrize("order", [0.34, 0.51])
     def test_solves_and_mid_band_matches_oracle(self, order):
@@ -314,8 +313,7 @@ class TestAwkwardOrders:
                            initial_coefficients=(1.0,))
         field = solve(prob, n_cells=16, n_quad=16)
         assert np.all(np.isfinite(field.mode_values(np.linspace(0, 1, 9))))
-        xs = np.geomspace(1.01 * ML_SERIES_YMAX ** order,
-                          0.99 * ML_ASYM_YMIN ** order, 7)
+        xs = np.geomspace(1.01 * 8.0 ** order, 0.99 * 30.0 ** order, 7)
         want = [float(ml_oracle(order, order + 2.0, -x)) for x in xs]
         np.testing.assert_allclose(ml_values(order, order + 2.0, -xs), want,
                                    rtol=0.0, atol=1e-12)
@@ -399,28 +397,6 @@ class TestForcedProblems:
         assert info.value.segment == 0
 
 
-    def test_accuracy_error_names_the_subproblem(self, monkeypatch):
-        # one ml_values call serves a whole segment, so the solver must
-        # say which mode and segment it was building when one fails
-        real = solver_module.ml_values
-
-        def failing(alpha, beta, z):
-            if alpha == 0.8:
-                raise AccuracyError("E_(0.8,0.8) failed")
-            return real(alpha, beta, z)
-
-        monkeypatch.setattr(solver_module, "ml_values", failing)
-        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
-        prob = ProblemSpec(schedule=sched, operator=OP,
-                           initial_coefficients=(0.0, 1.0))
-        with pytest.raises(AccuracyError,
-                           match=r"mode=2, segment=1") as info:
-            solve(prob, n_cells=16, n_quad=8)
-        assert info.value.mode == 2
-        assert info.value.segment == 1
-        assert isinstance(info.value.__cause__, AccuracyError)
-
-
 class TestZeroModes:
     def test_unforced_zero_mode_short_circuits(self):
         sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0),
@@ -432,6 +408,35 @@ class TestZeroModes:
         assert field.modes[1].value(0.7) == 0.0
         assert field.modes[1].derivative(0.7) == 0.0
         assert np.all(field.mode_trajectory(2, TIMES) == 0.0)
+
+    def test_unforced_tails_skip_the_power_kernel(self, monkeypatch):
+        # an unforced segment's tail samples are exactly zero, so its
+        # memory is the impulse part alone, bit for bit
+        real = solver_module.power_kernel_convolve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "power_kernel_convolve", counting)
+        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0),
+                              orders=(0.3, 0.8))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=(1.0, 0.5))
+        skipped = solve(prob, n_cells=16, n_quad=16).mode_values(TIMES)
+        assert calls == []
+
+        memory = solver_module._memory
+
+        def always_convolved(seg, times, kernel_exponent, n_quad):
+            return memory(seg, times, kernel_exponent, n_quad) + counting(
+                seg.nodes, seg.tail_samples, times, kernel_exponent)
+
+        monkeypatch.setattr(solver_module, "_memory", always_convolved)
+        convolved = solve(prob, n_cells=16, n_quad=16).mode_values(TIMES)
+        assert len(calls) == 4
+        assert np.array_equal(skipped, convolved)
 
     def test_all_zero_data_gives_zero_field(self):
         sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(BETA,))

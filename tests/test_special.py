@@ -15,10 +15,8 @@ import pytest
 
 from oracles import ml_oracle
 
-from fracstep.errors import AccuracyError, DomainError
+from fracstep.errors import DomainError
 from fracstep.special import (
-    ML_ASYM_YMIN,
-    ML_SERIES_YMAX,
     MLParams,
     gamma_fn,
     measured_envelope,
@@ -29,16 +27,13 @@ from fracstep.special import (
 
 GAMMA_4_7 = 15.431411600047431712
 
-# (alpha, beta, z) -> E_{alpha,beta}(z); covers the Taylor, intermediate
-# and asymptotic bands for alpha < 1 plus both live bands for alpha > 1.
+# (alpha, beta, z) -> E_{alpha,beta}(z), from small to large arguments
 ML_REFERENCE = {
     (0.5, 1.0, -1.0): 0.42758357615580700441,
     (0.3, 1.0, -1.5): 0.35538165657360314498,
     (0.3, 0.3, -2.2): 0.02788379171608883374,
     (0.3, 1.3, -50.0): 0.019695435969963706099,
     (0.9, 0.9, -12.0): 0.00091508415994729330783,
-    (1.5, 1.0, -5.0): -0.3000820504131308808,
-    (1.5, 2.5, -200.0): 0.0050070501212396848863,
 }
 
 RELAX_0_7_5_0_3 = 0.19798766099663128277
@@ -77,8 +72,8 @@ class TestGammaBeta:
 
 class TestMLParams:
     @pytest.mark.parametrize("alpha,beta", [
-        (0.0, 1.0), (2.0, 1.0), (-0.3, 1.0), (0.5, 0.0), (0.5, -2.0),
-        (math.nan, 1.0), (0.5, math.inf),
+        (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (-0.3, 1.0), (0.5, 0.0),
+        (0.5, -2.0), (math.nan, 1.0), (0.5, math.inf),
     ])
     def test_rejects_bad_parameters(self, alpha, beta):
         with pytest.raises(DomainError):
@@ -86,7 +81,7 @@ class TestMLParams:
 
     def test_accepts_open_ranges(self):
         MLParams(1e-3, 1e-3)
-        MLParams(1.999, 10.0)
+        MLParams(0.999, 10.0)
 
 
 class TestMLPointValues:
@@ -96,30 +91,14 @@ class TestMLPointValues:
         assert ml(MLParams(alpha, beta), z) == pytest.approx(
             ML_REFERENCE[key], abs=1e-12)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.7, 0.7), (1.4, 2.0)])
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.7, 0.7)])
     def test_value_at_origin(self, alpha, beta):
-        expected = 1.0 / gamma_fn(beta)
-        assert ml(MLParams(alpha, beta), 0.0) == pytest.approx(expected,
-                                                              rel=1e-14)
-
-    @pytest.mark.parametrize("z", [-0.5, -3.0, -40.0])
-    def test_alpha_one_is_exponential(self, z):
-        assert ml(MLParams(1.0, 1.0), z) == pytest.approx(math.exp(z),
-                                                          rel=1e-12)
+        assert ml(MLParams(alpha, beta), 0.0) == 1.0 / gamma_fn(beta)
 
     @pytest.mark.parametrize("z", [1e-8, 1.0, math.nan])
     def test_rejects_positive_or_nonfinite(self, z):
         with pytest.raises(DomainError):
             ml(MLParams(0.5, 1.0), z)
-
-    def test_uncovered_band_raises(self):
-        # alpha in (1, 2) has no certified algorithm between the bands
-        x = 15.0 ** 1.5
-        assert ML_SERIES_YMAX ** 1.5 < x < ML_ASYM_YMIN ** 1.5
-        with pytest.raises(AccuracyError,
-                           match=r"E_\(1\.5,1\.0\)\(-58\.09\d*\) in the "
-                                 r"intermediate band"):
-            ml(MLParams(1.5, 1.0), -x)
 
 
 class TestMLAccuracy:
@@ -128,38 +107,13 @@ class TestMLAccuracy:
     def test_sweep_below_one(self):
         rng = np.random.default_rng(1234)
         worst = 0.0
-        for alpha in (0.2, 0.6, 0.95):
-            for beta in (alpha, 1.0, alpha + 1.0):
-                for z in -10.0 ** rng.uniform(-2, 5, size=12):
+        for alpha in (0.05, 0.2, 0.6, 0.95, 0.99):
+            for beta in (alpha, 1.0, alpha + 1.0, alpha + 2.0):
+                for z in -10.0 ** rng.uniform(-2, 7, size=12):
                     err = abs(ml(MLParams(alpha, beta), float(z))
                               - float(ml_oracle(alpha, beta, float(z))))
                     worst = max(worst, err)
-        assert worst < 1e-10
-
-    def test_sweep_above_one(self):
-        rng = np.random.default_rng(99)
-        gap = (ML_SERIES_YMAX, ML_ASYM_YMIN)
-        checked = 0
-        for alpha in (1.2, 1.7):
-            for beta in (1.0, alpha):
-                for z in -10.0 ** rng.uniform(-2, 4, size=10):
-                    if gap[0] < (-z) ** (1.0 / alpha) < gap[1]:
-                        continue
-                    err = abs(ml(MLParams(alpha, beta), float(z))
-                              - float(ml_oracle(alpha, beta, float(z))))
-                    assert err < 1e-10
-                    checked += 1
-        assert checked >= 20
-
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5),
-                                            (0.9, 1.9)])
-    def test_band_seams_are_continuous(self, alpha, beta):
-        params = MLParams(alpha, beta)
-        for y_edge in (ML_SERIES_YMAX, ML_ASYM_YMIN):
-            x = y_edge ** alpha
-            below = ml(params, -x * (1.0 - 1e-9))
-            above = ml(params, -x * (1.0 + 1e-9))
-            assert abs(below - above) < 1e-9
+        assert worst < 1e-13
 
 
 class TestMLShapeProperties:
@@ -181,7 +135,7 @@ class TestMLShapeProperties:
 class TestMLArray:
     def test_matches_scalar_across_bands(self):
         rng = np.random.default_rng(7)
-        for alpha, beta in [(0.25, 1.0), (0.6, 0.6), (1.0, 1.7)]:
+        for alpha, beta in [(0.25, 1.0), (0.6, 0.6), (0.95, 1.95)]:
             z = -np.concatenate([[0.0], 10.0 ** rng.uniform(-3, 5.5, 48)])
             params = MLParams(alpha, beta)
             vals = ml_values(alpha, beta, z)
@@ -190,7 +144,7 @@ class TestMLArray:
 
     def test_mid_band_value_does_not_depend_on_history(self):
         # a fresh interpreter, so nothing has been evaluated before the
-        # first call; y = 2.2**(1/0.3) ~ 13.8 lies in the intermediate band
+        # first call
         code = (
             "import numpy as np\n"
             "from fracstep.special import ml_values\n"
@@ -211,6 +165,11 @@ class TestMLArray:
         with pytest.raises(DomainError):
             ml_values(0.5, 1.0, np.array([-1.0, 0.5]))
 
+    def test_huge_arguments_stay_finite(self):
+        out = ml_values(0.5, 1.0, np.array([-1e307, -1.7e308]))
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out) < 1e-149)
+
     def test_preserves_shape(self):
         z = -np.linspace(0.0, 3.0, 6).reshape(2, 3)
         out = ml_values(0.5, 1.0, z)
@@ -225,11 +184,6 @@ class TestRelaxation:
     def test_frozen_reference(self):
         assert relaxation(0.7, 5.0, 0.3) == pytest.approx(RELAX_0_7_5_0_3,
                                                           abs=1e-12)
-
-    def test_classical_limit(self):
-        for t in (0.1, 0.7, 2.0):
-            assert relaxation(1.0, 2.5, t) == pytest.approx(
-                math.exp(-2.5 * t), rel=1e-12)
 
     def test_monotone_decay(self):
         ts = np.linspace(0.0, 4.0, 30)
