@@ -4,14 +4,19 @@ The L1 scheme replaces the solution by its piecewise-linear interpolant
 in time and integrates the memory kernel against it exactly, which turns
 the fractional derivative at ``t_m`` into a weighted sum of increments,
 
-    D^b u(t_m) ~ sum_k b_k (u_{k+1} - u_k),
-    b_k = ((m-k)**(1-b) - (m-k-1)**(1-b)) * tau**(-b) / Gamma(2-b).
+    D^b u(t_m) ~ sum_k b_{m-1-k} (u_{k+1} - u_k),
+    b_j = ((j+1)**(1-b) - j**(1-b)) * tau**(-b) / Gamma(2-b).
 
 At step ``m`` the exponent is the order at the *current* time ``t_m``,
 so crossing a breakpoint reweights the entire history - exactly the
-operator the segment recursion solves.  The scheme is kept deliberately
-plain (full history, one implicit solve per step) because its job is to
-cross-check the spectral construction, not to be fast.
+operator the segment recursion solves.  Every step is still one implicit
+equation over the full history; only how they are solved has changed.
+While the order is constant the steps form a lower-triangular Toeplitz
+system, so ``solve_mode_l1`` solves each run of equal order with a few
+FFT convolutions (Hairer, Lubich and Schlichte 1985) instead of one
+step at a time.  The oracle still uses no Mittag-Leffler value and no
+quadrature, so it stays independent of the spectral construction it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -101,27 +106,89 @@ class _IncrementLadder:
         self._diffs: dict[float, np.ndarray] = {}
         self._scales: dict[float, float] = {}
 
+    def moments(self, order: float, n: int, tau: float) -> np.ndarray:
+        """Kernel moments ``b_0 .. b_{n-1}`` of the L1 sum, by depth.
+
+        ``b_j`` multiplies the increment ``j`` steps back from the
+        current one; the moments are the exact kernel integrals of the
+        piecewise-linear reconstruction, positive and decreasing.
+        """
+        if order not in self._diffs:
+            # (j + 1)**a - j**a without cancelling: j**a expm1(a log1p(1/j))
+            a = 1.0 - order
+            j = np.arange(1, self.num_steps, dtype=float)
+            self._diffs[order] = np.concatenate(
+                [[1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))])
+            self._scales[order] = tau ** (-order) / gamma_fn(2.0 - order)
+        return self._diffs[order][:n] * self._scales[order]
+
     def weights(self, order: float, m: int, tau: float) -> np.ndarray:
         """Increment weights of the L1 sum at step ``m``.
 
-        Entry ``k`` multiplies ``u_{k+1} - u_k``; the weights are the exact
-        kernel moments of the piecewise-linear reconstruction, positive
-        and decreasing with history depth.
+        Entry ``k`` multiplies ``u_{k+1} - u_k``: the moments in time
+        order, so the last entry is ``b_0``.
         """
-        if order not in self._diffs:
-            p = np.arange(self.num_steps + 1, dtype=float) ** (1.0 - order)
-            self._diffs[order] = np.diff(p)
-            self._scales[order] = tau ** (-order) / gamma_fn(2.0 - order)
-        return self._diffs[order][:m][::-1] * self._scales[order]
+        return self.moments(order, m, tau)[::-1]
+
+
+def _series_product(a: np.ndarray, b: np.ndarray, n: int,
+                    skip: int = 0) -> np.ndarray:
+    """Coefficients ``skip .. n-1`` of the power-series product ``a * b``.
+
+    One real FFT convolution, zero-padded to a power of two just long
+    enough that the wrapped-around tail of the product lands below
+    ``skip``, where no coefficient is returned.
+    """
+    a, b = a[:n], b[:n]
+    size = 1 << (max(a.size + b.size - 1 - skip, n) - 1).bit_length()
+    prod = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+    return prod[skip:n]
+
+
+def _series_reciprocal(a: np.ndarray) -> np.ndarray:
+    """Coefficients of ``1 / a(z)`` to the length of ``a``, ``a[0] != 0``.
+
+    Newton's iteration ``g <- g - g (a g - 1)`` doubles the number of
+    correct coefficients per pass (Kung 1974); each pass costs two
+    series products.
+    """
+    g = np.array([1.0 / a[0]])
+    while g.size < a.size:
+        n, k = g.size, min(2 * g.size, a.size)
+        defect = _series_product(a, g, k, skip=n)
+        g = np.concatenate([g, -_series_product(g, defect, k - n)])
+    return g
+
+
+def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``sum_{j<=k} col_j x_{k-j} = rhs_k`` for ``k < rhs.size``.
+
+    The product with the series ``1 / col(z)`` solves the lower-triangular
+    Toeplitz system; one refinement step with the residual removes most
+    of the FFT rounding, whose size follows the norms of the factors
+    rather than the entries.
+    """
+    n = rhs.size
+    g = _series_reciprocal(col[:n])
+    x = _series_product(g, rhs, n)
+    return x + _series_product(g, rhs - _series_product(col, x, n), n)
 
 
 def solve_mode_l1(lam: float, f_n, schedule: OrderSchedule, u0_n: float,
                   grid: L1Grid) -> np.ndarray:
-    """March one mode equation with the L1 scheme; values at grid times.
+    """Solve one mode equation with the L1 scheme; values at grid times.
 
-    Each step solves the implicit balance
-    ``(b_{m-1} + lam) u_m = f(t_m) + b_{m-1} u_{m-1} - sum b_k du_k``
-    with the weights taken at the order of the current time.
+    Step ``m`` is the implicit balance
+    ``sum_k b_{m-1-k} (u_{k+1} - u_k) + lam u_m = f(t_m)`` with the
+    moments taken at the order of the current time.  In the increments
+    ``w_k = u_{k+1} - u_k`` it reads
+    ``sum_k (b_{m-1-k} + lam) w_k = f(t_m) - lam u0``, so a run of steps
+    with one order is a lower-triangular Toeplitz system whose column
+    ``b_j + lam`` is positive and decreasing.  Each maximal run of equal
+    order is solved at once: the earlier steps' history is subtracted in
+    one FFT convolution, and the run's system is solved with the series
+    reciprocal of its column.  The values are ``u0`` plus the running sum
+    of the increments, so a zero right-hand side gives exactly ``u0``.
     """
     if not isinstance(grid, L1Grid):
         raise DomainError("grid must be an L1Grid")
@@ -134,18 +201,25 @@ def solve_mode_l1(lam: float, f_n, schedule: OrderSchedule, u0_n: float,
     loads = np.asarray(f_n(times), dtype=float)
     if loads.shape != times.shape:
         raise DomainError("source callable must map times to like shape")
+    u0 = float(u0_n)
     seg = _segment_of_step(grid, schedule)
+    step_orders = np.asarray(schedule.orders)[seg[1:]]
     ladder = _IncrementLadder(grid.num_steps)
 
-    u = np.empty(times.size)
-    u[0] = float(u0_n)
-    du = np.empty(times.size - 1)
-    for m in range(1, times.size):
-        order = schedule.orders[seg[m]]
-        w = ladder.weights(order, m, grid.step)
-        hist = float(np.dot(w[:-1], du[:m - 1])) if m > 1 else 0.0
-        u[m] = (loads[m] + w[-1] * u[m - 1] - hist) / (w[-1] + lam)
-        du[m - 1] = u[m] - u[m - 1]
+    # maximal runs of equal order, as step ranges with stop exclusive
+    cuts = np.flatnonzero(step_orders[1:] != step_orders[:-1]) + 1
+    edges = [0, *cuts.tolist(), grid.num_steps]
+
+    # w[k] = u_{k+1} - u_k, filled run by run
+    rhs = loads[1:] - lam * u0
+    w = np.zeros(grid.num_steps)
+    for start, stop in zip(edges[:-1], edges[1:]):
+        c = ladder.moments(step_orders[start], stop, grid.step) + lam
+        run = rhs[start:stop]
+        if start > 0:
+            run = run - _series_product(c, w[:start], stop, skip=start)
+        w[start:stop] = _toeplitz_solve(c, run)
+    u = np.concatenate([[u0], u0 + np.cumsum(w)])
     if not np.all(np.isfinite(u)):
         raise NumericError("non-finite L1 trajectory")
     return u

@@ -1,12 +1,12 @@
 """Big-float reference implementations used to pin expected test values.
 
 Everything here is deliberately independent of the package's own numerics:
-sums are carried in mpmath arbitrary precision and integrals use mpmath's
-adaptive quadrature.  The Mittag-Leffler reference switches from the
-defining Taylor series to the algebraic asymptotic series only where the
-truncation error of the latter is provably below 1e-60, far under any
-tolerance used by the tests; the seam between the two is cross-checked in
-the test suite.
+sums are carried in mpmath arbitrary precision (the L1 march in long
+double) and integrals use mpmath's adaptive quadrature.  The
+Mittag-Leffler reference switches from the defining Taylor series to the
+algebraic asymptotic series only where the truncation error of the latter
+is provably below 1e-60, far under any tolerance used by the tests; the
+seam between the two is cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 
 # Above this value of y = (-z)**(1/alpha) the Taylor series needs more than
 # ~90 digits of cancellation headroom; the asymptotic remainder there is
@@ -178,3 +179,42 @@ def blowup_response_oracle(order: float, lam: float, dt: float,
                         * (dtm - w ** (1 / bm)) ** (-bm),
                         [0, half ** bm]) / bm
         return left + right
+
+
+def l1_march_oracle(lam: float, f_n, schedule, u0_n: float, grid,
+                    dtype=float) -> np.ndarray:
+    """Step-by-step L1 march in ``dtype``: one implicit solve per step.
+
+    Step ``m`` solves
+    ``(b_0 + lam) u_m = f(t_m) + b_0 u_{m-1} - sum_{k<m-1} b_{m-1-k} du_k``
+    with the moments ``b_j`` at the order of ``t_m``, the plain march
+    that ``fracstep.l1.solve_mode_l1`` replaces by Toeplitz solves.  With
+    ``np.longdouble`` the powers, moments and history sums carry about
+    three more digits than doubles; ``Gamma(2 - b)`` comes from mpmath.
+    """
+    n = grid.num_steps
+    marks = [round(t / grid.step) for t in schedule.breakpoints]
+    seg = np.minimum(
+        np.searchsorted(marks, np.arange(n + 1), side="right") - 1,
+        schedule.num_segments - 1)
+    loads = np.asarray(f_n(grid.times), dtype=float).astype(dtype)
+    lam = dtype(lam)
+    step = dtype(grid.step)
+    diffs, scales = {}, {}
+
+    u = np.empty(n + 1, dtype=dtype)
+    u[0] = dtype(u0_n)
+    du = np.empty(n, dtype=dtype)
+    for m in range(1, n + 1):
+        order = schedule.orders[seg[m]]
+        if order not in diffs:
+            p = np.arange(n + 1, dtype=dtype) ** (1 - dtype(order))
+            diffs[order] = np.diff(p)
+            with mp.workdps(40):
+                gamma = dtype(mp.nstr(mp.gamma(2 - mp.mpf(repr(order))), 30))
+            scales[order] = step ** (-dtype(order)) / gamma
+        w = diffs[order][:m][::-1] * scales[order]
+        hist = np.dot(w[:-1], du[:m - 1]) if m > 1 else dtype(0)
+        u[m] = (loads[m] + w[-1] * u[m - 1] - hist) / (w[-1] + lam)
+        du[m - 1] = u[m] - u[m - 1]
+    return u

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -357,6 +358,23 @@ class TestCompare:
         assert np.all(np.diff(body[:, 1]) < 0.0)
         assert np.all(np.diff(body[:, 2]) < 0.0)
         assert np.all(body[:, 2] <= body[:, 1])
+
+    def test_independent_of_blas_threads(self, tmp_path):
+        # the README problem down to step 2^-14 in fresh processes: the
+        # L1 ladder must not depend on how BLAS splits its sums
+        cfg = write_config(tmp_path / "c.json", two_segment_config(
+            cells=32, quad=32, compare_step_exponents=[8, 10, 12, 14]))
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fracstep.cli", "compare",
+                 "--config", cfg, "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            tables.append((out / "compare.csv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestVerify:

@@ -6,8 +6,10 @@ the closed-form kernel moments of the piecewise-linear reconstruction,
     b_k = ((m - k)**(1 - b) - (m - k - 1)**(1 - b)) * tau**(-b) / Gamma(2 - b).
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracstep.errors import DomainError
 from fracstep.l1 import (L1Grid, _IncrementLadder, solve_full_l1_fd,
@@ -16,6 +18,8 @@ from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
 from fracstep.special import gamma_fn, relaxation
+
+from oracles import l1_march_oracle
 
 # mpmath, 40 digits: order 0.5, step 0.25, fourth step (m = 4)
 WEIGHTS_HALF_M4 = np.array([
@@ -78,6 +82,19 @@ class TestWeights:
         w = _IncrementLadder(m).weights(order, m, tau)
         total = m ** (1.0 - order) * tau ** (-order) / gamma_fn(2.0 - order)
         assert w.sum() == pytest.approx(total, rel=1e-13)
+
+    @pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
+    def test_deep_moments_keep_full_precision(self, order):
+        # far back the two powers agree in most digits; the moments must
+        # not inherit that cancellation
+        depths = [1, 37, 1000, 16383]
+        b = _IncrementLadder(16384).moments(order, 16384, 2.0 ** -14)
+        a = mp.mpf(1.0 - order)  # the exponent as the ladder rounds it
+        with mp.workdps(40):
+            scale = (mp.mpf(2) ** 14) ** mp.mpf(order) / mp.gamma(1 + a)
+            expected = [float(((j + 1) ** a - mp.mpf(j) ** a) * scale)
+                        for j in depths]
+        np.testing.assert_allclose(b[depths], expected, rtol=1e-14)
 
     def test_positive_and_loaded_toward_present(self):
         w = _IncrementLadder(9).weights(0.4, 9, 0.1)
@@ -154,6 +171,27 @@ class TestSingleModeMarch:
         u = solve_mode_l1(0.0, np.zeros_like, sched, 0.75, grid)
         assert np.array_equal(u, np.full(grid.num_steps + 1, 0.75))
 
+    def test_balanced_load_is_steady(self):
+        # a load equal to the float lam * u0 leaves a zero right-hand
+        # side, so every step must return u0 itself
+        sched = OrderSchedule(breakpoints=(0.0, 0.25, 0.625, 1.0),
+                              orders=(0.3, 0.8, 0.55))
+        grid = L1Grid.for_schedule(sched, 2.0 ** -7)
+        u = solve_mode_l1(7.3, lambda t: np.full_like(t, 7.3 * 0.61),
+                          sched, 0.61, grid)
+        assert np.array_equal(u, np.full(grid.num_steps + 1, 0.61))
+
+    def test_single_step_grid(self):
+        # one step: (b_0 + lam) u_1 = f(t_1) + b_0 u_0
+        sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(0.4,))
+        grid = L1Grid.for_schedule(sched, 1.0)
+        assert grid.num_steps == 1
+        u = solve_mode_l1(2.5, lambda t: 3.0 * t, sched, 0.8, grid)
+        b0 = 1.0 / gamma_fn(1.6)
+        assert u[0] == 0.8
+        assert u[1] == pytest.approx((3.0 + b0 * 0.8) / (b0 + 2.5),
+                                     rel=1e-15)
+
     def test_rejects_bad_inputs(self):
         sched = two_segment_schedule()
         grid = L1Grid.for_schedule(sched, 2.0 ** -4)
@@ -166,6 +204,46 @@ class TestSingleModeMarch:
             solve_mode_l1(1.0, np.zeros_like, sched, 1.0, short)
         with pytest.raises(DomainError):
             solve_mode_l1(1.0, lambda t: np.zeros(3), sched, 1.0, grid)
+
+
+@st.composite
+def march_problems(draw):
+    """1-4 segments on the 2^-10 grid, sometimes with a one-step first."""
+    num_segments = draw(st.integers(1, 4))
+    one_step = num_segments > 1 and draw(st.booleans())
+    marks = draw(st.lists(st.integers(2 if one_step else 1, 1023),
+                          min_size=num_segments - 1 - one_step,
+                          max_size=num_segments - 1 - one_step,
+                          unique=True))
+    marks = sorted(marks + [1] * one_step)
+    orders = draw(st.lists(st.floats(0.05, 0.95),
+                           min_size=num_segments, max_size=num_segments))
+    sched = OrderSchedule(
+        breakpoints=(0.0, *(m / 1024 for m in marks), 1.0),
+        orders=tuple(orders))
+    lam = draw(st.sampled_from([0.0, float(np.pi ** 2), 1e4]))
+    amplitude = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(-3, 3))
+    u0 = draw(st.floats(-2, 2))
+    return sched, lam, amplitude, u0
+
+
+class TestAgreesWithMarch:
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(march_problems())
+    def test_matches_long_double_march(self, problem):
+        # the Toeplitz solves against the step-by-step march carried in
+        # long double: same equations, so only rounding may differ
+        sched, lam, amplitude, u0 = problem
+        grid = L1Grid.for_schedule(sched, 2.0 ** -10)
+
+        def load(t):
+            return amplitude * (1.0 + np.sin(3.0 * t))
+
+        u = solve_mode_l1(lam, load, sched, u0, grid)
+        ref = l1_march_oracle(lam, load, sched, u0, grid, np.longdouble)
+        err = float(np.max(np.abs(u - ref)))
+        assert err <= 5e-14 * max(1.0, abs(u0))
 
 
 class TestFullFiniteDifference:
