@@ -10,6 +10,7 @@ from its own artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -18,7 +19,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import RunConfig, build_run_config, load_config
@@ -35,17 +35,22 @@ log = logging.getLogger("fracstep")
 COMPARE_EXPONENTS = (8, 10, 12, 14)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+#: Rows formatted by one string operation in _write_csv.
+_CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    # one "%" of a repeated row template per block of rows; a column is
+    # text ("%s") when the block's first cell in it is a str and "%.17g"
+    # otherwise, which prints every double as format(float(x), ".17g") does
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(
-                cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row) + "\n")
+        while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+            line = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                            for cell in block[0]) + "\n"
+            handle.write(line * len(block)
+                         % tuple(itertools.chain.from_iterable(block)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -55,12 +60,15 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _meta(cfg: RunConfig, timings: dict) -> dict:
+    # scipy is only the finite-difference oracle's dependency: its version
+    # comes from the installed metadata, so no other command imports it
+    from importlib.metadata import version
     return {
         "config": cfg.raw,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": version("scipy"),
             "fracstep": __version__,
         },
         "timings": timings,

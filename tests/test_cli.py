@@ -427,3 +427,58 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "solution.csv").exists()
+
+
+class TestWriteCsv:
+    def test_matches_per_cell_format(self, tmp_path):
+        # the block template must print exactly what one
+        # format(float(x), ".17g") per cell printed, text cells verbatim
+        rng = np.random.default_rng(7)
+        specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1e16, 1e17, 0.1, 1.0 / 3.0,
+                    np.float64(-2.5), 7]
+        values = specials + list(rng.standard_normal(40) * 10.0
+                                 ** rng.integers(-300, 300, 40))
+        kinds = ("derivative", "source_rate")
+        rows = [(kinds[i % 2], float(i), values[i], values[-1 - i])
+                for i in range(len(values))]
+        path = tmp_path / "mixed.csv"
+        cli._write_csv(str(path), ["kind", "segment", "offset", "norm"],
+                       iter(rows))
+        expected = "kind,segment,offset,norm\n" + "".join(
+            ",".join(c if isinstance(c, str) else format(float(c), ".17g")
+                     for c in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_blocks_and_empty_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        rows = [(float(i), -i / 7.0) for i in range(10)]
+        cli._write_csv(str(tmp_path / "a.csv"), ["i", "v"], rows)
+        assert (tmp_path / "a.csv").read_text().splitlines() == ["i,v"] + [
+            f"{format(a, '.17g')},{format(b, '.17g')}" for a, b in rows]
+        cli._write_csv(str(tmp_path / "b.csv"), ["i", "v"], [])
+        assert (tmp_path / "b.csv").read_bytes() == b"i,v\n"
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # only the finite-difference oracle needs scipy; every other command
+    # must run in a fresh interpreter without loading any scipy module
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(two_segment_config(
+        cells=16, compare_step_exponents=[6, 7, 8], verify_quad=12,
+        ml_count=5)))
+    script = "\n".join([
+        "import sys",
+        "import fracstep.cli as cli",
+        "for command in ('solve', 'compare', 'verify', 'ml-eval'):",
+        f"    assert cli.main([command, '--config', {str(cfg)!r},",
+        f"                     '--out', {str(tmp_path / 'out')!r}]) == 0",
+        "print(sorted(m for m in sys.modules",
+        "             if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["versions"]["scipy"]

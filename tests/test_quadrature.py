@@ -96,6 +96,25 @@ class TestJacobiIntegral:
         assert got == pytest.approx(1.0 / 5.5, rel=1e-14)
 
 
+class TestJacobiRule:
+    """Golub-Welsch rule against mpmath's 40-digit Gauss-Jacobi rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 16, 24, 32, 48])
+    def test_matches_mpmath(self, n):
+        for p in (-0.95, -0.7, -0.5, -0.2, 0.0, 0.3, 0.7, 1.5):
+            for q in (0.0, -0.5):
+                # mpmath's (alpha, beta) weights (1-x)**alpha (1+x)**beta
+                with mp.workdps(40):
+                    nodes, weights = mp.gauss_quadrature(n, "jacobi", q, p)
+                want_x = np.array([float(v) for v in nodes])
+                want_w = np.array([float(v) for v in weights])
+                order = np.argsort(want_x)
+                want_x, want_w = want_x[order], want_w[order]
+                x, w = quadrature._jacobi_rule(n, p, q)
+                assert np.max(np.abs(x - want_x)) <= 1e-15, (p, q)
+                assert np.max(np.abs(w / want_w - 1.0)) <= 2e-13, (p, q)
+
+
 class TestScaledPowerHistory:
     """Impulse-response memory integrals with the scaled-variable rule."""
 
