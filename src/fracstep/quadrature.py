@@ -18,13 +18,18 @@ gets a dedicated rule here:
   ``K``: product integration against samples of ``g`` on a mesh, using
   exact cell masses of ``K`` obtained from its closed-form antiderivative.
   The kernel is never evaluated pointwise, so its blow-up at ``s = t``
-  costs nothing.
+  costs nothing.  One call serves every eigenvalue that shares the order
+  and the mesh, one row each.
 
 ``scaled_power_history`` and ``composite_graded_integral`` evaluate the
 integrand's smooth factor once, on the nodes of every cell and every
 time, and then sum cell by cell; ``power_kernel_convolve`` and
-``duhamel_convolve`` reduce each time on its own row.  Either way a
-batched result equals the one-at-a-time result bit for bit.
+``duhamel_convolve`` form every cell's contribution elementwise and
+reduce each time's own cells with one numpy sum along a row, whose
+summation order depends on the number of cells alone.  Either way a
+batched result equals the one-at-a-time result bit for bit.  No BLAS
+product is used: BLAS fixes no summation order, so its last bits may
+depend on the batch's shape or the data's memory layout.
 
 Graded meshes concentrate nodes near an endpoint with algebraic rate and
 guard against node collapse in double precision.
@@ -360,28 +365,31 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
-def _kernel_antiderivatives(alpha: float, lam: float,
+def _kernel_antiderivatives(alpha: float, lam: np.ndarray,
                             tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second antiderivatives of the impulse response at ``tau``.
 
     ``IK(tau) = tau**a * E_{a,a+1}(-lam tau**a)`` integrates the kernel
     from zero and ``IK2(tau) = tau**(a+1) * E_{a,a+2}(-lam tau**a)``
     integrates ``IK``; both follow from term-by-term integration of the
-    defining series and both vanish at zero.
+    defining series and both vanish at zero.  ``lam`` is a column of
+    eigenvalues: row ``m`` of each result belongs to ``lam[m]``, and each
+    antiderivative is one ``ml_values`` call for all rows.
     """
     tau = np.asarray(tau, dtype=float)
-    ik = np.zeros_like(tau)
-    ik2 = np.zeros_like(tau)
+    ik = np.zeros((lam.size, tau.size))
+    ik2 = np.zeros_like(ik)
     pos = tau > 0.0
     if np.any(pos):
         tp = tau[pos]
-        arg = -lam * tp ** alpha
-        ik[pos] = tp ** alpha * ml_values(alpha, alpha + 1.0, arg)
-        ik2[pos] = tp ** (alpha + 1.0) * ml_values(alpha, alpha + 2.0, arg)
+        arg = -lam[:, None] * tp ** alpha
+        ik[:, pos] = tp ** alpha * ml_values(alpha, alpha + 1.0, arg)
+        ik2[:, pos] = tp ** (alpha + 1.0) * ml_values(alpha, alpha + 2.0,
+                                                      arg)
     return ik, ik2
 
 
-def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
+def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
                      samples: np.ndarray, times):
     """``int_{nodes[0]}^{t} K(t-s) g(s) ds`` for every ``t`` in ``times``.
 
@@ -394,24 +402,35 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
     evaluated pointwise, and the global error is second order in the mesh
     width for twice-differentiable densities.
 
+    ``lam`` may be a 1-d array of eigenvalues sharing the order and the
+    nodes, with one row of ``samples`` each; the result then has shape
+    ``lam.shape + times.shape``.  A scalar ``lam`` takes 1-d ``samples``
+    and a scalar ``times`` with it gives a float.
+
     Each ``t`` in ``(nodes[0], nodes[-1]]`` gets the nodes below it and
-    ``t`` itself, with the density interpolated there, and a result that
-    depends on its own ``t`` alone.  The meshes of consecutive times are
-    laid end to end in blocks of about ``_BLOCK_NODES`` nodes, and
-    one pair of ``ml_values`` calls serves each block, so memory stays
-    bounded however many times are asked for.  A scalar ``times`` gives
-    a float.
+    ``t`` itself, with the density interpolated there.  The meshes of
+    consecutive times are laid end to end in blocks of about
+    ``_BLOCK_NODES`` nodes over all rows, so memory stays bounded however
+    many times and rows are asked for; one pair of ``ml_values`` calls
+    serves each block.  Every cell's contribution is an elementwise
+    expression of its own mesh, and each time sums its own cells with
+    one numpy reduction along the row, in an order fixed by the number of
+    cells.  So each result depends on its own eigenvalue, samples and
+    ``t`` alone, bit for bit, whatever the other rows, times or blocks.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
-    if lam < 0.0:
-        raise DomainError(f"modal eigenvalue must be >= 0, got {lam}")
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1 or np.any(lam < 0.0):
+        raise DomainError(
+            f"modal eigenvalues must be a scalar or 1-d, all >= 0, got {lam}")
     nodes = np.asarray(nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DomainError("need at least two mesh nodes")
-    if samples.shape != nodes.shape:
-        raise DomainError("samples must align with nodes")
+    if samples.shape != lam.shape + nodes.shape:
+        raise DomainError("samples must align with nodes, one row per "
+                          "eigenvalue")
     if np.any(np.diff(nodes) <= 0.0):
         raise DomainError("mesh nodes must be strictly increasing")
     times = np.asarray(times, dtype=float)
@@ -420,40 +439,48 @@ def duhamel_convolve(alpha: float, lam: float, nodes: np.ndarray,
         raise DomainError(
             f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
 
+    rows = lam.reshape(-1)
+    samples = samples.reshape(rows.size, nodes.size)
     below = np.searchsorted(nodes, flat)
-    # a block holds the times whose meshes end in the same multiple of
-    # the node budget, so it exceeds the budget by at most one mesh
-    block = (np.cumsum(below + 1) - 1) // _BLOCK_NODES
+    # a block holds the times whose meshes, over all rows, end in the same
+    # multiple of the node budget, so it exceeds the budget by at most
+    # one mesh per row
+    block = (np.cumsum(below + 1) * rows.size - 1) // _BLOCK_NODES
     cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), flat.size]
     out = np.concatenate([
-        _duhamel_block(alpha, lam, nodes, samples, flat[lo:hi], below[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])])
-    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+        _duhamel_block(alpha, rows, nodes, samples, flat[lo:hi],
+                       below[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])], axis=1)
+    out = out.reshape(lam.shape + times.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _duhamel_block(alpha: float, lam: float, nodes: np.ndarray,
+def _duhamel_block(alpha: float, lam: np.ndarray, nodes: np.ndarray,
                    samples: np.ndarray, flat: np.ndarray,
                    below: np.ndarray) -> np.ndarray:
-    """``duhamel_convolve`` for validated times, ``below`` nodes under each."""
+    """``duhamel_convolve`` for validated times, ``below`` nodes under
+    each, one row per eigenvalue; returns (rows, times)."""
     # mesh k is nodes[:below[k]] then flat[k], ending at ends[k];
     # np.interp returns a node's own sample exactly, as slicing would
     ends = np.cumsum(below + 1) - 1
     pos = np.arange((below + 1).sum()) - np.repeat(ends - below, below + 1)
     mesh = nodes[pos]
     mesh[ends] = flat
-    density = samples[pos]
-    density[ends] = np.interp(flat, nodes, samples)
+    density = samples[:, pos]
+    density[:, ends] = [np.interp(flat, nodes, row) for row in samples]
     u = np.repeat(flat, below + 1) - mesh  # zero at the end of each mesh
     ik, ik2 = _kernel_antiderivatives(alpha, lam, u)
     # cell i spans [u[i+1], u[i]] in the kernel variable
-    mass = ik[:-1] - ik[1:]
+    mass = ik[:, :-1] - ik[:, 1:]
     # int (u - u[i+1]) K(u) du over the cell, via parts: exact and free of
     # the cancellation that a direct first-moment difference would incur
-    right_weight = (ik2[:-1] - ik2[1:]) / np.diff(mesh) - ik[1:]
-    step = np.diff(density)
-    return np.array([float(np.dot(density[lo:hi], mass[lo:hi])
-                           + np.dot(step[lo:hi], right_weight[lo:hi]))
-                     for lo, hi in zip(ends - below, ends)])
+    right_weight = (ik2[:, :-1] - ik2[:, 1:]) / np.diff(mesh) - ik[:, 1:]
+    contrib = density[:, :-1] * mass + np.diff(density) * right_weight
+    out = np.empty((lam.size, flat.size))
+    for k, (lo, hi) in enumerate(zip((ends - below).tolist(),
+                                     ends.tolist())):
+        out[:, k] = contrib[:, lo:hi].sum(axis=-1)
+    return out
 
 
 def composite_graded_integral(smooth, a: float, b: float,

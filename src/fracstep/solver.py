@@ -211,49 +211,75 @@ class ModeSegment:
     def value(self, t):
         """Trajectory value, valid on the closed segment.
 
-        Evaluated as ``entry + int K(t - s) * (load(s) - lam * entry) ds``.
-        The convolution integrates affine densities exactly, so a steady
-        state, whose load is the constant ``lam * entry``, returns
-        ``entry`` exactly.  ``t`` may be an array, evaluated with one
-        ``duhamel_convolve`` call; a scalar gives a float.
+        The one-row case of :func:`_values`; ``t`` may be an array,
+        evaluated with one ``duhamel_convolve`` call, and a scalar gives
+        a float.
         """
-        t = np.asarray(t, dtype=float)
-        outside = ~((self.start <= t) & (t <= self.end))
-        if outside.any():
-            raise DomainError(
-                f"time {t[outside].flat[0]} outside segment "
-                f"[{self.start}, {self.end}]")
-        out = np.full(t.shape, self.entry_value)
-        later = t > self.start
-        if later.any():
-            out[later] += duhamel_convolve(
-                self.order, self.eigenvalue, self.nodes,
-                self.load_samples - self.eigenvalue * self.entry_value,
-                t[later])
+        out = _values([self], np.asarray(t, dtype=float))[0]
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
         """Closed-form time derivative, valid on the half-open segment.
 
-        The impulse part carries the exact ``(t - start)**(order - 1)``
-        blow-up; the forced tail is interpolated from its tabulation.
-        The segment start itself is rejected because the derivative is
-        unbounded there whenever the impulse strength is nonzero.  ``t``
-        may be an array, evaluated with one ``ml_values`` call; a scalar
-        gives a float.
+        The one-row case of :func:`_derivatives`; ``t`` may be an array,
+        evaluated with one ``ml_values`` call, and a scalar gives a float.
         """
-        t = np.asarray(t, dtype=float)
-        outside = ~((self.start < t) & (t <= self.end))
-        if outside.any():
-            raise DomainError(
-                f"time {t[outside].flat[0]} outside half-open segment "
-                f"({self.start}, {self.end}]")
-        dt = t - self.start
-        impulse = self.impulse_strength * dt ** (self.order - 1.0) \
-            * ml_values(self.order, self.order,
-                        -self.eigenvalue * dt ** self.order)
-        out = impulse + np.interp(t, self.nodes, self.tail_samples)
+        out = _derivatives([self], np.asarray(t, dtype=float))[0]
         return float(out) if out.ndim == 0 else out
+
+
+def _values(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
+    """Values of modes on one schedule segment, one row per segment.
+
+    Evaluated as ``entry + int K(t - s) * (load(s) - lam * entry) ds``
+    with one ``duhamel_convolve`` call for all rows, each of which
+    depends on its own mode alone, bit for bit.  The convolution
+    integrates affine densities exactly, so a steady state, whose load
+    is the constant ``lam * entry``, returns ``entry`` exactly.  Valid on
+    the closed segment; the result has shape ``(len(segs),) + t.shape``.
+    """
+    first = segs[0]
+    flat = t.reshape(-1)
+    outside = ~((first.start <= flat) & (flat <= first.end))
+    if outside.any():
+        raise DomainError(f"time {flat[outside][0]} outside segment "
+                          f"[{first.start}, {first.end}]")
+    lam = np.array([seg.eigenvalue for seg in segs])
+    entry = np.array([seg.entry_value for seg in segs])
+    out = np.repeat(entry[:, None], flat.size, axis=1)
+    later = flat > first.start
+    if later.any():
+        density = np.array([seg.load_samples for seg in segs]) \
+            - (lam * entry)[:, None]
+        out[:, later] += duhamel_convolve(first.order, lam, first.nodes,
+                                          density, flat[later])
+    return out.reshape((len(segs),) + t.shape)
+
+
+def _derivatives(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
+    """Closed-form time derivatives of modes on one schedule segment.
+
+    The impulse part carries the exact ``(t - start)**(order - 1)``
+    blow-up, with one ``ml_values`` call for all rows; the forced tail is
+    interpolated from its tabulation.  Valid on the half-open segment:
+    the start is rejected because the derivative is unbounded there
+    whenever the impulse strength is nonzero.  The result has shape
+    ``(len(segs),) + t.shape``.
+    """
+    first = segs[0]
+    flat = t.reshape(-1)
+    outside = ~((first.start < flat) & (flat <= first.end))
+    if outside.any():
+        raise DomainError(f"time {flat[outside][0]} outside half-open "
+                          f"segment ({first.start}, {first.end}]")
+    lam = np.array([seg.eigenvalue for seg in segs])
+    strength = np.array([seg.impulse_strength for seg in segs])
+    dt = flat - first.start
+    impulse = strength[:, None] * dt ** (first.order - 1.0) \
+        * ml_values(first.order, first.order,
+                    -lam[:, None] * dt ** first.order)
+    tail = [np.interp(flat, seg.nodes, seg.tail_samples) for seg in segs]
+    return (impulse + tail).reshape((len(segs),) + t.shape)
 
 
 def _memory(seg: ModeSegment, times: np.ndarray, kernel_exponent: float,
@@ -282,16 +308,18 @@ def _memory(seg: ModeSegment, times: np.ndarray, kernel_exponent: float,
                                 kernel_exponent, seg.order, n=n_quad) + tail
 
 
-def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
-                        entry_value: float, previous: list[ModeSegment],
-                        base_values, base_derivative, n_cells: int,
-                        n_quad: int) -> ModeSegment:
-    beta = schedule.orders[j]
-    a, b = schedule.segment(j)
-    nodes = graded_mesh(a, b, n_cells, _MESH_GRADING, "left")
-    inv_gamma = 1.0 / gamma_fn(1.0 - beta)
+def _segment_load(nodes: np.ndarray, beta: float,
+                  previous: list[ModeSegment], values, rates,
+                  n_quad: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """One mode's effective load, memory amplitude and smooth rate.
 
-    load = np.asarray(base_values(nodes), dtype=float).copy()
+    ``values`` and ``rates`` are the physical load and its derivative at
+    ``nodes``, the mesh of the segment starting at ``nodes[0]``;
+    ``previous`` are the mode's earlier segments.
+    """
+    a = nodes[0]
+    inv_gamma = 1.0 / gamma_fn(1.0 - beta)
+    load = np.asarray(values, dtype=float).copy()
     memory_amplitude = 0.0
     rate_remainder = np.zeros_like(nodes)
     if previous:
@@ -307,33 +335,83 @@ def _build_mode_segment(j: int, schedule: OrderSchedule, lam: float,
             - memory_amplitude * (nodes[1:] - a) ** (-beta)
         rate_remainder[0] = rate_remainder[1]
 
-    impulse_strength = load[0] - lam * entry_value
-
-    smooth_rate = np.asarray(base_derivative(nodes), dtype=float) \
-        + rate_remainder
+    smooth_rate = np.asarray(rates, dtype=float) + rate_remainder
     if not np.isfinite(smooth_rate[0]):
         # admissible loads may carry an integrable derivative blow-up at
         # the segment start; the graded first cell is a ~1e-10 sliver of
         # the segment, so giving it its neighbor's density only perturbs
         # the forced derivative at that cell's scale
         smooth_rate[0] = smooth_rate[1]
+    return load, memory_amplitude, smooth_rate
+
+
+def _build_segments(j: int, schedule: OrderSchedule, source: ModalSource,
+                    modes: list[int], lam: np.ndarray, entry: np.ndarray,
+                    history: list[list[ModeSegment]], n_cells: int,
+                    n_quad: int) -> list[ModeSegment]:
+    """Segment ``j`` of every listed mode, from its entry and history.
+
+    Each mode's load is assembled on its own; the forced tails, exit
+    values and exit derivatives of all modes then take one batched call
+    each, whose rows equal one-mode calls bit for bit.
+    """
+    beta = schedule.orders[j]
+    a, b = schedule.segment(j)
+    nodes = graded_mesh(a, b, n_cells, _MESH_GRADING, "left")
+    loads, amplitudes, rates = zip(*(
+        _segment_load(nodes, beta, previous, source.mode_values(n, nodes),
+                      source.mode_derivative(n, nodes), n_quad)
+        for n, previous in zip(modes, history)))
+    amplitudes = np.array(amplitudes)
 
     # the blow-up's forced response int_0^dt K_b(dt - u) u**(-b) du is
     # Gamma(1 - b) * E_{b,1}(-lam dt**b) in closed form
-    tail = np.zeros_like(nodes)
-    if memory_amplitude != 0.0:
-        tail = memory_amplitude * gamma_fn(1.0 - beta) \
-            * ml_values(beta, 1.0, -lam * (nodes - a) ** beta)
-    tail[1:] += duhamel_convolve(beta, lam, nodes, smooth_rate, nodes[1:])
+    tails = np.zeros((len(modes), nodes.size))
+    hit = amplitudes != 0.0
+    if hit.any():
+        tails[hit] = amplitudes[hit, None] * gamma_fn(1.0 - beta) \
+            * ml_values(beta, 1.0, -lam[hit, None] * (nodes - a) ** beta)
+    tails[:, 1:] += duhamel_convolve(beta, lam, nodes, np.array(rates),
+                                     nodes[1:])
 
-    segment = ModeSegment(
-        index=j, order=beta, eigenvalue=lam, start=a, end=b,
-        entry_value=entry_value, impulse_strength=impulse_strength,
-        memory_amplitude=memory_amplitude, nodes=nodes, load_samples=load,
-        tail_samples=tail, exit_value=math.nan, exit_derivative=math.nan)
-    object.__setattr__(segment, "exit_value", segment.value(b))
-    object.__setattr__(segment, "exit_derivative", segment.derivative(b))
-    return segment
+    segments = [
+        ModeSegment(index=j, order=beta, eigenvalue=float(lam[k]), start=a,
+                    end=b, entry_value=float(entry[k]),
+                    impulse_strength=float(load[0] - lam[k] * entry[k]),
+                    memory_amplitude=float(amplitudes[k]), nodes=nodes,
+                    load_samples=load, tail_samples=tails[k],
+                    exit_value=math.nan, exit_derivative=math.nan)
+        for k, load in enumerate(loads)]
+    end = np.asarray(b, dtype=float)
+    for seg, value, slope in zip(segments, _values(segments, end),
+                                 _derivatives(segments, end)):
+        object.__setattr__(seg, "exit_value", float(value))
+        object.__setattr__(seg, "exit_derivative", float(slope))
+    return segments
+
+
+def _sample(modes, t, side: str, evaluate) -> np.ndarray:
+    """``evaluate(segments, times)`` once per schedule segment, over the
+    segments of the nonzero modes; zero modes give zero rows.
+
+    A breakpoint goes to the segment on its ``side``; times outside the
+    horizon reach an end segment, which rejects them.  The result has
+    shape ``(len(modes),) + t.shape``.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((len(modes),) + t.shape)
+    live = [i for i, m in enumerate(modes) if not m.is_zero]
+    if live:
+        flat = t.reshape(-1)
+        res = out.reshape(len(modes), -1)
+        last = len(modes[live[0]].segments) - 1
+        index = np.clip(np.searchsorted(modes[live[0]].breakpoints, flat,
+                                        side) - 1, 0, last)
+        for j in np.unique(index):
+            here = index == j
+            res[np.ix_(live, here)] = evaluate(
+                [modes[i].segments[j] for i in live], flat[here])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,31 +427,14 @@ class ModeSolution:
     def is_zero(self) -> bool:
         return not self.segments
 
-    def _by_segment(self, t, side: str, evaluate):
-        """``evaluate(segment, times)`` once per segment, zeros if no
-        segments.  A breakpoint goes to the segment on its ``side``; times
-        outside the horizon reach an end segment, which rejects them.
-        """
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        if not self.is_zero:
-            flat = t.reshape(-1)
-            res = out.reshape(-1)
-            index = np.clip(np.searchsorted(self.breakpoints, flat, side) - 1,
-                            0, len(self.segments) - 1)
-            for seg in self.segments:
-                here = index == seg.index
-                if here.any():
-                    res[here] = evaluate(seg, flat[here])
-        return float(out) if out.ndim == 0 else out
-
     def value(self, t):
         """Trajectory value; at interior junctions the later segment's entry.
 
         ``t`` may be an array; each segment evaluates its points with one
         ``duhamel_convolve`` call.  A scalar gives a float.
         """
-        return self._by_segment(t, "right", ModeSegment.value)
+        out = _sample([self], t, "right", _values)[0]
+        return float(out) if out.ndim == 0 else out
 
     def derivative(self, t):
         """Closed-form derivative; at interior junctions the left limit.
@@ -381,7 +442,8 @@ class ModeSolution:
         ``t`` may be an array; each segment evaluates its points with one
         ``ml_values`` call.  A scalar gives a float.
         """
-        return self._by_segment(t, "left", ModeSegment.derivative)
+        out = _sample([self], t, "left", _derivatives)[0]
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +455,21 @@ class SolutionField:
     modes: tuple[ModeSolution, ...]
 
     def mode_values(self, t) -> np.ndarray:
-        """Mode coefficients at ``t``, one column per time for an array."""
-        return np.array([m.value(t) for m in self.modes])
+        """Mode coefficients at ``t``, one column per time for an array.
+
+        Each segment evaluates every nonzero mode at its times with one
+        ``duhamel_convolve`` call; row ``n - 1`` equals
+        ``modes[n - 1].value(t)`` bit for bit.
+        """
+        return _sample(self.modes, t, "right", _values)
+
+    def mode_derivatives(self, t) -> np.ndarray:
+        """Mode derivatives at ``t``, as :meth:`mode_values` is to values.
+
+        At interior junctions the left limit; each segment makes one
+        ``ml_values`` call for every nonzero mode.
+        """
+        return _sample(self.modes, t, "left", _derivatives)
 
     def mode_trajectory(self, n: int, times) -> np.ndarray:
         if not 1 <= n <= len(self.modes):
@@ -415,28 +490,29 @@ class SolutionField:
     def junction_gaps(self) -> np.ndarray:
         """Trajectory mismatch at each interior breakpoint, per junction.
 
-        Each gap re-evaluates the earlier segment at its endpoint and
-        compares with the entry value the later segment was built from;
-        the construction hands that exact float across, so the gaps are
-        zero not merely small.
+        Each gap re-evaluates the earlier segment of every nonzero mode at
+        its endpoint, in one call, and compares with the entry value the
+        later segment was built from; the construction hands that exact
+        float across, so the gaps are zero not merely small.
         """
         interior = self.problem.schedule.breakpoints[1:-1]
+        live = [m for m in self.modes if not m.is_zero]
         gaps = np.zeros(len(interior))
-        for i, t in enumerate(interior):
-            worst = 0.0
-            for m in self.modes:
-                if m.is_zero:
-                    continue
-                left = m.segments[i].value(t)
-                right = m.segments[i + 1].entry_value
-                worst = max(worst, abs(left - right))
-            gaps[i] = worst
+        for i, t in enumerate(interior if live else ()):
+            left = _values([m.segments[i] for m in live], np.asarray(t))
+            right = [m.segments[i + 1].entry_value for m in live]
+            gaps[i] = np.max(np.abs(left - right))
         return gaps
 
 
 def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
           n_quad: int = DEFAULT_QUAD) -> SolutionField:
-    """Run the segment recursion for every mode of the problem."""
+    """Run the segment recursion, segment by segment, for all modes.
+
+    Modes with zero initial data and no forcing stay zero and are
+    skipped; every other mode is built on segment ``j`` before any mode
+    moves on to segment ``j + 1``.
+    """
     if not isinstance(problem, ProblemSpec):
         raise DomainError("problem must be a ProblemSpec")
     if n_cells < 8:
@@ -447,29 +523,28 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
     schedule = problem.schedule
     basis = ModalBasis(problem.operator, problem.num_modes)
     source = problem.source
-
-    modes = []
-    for n in range(1, problem.num_modes + 1):
-        lam = basis.eigenvalues[n - 1]
-        entry = problem.initial_coefficients[n - 1]
-        if entry == 0.0 and source.is_zero_mode(n):
-            modes.append(ModeSolution(n, lam, schedule.breakpoints, ()))
-            continue
-        segments: list[ModeSegment] = []
-        for j in range(schedule.num_segments):
-            seg = _build_mode_segment(
-                j, schedule, lam, entry, segments,
-                lambda ts, n=n: source.mode_values(n, ts),
-                lambda ts, n=n: source.mode_derivative(n, ts),
-                n_cells, n_quad)
+    initial = problem.initial_coefficients
+    live = [n for n in range(1, problem.num_modes + 1)
+            if initial[n - 1] != 0.0 or not source.is_zero_mode(n)]
+    lam = np.array([basis.eigenvalues[n - 1] for n in live])
+    entry = np.array([initial[n - 1] for n in live])
+    history: list[list[ModeSegment]] = [[] for _ in live]
+    for j in range(schedule.num_segments if live else 0):
+        built = _build_segments(j, schedule, source, live, lam, entry,
+                                history, n_cells, n_quad)
+        for n, seg, previous in zip(live, built, history):
             if not (np.isfinite(seg.load_samples).all()
                     and np.isfinite(seg.tail_samples).all()
                     and math.isfinite(seg.exit_value)
                     and math.isfinite(seg.exit_derivative)):
                 raise NumericError("non-finite segment state",
                                    mode=n, segment=j)
-            segments.append(seg)
-            entry = seg.exit_value
-        modes.append(ModeSolution(n, lam, schedule.breakpoints,
-                                  tuple(segments)))
-    return SolutionField(problem=problem, basis=basis, modes=tuple(modes))
+            previous.append(seg)
+        entry = np.array([seg.exit_value for seg in built])
+
+    segments = dict(zip(live, history))
+    modes = tuple(ModeSolution(n, basis.eigenvalues[n - 1],
+                               schedule.breakpoints,
+                               tuple(segments.get(n, ())))
+                  for n in range(1, problem.num_modes + 1))
+    return SolutionField(problem=problem, basis=basis, modes=modes)

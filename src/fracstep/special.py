@@ -48,7 +48,6 @@ __all__ = [
     "gamma_fn",
     "ml",
     "ml_values",
-    "relaxation",
     "measured_envelope",
 ]
 
@@ -153,18 +152,6 @@ def ml_values(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         out += num
     out[x == 0.0] = 1.0 / math.gamma(beta)
     return out
-
-
-def relaxation(alpha: float, lam: float, t: float) -> float:
-    """Single-mode relaxation profile ``E_{alpha,1}(-lam * t**alpha)``."""
-    alpha = float(alpha)
-    lam = float(lam)
-    t = float(t)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"relaxation requires alpha in (0, 1), got {alpha}")
-    if lam < 0.0 or t < 0.0:
-        raise DomainError("relaxation requires lam >= 0 and t >= 0")
-    return ml(MLParams(alpha, 1.0), -lam * t ** alpha)
 
 
 def measured_envelope(params: MLParams, z_max: float = 1e6,

@@ -129,7 +129,7 @@ def _fit_offsets(width: float, count: int = 9) -> np.ndarray:
 
 def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
     """l2 norm across modes of the time derivative at each of ``times``."""
-    rows = np.vstack([m.derivative(times) for m in field.modes])
+    rows = field.mode_derivatives(times)
     return np.sqrt(np.sum(np.square(rows), axis=0))
 
 

@@ -17,7 +17,7 @@ from fracstep.l1 import (L1Grid, _IncrementLadder, solve_full_l1_fd,
 from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
-from fracstep.special import gamma_fn, relaxation
+from fracstep.special import gamma_fn, ml_values
 
 from oracles import l1_march_oracle
 
@@ -113,7 +113,7 @@ class TestSingleModeMarch:
         grid = L1Grid.for_schedule(sched, 2.0 ** -12)
         lam = float(np.pi ** 2)
         u = solve_mode_l1(lam, np.zeros_like, sched, 1.0, grid)
-        exact = relaxation(0.5, lam, 1.0)
+        exact = float(ml_values(0.5, 1.0, -lam))
         assert abs(u[-1] - exact) < 1e-5
 
     def test_linear_solution_reproduced_exactly(self):

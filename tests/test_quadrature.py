@@ -6,6 +6,7 @@ scipy integral of the independently verified kernel to ~1e-12.
 """
 
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -43,6 +44,10 @@ SCALED_LAM = 9.0
 # int_0^0.8 K_{0.4,9}(0.8-s) cos(3 s) ds  (scipy, cross-checked vs mpmath)
 DUHAMEL_SMOOTH_REF = -0.065977219389160
 DUHAMEL_ALPHA, DUHAMEL_LAM, DUHAMEL_T = 0.4, 9.0, 0.8
+
+# mpmath's 40-digit Gauss-Jacobi rules (n, p, q, node, weight)
+JACOBI_REFERENCE = os.path.join(os.path.dirname(__file__), "data",
+                                "jacobi_reference.csv")
 
 
 class TestGradedMesh:
@@ -97,22 +102,20 @@ class TestJacobiIntegral:
 
 
 class TestJacobiRule:
-    """Golub-Welsch rule against mpmath's 40-digit Gauss-Jacobi rule."""
+    """Golub-Welsch rule against mpmath's 40-digit Gauss-Jacobi rule,
+    frozen in ``tests/data`` by ``scripts/generate_jacobi_reference.py``."""
 
     @pytest.mark.parametrize("n", [1, 2, 6, 12, 16, 24, 32, 48])
     def test_matches_mpmath(self, n):
+        table = np.loadtxt(JACOBI_REFERENCE, delimiter=",", skiprows=1)
         for p in (-0.95, -0.7, -0.5, -0.2, 0.0, 0.3, 0.7, 1.5):
             for q in (0.0, -0.5):
-                # mpmath's (alpha, beta) weights (1-x)**alpha (1+x)**beta
-                with mp.workdps(40):
-                    nodes, weights = mp.gauss_quadrature(n, "jacobi", q, p)
-                want_x = np.array([float(v) for v in nodes])
-                want_w = np.array([float(v) for v in weights])
-                order = np.argsort(want_x)
-                want_x, want_w = want_x[order], want_w[order]
+                rows = table[(table[:, 0] == n) & (table[:, 1] == p)
+                             & (table[:, 2] == q)]
+                assert rows.shape[0] == n, (p, q)
                 x, w = quadrature._jacobi_rule(n, p, q)
-                assert np.max(np.abs(x - want_x)) <= 1e-15, (p, q)
-                assert np.max(np.abs(w / want_w - 1.0)) <= 2e-13, (p, q)
+                assert np.max(np.abs(x - rows[:, 3])) <= 1e-15, (p, q)
+                assert np.max(np.abs(w / rows[:, 4] - 1.0)) <= 2e-13, (p, q)
 
 
 class TestScaledPowerHistory:
@@ -328,6 +331,32 @@ class TestDuhamelConvolve:
         np.testing.assert_array_equal(got, [
             duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes, samples,
                              float(t)) for t in times])
+
+    def test_rows_match_one_row_calls(self, monkeypatch):
+        # meshes of up to 300 nodes cross numpy's 128-element pairwise
+        # summation blocks; each row must still equal its one-row call
+        # and each time alone its value inside the batch, bit for bit
+        nodes = graded_mesh(0.1, 0.9, 299, 3.0, "left")
+        lam = np.array([0.0, 9.0, 1e3, 9.0, 2.5])
+        samples = np.array([np.cos(3.0 * nodes), np.cos(3.0 * nodes),
+                            1.0 + nodes ** 2, 2.0 - 3.0 * nodes,
+                            np.exp(-nodes)])
+        times = np.array([0.1 + 1e-9, nodes[127], nodes[128], 0.5,
+                          nodes[200], 0.8999, nodes[-1]])
+        for budget in (1 << 16, 700):
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+            got = duhamel_convolve(DUHAMEL_ALPHA, lam, nodes, samples, times)
+            assert got.shape == (lam.size, times.size)
+            for m in range(lam.size):
+                np.testing.assert_array_equal(got[m], duhamel_convolve(
+                    DUHAMEL_ALPHA, lam[m], nodes, samples[m], times))
+            for k, t in enumerate(times):
+                np.testing.assert_array_equal(got[:, k], duhamel_convolve(
+                    DUHAMEL_ALPHA, lam, nodes, samples, float(t)))
+        with pytest.raises(DomainError):
+            duhamel_convolve(DUHAMEL_ALPHA, lam, nodes, samples[:4], times)
+        with pytest.raises(DomainError):
+            duhamel_convolve(DUHAMEL_ALPHA, -lam, nodes, samples, times)
 
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 5)

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import ml_oracle
 
@@ -30,7 +31,6 @@ from fracstep.special import (
     gamma_fn,
     ml,
     ml_values,
-    relaxation,
 )
 
 OP = OperatorSpec()
@@ -40,7 +40,7 @@ TIMES = np.linspace(0.0, 1.0, 101)
 
 
 def _relax_reference(lam):
-    return np.array([relaxation(BETA, lam, t) for t in TIMES])
+    return ml_values(BETA, 1.0, -lam * TIMES ** BETA)
 
 
 @pytest.fixture(scope="module")
@@ -514,3 +514,75 @@ class TestSolveValidation:
     def test_rejects_non_problem(self):
         with pytest.raises(DomainError):
             solve("not a problem")
+
+
+@st.composite
+def batched_problems(draw):
+    """1-4 segments, 1-8 modes, some of them zero, optionally forced."""
+    num_segments = draw(st.integers(1, 4))
+    marks = sorted(draw(st.lists(st.integers(1, 63),
+                                 min_size=num_segments - 1,
+                                 max_size=num_segments - 1, unique=True)))
+    orders = draw(st.lists(st.floats(0.05, 0.95), min_size=num_segments,
+                           max_size=num_segments))
+    sched = OrderSchedule(breakpoints=(0.0, *(m / 64 for m in marks), 1.0),
+                          orders=tuple(orders))
+    num_modes = draw(st.integers(1, 8))
+    amplitudes = st.lists(st.just(0.0) | st.floats(-2.0, 2.0),
+                          min_size=num_modes, max_size=num_modes)
+    initial = tuple(draw(amplitudes))
+    source = None
+    if draw(st.booleans()):
+        source = SeparableSource(
+            draw(amplitudes),
+            lambda t: 1.0 + np.sin(3.0 * np.asarray(t, dtype=float)),
+            lambda t: 3.0 * np.cos(3.0 * np.asarray(t, dtype=float)))
+    spec = ProblemSpec(schedule=sched, operator=OP,
+                       initial_coefficients=initial, source=source)
+    return spec, draw(st.integers(8, 32))
+
+
+def _only_mode(spec, n):
+    """``spec`` with every mode but ``n`` zeroed, so it is solved alone."""
+    keep = np.arange(1, spec.num_modes + 1) == n
+    source = spec.source
+    if isinstance(source, SeparableSource):
+        source = SeparableSource(np.where(keep, source.coefficients, 0.0),
+                                 source.time_value, source.time_derivative)
+    return ProblemSpec(schedule=spec.schedule, operator=spec.operator,
+                       initial_coefficients=np.where(
+                           keep, spec.initial_coefficients, 0.0),
+                       source=source)
+
+
+class TestBatchIndependence:
+    """Segment-major batched evaluation against one mode at a time."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              database=None)
+    @given(batched_problems())
+    def test_rows_equal_one_mode_at_a_time(self, problem):
+        spec, cells = problem
+        field = solve(spec, n_cells=cells, n_quad=8)
+        ts = np.unique(np.concatenate([spec.schedule.breakpoints,
+                                       np.linspace(0.0, 1.0, 11) + 0.01]))
+        ts = ts[ts <= 1.0]
+        values = field.mode_values(ts)
+        slopes = field.mode_derivatives(ts[1:])
+        assert values.shape == (spec.num_modes, ts.size)
+        assert slopes.shape == (spec.num_modes, ts.size - 1)
+        for n, mode in enumerate(field.modes, start=1):
+            np.testing.assert_array_equal(values[n - 1], mode.value(ts))
+            np.testing.assert_array_equal(
+                values[n - 1], [mode.value(float(t)) for t in ts])
+            np.testing.assert_array_equal(slopes[n - 1],
+                                          mode.derivative(ts[1:]))
+            np.testing.assert_array_equal(
+                slopes[n - 1], [mode.derivative(float(t)) for t in ts[1:]])
+            if not mode.is_zero:
+                alone = solve(_only_mode(spec, n), n_cells=cells, n_quad=8)
+                np.testing.assert_array_equal(
+                    values[n - 1], alone.mode_values(ts)[n - 1])
+                np.testing.assert_array_equal(
+                    slopes[n - 1], alone.mode_derivatives(ts[1:])[n - 1])
+        assert np.all(field.junction_gaps() == 0.0)

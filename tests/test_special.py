@@ -22,7 +22,6 @@ from fracstep.special import (
     measured_envelope,
     ml,
     ml_values,
-    relaxation,
 )
 
 GAMMA_4_7 = 15.431411600047431712
@@ -178,25 +177,19 @@ class TestMLArray:
 
 
 class TestRelaxation:
+    """The relaxation profile ``E_{a,1}(-lam t**a)`` through ``ml_values``."""
+
     def test_starts_at_one(self):
-        assert relaxation(0.4, 7.0, 0.0) == 1.0
+        assert ml_values(0.4, 1.0, -7.0 * 0.0 ** 0.4) == 1.0
 
     def test_frozen_reference(self):
-        assert relaxation(0.7, 5.0, 0.3) == pytest.approx(RELAX_0_7_5_0_3,
-                                                          abs=1e-12)
+        got = ml_values(0.7, 1.0, -5.0 * 0.3 ** 0.7)
+        assert got == pytest.approx(RELAX_0_7_5_0_3, abs=1e-12)
 
     def test_monotone_decay(self):
         ts = np.linspace(0.0, 4.0, 30)
-        vals = [relaxation(0.55, 3.0, float(t)) for t in ts]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            relaxation(1.2, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            relaxation(0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            relaxation(0.5, 1.0, -0.1)
+        vals = ml_values(0.55, 1.0, -3.0 * ts ** 0.55)
+        assert np.all(np.diff(vals) < 0.0)
 
 
 class TestDuhamelKernel:
