@@ -14,6 +14,9 @@ gets a dedicated rule here:
 * ``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``: the memory of a
   past segment's forced tail, exact for the piecewise-linear interpolant
   and computed as one (times x cells) array per block of times.
+  The first two rules take one row per mode: the rows share every node
+  set and kernel factor, and differ only in the profile's values or the
+  tabulated samples.
 * ``int_a^t K(t-s) * g(s) ds`` with the subdiffusive impulse response
   ``K``: product integration against samples of ``g`` on a mesh, using
   exact cell masses of ``K`` obtained from its closed-form antiderivative.
@@ -21,15 +24,14 @@ gets a dedicated rule here:
   costs nothing.  One call serves every eigenvalue that shares the order
   and the mesh, one row each.
 
-``scaled_power_history`` and ``composite_graded_integral`` evaluate the
-integrand's smooth factor once, on the nodes of every cell and every
-time, and then sum cell by cell; ``power_kernel_convolve`` and
-``duhamel_convolve`` form every cell's contribution elementwise and
-reduce each time's own cells with one numpy sum along a row, whose
-summation order depends on the number of cells alone.  Either way a
-batched result equals the one-at-a-time result bit for bit.  No BLAS
-product is used: BLAS fixes no summation order, so its last bits may
-depend on the batch's shape or the data's memory layout.
+Every rule evaluates the integrand's smooth factor once, on the nodes
+of every cell, every time and every row, forms each node's contribution
+elementwise and reduces each time's own nodes and cells with numpy sums
+along the last axis, whose summation order depends on the node and cell
+counts alone.  So a batched result equals the one-row, one-time result
+bit for bit.  No BLAS product is used: BLAS fixes no summation order, so
+its last bits may depend on the batch's shape or the data's memory
+layout.
 
 Graded meshes concentrate nodes near an endpoint with algebraic rate and
 guard against node collapse in double precision.
@@ -172,33 +174,31 @@ def graded_mesh(a: float, b: float, n: int, grading: float = 2.0,
     return nodes
 
 
-def _stretched_cells(lo: float, hi: float) -> np.ndarray:
-    """Cell edges of the stretched grid on ``[lo, hi]``, ``0 < lo < hi``.
+def _stretched_cells(lo: np.ndarray, hi: np.ndarray):
+    """Cell edges of stretched grids on ``[lo[k], hi[k]]``, ``0 < lo < hi``.
 
     Substituting ``u = lo * exp(v)`` moves the origin singularity of
     ``u**(-kappa)`` to ``v -> -inf``; composite Gauss-Legendre on cells of
     bounded span in ``v`` then converges rapidly even when ``lo`` is tiny.
+    Yields ``(index, edges)`` per cell count, with one row of edges for
+    each grid in ``index``.
     """
-    span = math.log(hi / lo)
-    cells = max(1, math.ceil(span / _EXP_CELL_SPAN))
-    edges = lo * np.exp(np.linspace(0.0, span, cells + 1))
-    edges[-1] = hi
-    return edges
+    span = np.log(hi / lo)
+    cells = np.maximum(1, np.ceil(span / _EXP_CELL_SPAN)).astype(int)
+    for c in np.unique(cells).tolist():
+        index = np.flatnonzero(cells == c)
+        edges = lo[index, None] * np.exp(np.arange(c + 1)
+                                         * (span[index, None] / c))
+        edges[:, -1] = hi[index]
+        yield index, edges
 
 
 def _cell_nodes(edges: np.ndarray, x: np.ndarray):
-    """Gauss nodes ``mid + half * x`` of every cell, one row per cell."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * x, half
-
-
-def _cell_sum(w: np.ndarray, half: np.ndarray, values: np.ndarray,
-              total: float = 0.0) -> float:
-    """``total + sum_c half[c] * (w . values[c])``, added cell by cell."""
-    for h, row in zip(half, values):
-        total += h * float(np.dot(w, row))
-    return total
+    """Gauss nodes ``mid + half * x`` of the cells along ``edges``' last
+    axis, one row per cell."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    return mid[..., None] + half[..., None] * x, half
 
 
 def scaled_power_history(profile, a: float, b: float, times,
@@ -227,27 +227,31 @@ def scaled_power_history(profile, a: float, b: float, times,
     reaching down to ``u = t - b`` or with an exact Jacobi weight
     ``u**(-kappa)`` when ``t == b``.
 
-    The far-field nodes and the left-half nodes do not depend on ``t``,
-    so ``profile`` is called once, on those two node sets and on every
-    near time's right-half nodes together.  Each ``t`` is then reduced
-    cell by cell on the same values as a call with that ``t`` alone, so
-    batching changes no bit.  ``profile`` must act elementwise.  A scalar
-    ``times`` gives a float.
+    ``profile`` must act elementwise.  It may return one row per
+    integrand, for example one per eigenvalue in a Mittag-Leffler
+    argument; the result then has shape ``rows + times.shape``, and a
+    1-d profile with a scalar ``times`` gives a float.  ``profile`` is
+    called once, on the far-field nodes, the left-half nodes and every
+    near time's right-half nodes together.  Each part is reduced by an
+    elementwise product and one numpy sum along the nodes of each cell,
+    then one along the cells, in an order fixed by the node and cell
+    counts, so each row and each time equals a call with that row and
+    that time alone, bit for bit.
     """
     a, b = float(a), float(b)
     kappa = float(kernel_exponent)
     power = float(power)
     times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1).tolist()
+    flat = times.reshape(-1)
     if b <= a:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    early = [t for t in flat if t < b]
-    if early:
+    early = flat < b
+    if early.any():
         raise DomainError(
-            f"evaluation time {early[0]} precedes segment end {b}")
+            f"evaluation time {flat[early][0]} precedes segment end {b}")
     if not 0.0 < kappa < 2.0:
         raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and b in flat:
+    if kappa >= 1.0 and np.any(flat == b):
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == b")
     if not 0.0 < power < 1.0:
@@ -257,50 +261,62 @@ def scaled_power_history(profile, a: float, b: float, times,
     x, w = _legendre_rule(int(n))
     width = b - a
     mid = 0.5 * (a + b)
-    near = [t - b < FAR_FIELD_FRACTION * width for t in flat]
+    near = flat - b < FAR_FIELD_FRACTION * width
 
-    # left parts in the scaled variable: [a, b] for far times, [a, mid]
-    # for near ones; then each near time's right half in u = t - s
-    args = []
-    left = {}
-    for s_hi in dict.fromkeys(mid if is_near else b for is_near in near):
-        edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
-                            3.0, "left")
-        xi, half = _cell_nodes(edges, x)
-        left[s_hi] = (len(args), xi ** inv, half)
-        args.append(xi)
-    right = []
-    for t, is_near in zip(flat, near):
-        if not is_near:
-            continue
-        delta = t - b
-        if delta == 0.0:  # one cell with the exact Jacobi weight u**(-kappa)
-            xj, wr = _jacobi_rule(int(n), -kappa, 0.0)
-            half = 0.5 * (t - mid)
-            u, rkern = half * (xj[None, :] + 1.0), 1.0
-            scale = np.array([half ** (1.0 - kappa)])
-        else:
-            u, scale = _cell_nodes(_stretched_cells(delta, t - mid), x)
-            rkern, wr = u ** (-kappa), w
-        ds = (t - u) - a
-        right.append((len(args), ds ** (power - 1.0), rkern, wr, scale))
-        args.append(ds ** power)
+    # parts (times, profile nodes, kernel factor with the Gauss weights
+    # folded in, cell half-widths, final factor): the left parts in the
+    # scaled variable share one node set, [a, b] for far times and
+    # [a, mid] for near ones
+    parts = []
+    for s_hi, here in ((b, ~near), (mid, near)):
+        index = np.flatnonzero(here)
+        if index.size:
+            edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
+                                3.0, "left")
+            xi, half = _cell_nodes(edges, x)
+            kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)
+            parts.append((index, xi[None], w * kern,
+                          np.broadcast_to(half, (index.size, half.size)),
+                          inv))
+
+    def right(index, u, kern, weights, scale):
+        # the near times' right halves in u = t - s, the peeled weight
+        # (s-a)**(power-1) folded into the kernel factor
+        ds = (flat[index, None, None] - u) - a
+        parts.append((index, ds ** power,
+                      weights * kern * ds ** (power - 1.0), scale, 1.0))
+
+    index = np.flatnonzero(near & (flat == b))
+    if index.size:  # one cell with the exact Jacobi weight u**(-kappa)
+        xj, wj = _jacobi_rule(int(n), -kappa, 0.0)
+        half = 0.5 * (flat[index] - mid)
+        right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
+              half[:, None] ** (1.0 - kappa))
+    index = np.flatnonzero(near & (flat > b))
+    for group, edges in _stretched_cells(flat[index] - b,
+                                         flat[index] - mid):
+        u, scale = _cell_nodes(edges, x)
+        right(index[group], u, u ** (-kappa), w, scale)
 
     values = np.asarray(profile(np.concatenate(
-        [arg.ravel() for arg in args] or [np.empty(0)])), dtype=float)
-    pieces = np.split(values, np.cumsum([arg.size for arg in args])[:-1])
-    out = np.empty(len(flat))
-    right = iter(right)
-    for k, (t, is_near) in enumerate(zip(flat, near)):
-        i, xi_inv, half = left[mid if is_near else b]
-        kern = (t - a - xi_inv) ** (-kappa)
-        out[k] = _cell_sum(w, half, kern * pieces[i].reshape(kern.shape)) \
-            * inv
-        if is_near:
-            j, weight, rkern, wr, scale = next(right)
-            smooth = weight * pieces[j].reshape(weight.shape)
-            out[k] += _cell_sum(wr, scale, rkern * smooth)
-    out = out.reshape(times.shape)
+        [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
+    rows = values.shape[:-1]
+    values = values.reshape(-1, values.shape[-1])
+    out = np.zeros((values.shape[0], flat.size))
+    start = 0
+    for index, nodes, factor, scale, post in parts:
+        piece = np.broadcast_to(
+            values[:, start:start + nodes.size].reshape(
+                (-1,) + nodes.shape), (values.shape[0],) + factor.shape)
+        start += nodes.size
+        # blocks of times hold about _BLOCK_NODES products over all rows
+        step = max(1, _BLOCK_NODES // (piece.shape[0] * factor[0].size))
+        for lo in range(0, index.size, step):
+            block = slice(lo, lo + step)
+            cells = (piece[:, block] * factor[block]).sum(axis=-1)
+            out[:, index[block]] += (cells * scale[block]).sum(axis=-1) \
+                * post
+    out = out.reshape(rows + times.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -318,10 +334,14 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
     suffer.  The result is exact for the interpolant, so the only error
     is the interpolation error of the tabulation itself.
 
-    Both cell formulas are evaluated as (times x cells) arrays, in blocks
-    of times holding about ``_BLOCK_NODES`` Gauss nodes, and each time is
-    summed over its own row, so a batched result equals the
-    one-at-a-time result bit for bit.  A scalar ``times`` gives a float.
+    ``samples`` may hold one row per density on the same nodes; the
+    result then has shape ``rows + times.shape``, and 1-d ``samples``
+    with a scalar ``times`` give a float.  The kernel moments and Gauss
+    kernel values are formed once per block of times, holding about
+    ``_BLOCK_NODES`` Gauss nodes over all rows, as (times x cells)
+    arrays shared by every row.  Each cell is reduced elementwise and
+    each row and time sums its own cells with one numpy sum, so a
+    batched result equals the one-row, one-time result bit for bit.
     """
     nodes = np.asarray(nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -330,8 +350,9 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
     kappa = float(kernel_exponent)
     if nodes.ndim != 1 or nodes.size < 2:
         raise DomainError("need at least two mesh nodes")
-    if samples.shape != nodes.shape:
-        raise DomainError("samples must align with nodes")
+    if samples.ndim not in (1, 2) or samples.shape[-1] != nodes.size:
+        raise DomainError("samples must align with nodes, one row per "
+                          "density")
     widths = np.diff(nodes)
     if np.any(widths <= 0.0):
         raise DomainError("mesh nodes must be strictly increasing")
@@ -345,13 +366,17 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == end")
 
-    g0 = samples[:-1]
-    slope = np.diff(samples) / widths
+    rows = samples.shape[:-1]
+    samples = samples.reshape(-1, nodes.size)
+    g0 = samples[:, None, :-1]
+    slope = (np.diff(samples) / widths)[:, None]
     x, w = _legendre_rule(8)
     s, half = _cell_nodes(nodes, x)
-    lin = g0[:, None] + slope[:, None] * (s - nodes[:-1, None])
-    step = max(1, _BLOCK_NODES // s.size)
-    out = np.empty(flat.size)
+    # the interpolant at the Gauss nodes, weights folded in: (rows, 1,
+    # cells, 8)
+    lin = w * (g0[..., None] + slope[..., None] * (s - nodes[:-1, None]))
+    step = max(1, _BLOCK_NODES // (samples.shape[0] * s.size))
+    out = np.empty((samples.shape[0], flat.size))
     for lo in range(0, flat.size, step):
         t = flat[lo:lo + step, None]
         u0 = t - nodes[:-1]
@@ -359,10 +384,12 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
         m0 = (u0 ** (1.0 - kappa) - u1 ** (1.0 - kappa)) / (1.0 - kappa)
         m1 = u0 * m0 - (u0 ** (2.0 - kappa) - u1 ** (2.0 - kappa)) \
             / (2.0 - kappa)
-        gauss = half * (((t[:, :, None] - s) ** (-kappa) * lin) @ w)
-        out[lo:lo + step] = np.where(u1 <= 3.0 * widths,
-                                     g0 * m0 + slope * m1, gauss).sum(axis=1)
-    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+        gauss = half * (lin * (t[:, :, None] - s) ** (-kappa)).sum(axis=-1)
+        out[:, lo:lo + step] = np.where(u1 <= 3.0 * widths,
+                                        g0 * m0 + slope * m1,
+                                        gauss).sum(axis=-1)
+    out = out.reshape(rows + times.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _kernel_antiderivatives(alpha: float, lam: np.ndarray,
@@ -466,16 +493,24 @@ def _duhamel_block(alpha: float, lam: np.ndarray, nodes: np.ndarray,
     pos = np.arange((below + 1).sum()) - np.repeat(ends - below, below + 1)
     mesh = nodes[pos]
     mesh[ends] = flat
-    density = samples[:, pos]
-    density[:, ends] = [np.interp(flat, nodes, row) for row in samples]
     u = np.repeat(flat, below + 1) - mesh  # zero at the end of each mesh
     ik, ik2 = _kernel_antiderivatives(alpha, lam, u)
-    # cell i spans [u[i+1], u[i]] in the kernel variable
+    # cell i spans [u[i+1], u[i]] in the kernel variable, width
+    # h = u[i] - u[i+1]: mass is int K(u) du over it, and the weight of
+    # the density's step across it is (1/h) int (u[i] - u) K(u) du, by
+    # parts (ik2[i] - ik2[i+1]) / h - ik[i+1].  These and contrib are
+    # formed in place, and the density only after the antiderivatives,
+    # so fewer (rows x nodes) arrays are alive at once
     mass = ik[:, :-1] - ik[:, 1:]
-    # int (u - u[i+1]) K(u) du over the cell, via parts: exact and free of
-    # the cancellation that a direct first-moment difference would incur
-    right_weight = (ik2[:, :-1] - ik2[:, 1:]) / np.diff(mesh) - ik[:, 1:]
-    contrib = density[:, :-1] * mass + np.diff(density) * right_weight
+    right_weight = ik2[:, :-1] - ik2[:, 1:]
+    right_weight /= np.diff(mesh)
+    right_weight -= ik[:, 1:]
+    density = samples[:, pos]
+    density[:, ends] = [np.interp(flat, nodes, row) for row in samples]
+    contrib = np.multiply(density[:, :-1], mass, out=mass)
+    step = np.diff(density)
+    step *= right_weight
+    contrib += step
     out = np.empty((lam.size, flat.size))
     for k, (lo, hi) in enumerate(zip((ends - below).tolist(),
                                      ends.tolist())):
@@ -503,6 +538,6 @@ def composite_graded_integral(smooth, a: float, b: float,
     s, half = _cell_nodes(nodes[1:], x)
     values = np.asarray(smooth(np.concatenate(
         [nodes[0] + first * (xj + 1.0), s.ravel()])), dtype=float)
-    total = first ** (p + 1.0) * float(np.dot(wj, values[:xj.size]))
+    total = first ** (p + 1.0) * float((wj * values[:xj.size]).sum())
     rest = (s - a) ** p * values[xj.size:].reshape(s.shape)
-    return _cell_sum(w, half, rest, total)
+    return total + float((half * (w * rest).sum(axis=-1)).sum())

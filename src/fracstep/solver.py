@@ -282,87 +282,105 @@ def _derivatives(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
     return (impulse + tail).reshape((len(segs),) + t.shape)
 
 
-def _memory(seg: ModeSegment, times: np.ndarray, kernel_exponent: float,
-            n_quad: int) -> np.ndarray:
-    """Memory kernel applied to a past segment's derivative at ``times``.
+def _memory(segs: list[ModeSegment], times: np.ndarray,
+            kernel_exponent: float, n_quad: int) -> np.ndarray:
+    """Memory kernel applied to modes' derivatives on one past segment.
 
-    The impulse part is ``strength * (s - start)**(order - 1)`` times a
+    ``segs`` are the modes' segments on that schedule segment, and the
+    result has one row per segment and one column per time.  The
+    impulse part is ``strength * (s - start)**(order - 1)`` times a
     Mittag-Leffler factor whose argument scales like ``(s - start)**
     order``; the scaled-variable rule resolves that combination exactly,
-    from one profile evaluation for all times.  The tabulated forced tail
-    goes through ``power_kernel_convolve``, also for all times at once;
-    an unforced segment's tail is exactly zero and is skipped.
+    with one profile evaluation for all rows and times.  The tabulated
+    forced tails go through one ``power_kernel_convolve`` call.  Rows
+    with a zero impulse strength skip the impulse part, and unforced
+    rows, whose tails are exactly zero, skip the tail.  Each row equals
+    a call with that segment alone, bit for bit.
     """
-    tail = np.zeros(np.shape(times))
-    if seg.tail_samples.any():
-        tail = power_kernel_convolve(seg.nodes, seg.tail_samples, times,
-                                     kernel_exponent)
-    if seg.impulse_strength == 0.0:
-        return tail
+    first = segs[0]
+    out = np.zeros((len(segs), times.size))
+    tails = np.array([seg.tail_samples for seg in segs])
+    forced = tails.any(axis=1)
+    if forced.any():
+        out[forced] = power_kernel_convolve(first.nodes, tails[forced],
+                                            times, kernel_exponent)
+    strength = np.array([seg.impulse_strength for seg in segs])
+    hit = strength != 0.0
+    if hit.any():
+        lam = np.array([seg.eigenvalue for seg in segs])[hit, None]
 
-    def profile(xi):
-        arg = -seg.eigenvalue * np.asarray(xi, dtype=float)
-        return seg.impulse_strength * ml_values(seg.order, seg.order, arg)
+        def profile(xi):
+            return strength[hit, None] * ml_values(first.order, first.order,
+                                                   -lam * xi)
 
-    return scaled_power_history(profile, seg.start, seg.end, times,
-                                kernel_exponent, seg.order, n=n_quad) + tail
+        out[hit] += scaled_power_history(profile, first.start, first.end,
+                                         times, kernel_exponent,
+                                         first.order, n=n_quad)
+    return out
 
 
 def _segment_load(nodes: np.ndarray, beta: float,
-                  previous: list[ModeSegment], values, rates,
-                  n_quad: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """One mode's effective load, memory amplitude and smooth rate.
+                  past: list[list[ModeSegment]], values: np.ndarray,
+                  rates: np.ndarray,
+                  n_quad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Effective loads, memory amplitudes and smooth rates of modes.
 
-    ``values`` and ``rates`` are the physical load and its derivative at
-    ``nodes``, the mesh of the segment starting at ``nodes[0]``;
-    ``previous`` are the mode's earlier segments.
+    ``values`` and ``rates`` hold the physical load and its derivative at
+    ``nodes``, the mesh of the segment starting at ``nodes[0]``, one row
+    per mode; ``past`` holds the modes' segments on each earlier
+    schedule segment, in the same order.  One array pass serves every
+    mode: each memory integral is one ``_memory`` call per past segment
+    and kernel exponent.
     """
     a = nodes[0]
     inv_gamma = 1.0 / gamma_fn(1.0 - beta)
-    load = np.asarray(values, dtype=float).copy()
-    memory_amplitude = 0.0
-    rate_remainder = np.zeros_like(nodes)
-    if previous:
-        load -= inv_gamma * sum(_memory(seg, nodes, beta, n_quad)
-                                for seg in previous)
+    load = values.copy()
+    memory_amplitude = np.zeros(values.shape[0])
+    rate_remainder = np.zeros_like(values)
+    if past:
+        load -= inv_gamma * sum(_memory(segs, nodes, beta, n_quad)
+                                for segs in past)
         # memory rate: amplitude of its (s - a)**(-beta) blow-up plus a
         # bounded remainder; the first node gets its neighbor's value,
         # which only the vanishing first cell mass ever weights
-        memory_amplitude = previous[-1].exit_derivative * inv_gamma
+        memory_amplitude = np.array(
+            [seg.exit_derivative for seg in past[-1]]) * inv_gamma
         rate = beta * inv_gamma * sum(
-            _memory(seg, nodes[1:], 1.0 + beta, n_quad) for seg in previous)
-        rate_remainder[1:] = rate \
-            - memory_amplitude * (nodes[1:] - a) ** (-beta)
-        rate_remainder[0] = rate_remainder[1]
+            _memory(segs, nodes[1:], 1.0 + beta, n_quad) for segs in past)
+        rate_remainder[:, 1:] = rate - memory_amplitude[:, None] \
+            * (nodes[1:] - a) ** (-beta)
+        rate_remainder[:, 0] = rate_remainder[:, 1]
 
-    smooth_rate = np.asarray(rates, dtype=float) + rate_remainder
-    if not np.isfinite(smooth_rate[0]):
-        # admissible loads may carry an integrable derivative blow-up at
-        # the segment start; the graded first cell is a ~1e-10 sliver of
-        # the segment, so giving it its neighbor's density only perturbs
-        # the forced derivative at that cell's scale
-        smooth_rate[0] = smooth_rate[1]
+    smooth_rate = rates + rate_remainder
+    # admissible loads may carry an integrable derivative blow-up at the
+    # segment start; the graded first cell is a ~1e-10 sliver of the
+    # segment, so giving it its neighbor's density only perturbs the
+    # forced derivative at that cell's scale
+    blowup = ~np.isfinite(smooth_rate[:, 0])
+    smooth_rate[blowup, 0] = smooth_rate[blowup, 1]
     return load, memory_amplitude, smooth_rate
 
 
 def _build_segments(j: int, schedule: OrderSchedule, source: ModalSource,
                     modes: list[int], lam: np.ndarray, entry: np.ndarray,
-                    history: list[list[ModeSegment]], n_cells: int,
+                    past: list[list[ModeSegment]], n_cells: int,
                     n_quad: int) -> list[ModeSegment]:
     """Segment ``j`` of every listed mode, from its entry and history.
 
-    Each mode's load is assembled on its own; the forced tails, exit
-    values and exit derivatives of all modes then take one batched call
-    each, whose rows equal one-mode calls bit for bit.
+    ``past[k]`` holds the listed modes' segments on schedule segment
+    ``k``.  The loads of all modes are one array pass, and the forced
+    tails, exit values and exit derivatives take one batched call each;
+    every row equals a one-mode call bit for bit.
     """
     beta = schedule.orders[j]
     a, b = schedule.segment(j)
     nodes = graded_mesh(a, b, n_cells, _MESH_GRADING, "left")
-    loads, amplitudes, rates = zip(*(
-        _segment_load(nodes, beta, previous, source.mode_values(n, nodes),
-                      source.mode_derivative(n, nodes), n_quad)
-        for n, previous in zip(modes, history)))
-    amplitudes = np.array(amplitudes)
+    values = np.array([source.mode_values(n, nodes) for n in modes],
+                      dtype=float)
+    rates = np.array([source.mode_derivative(n, nodes) for n in modes],
+                     dtype=float)
+    loads, amplitudes, rates = _segment_load(nodes, beta, past, values,
+                                             rates, n_quad)
 
     # the blow-up's forced response int_0^dt K_b(dt - u) u**(-b) du is
     # Gamma(1 - b) * E_{b,1}(-lam dt**b) in closed form
@@ -371,8 +389,7 @@ def _build_segments(j: int, schedule: OrderSchedule, source: ModalSource,
     if hit.any():
         tails[hit] = amplitudes[hit, None] * gamma_fn(1.0 - beta) \
             * ml_values(beta, 1.0, -lam[hit, None] * (nodes - a) ** beta)
-    tails[:, 1:] += duhamel_convolve(beta, lam, nodes, np.array(rates),
-                                     nodes[1:])
+    tails[:, 1:] += duhamel_convolve(beta, lam, nodes, rates, nodes[1:])
 
     segments = [
         ModeSegment(index=j, order=beta, eigenvalue=float(lam[k]), start=a,
@@ -528,21 +545,21 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
             if initial[n - 1] != 0.0 or not source.is_zero_mode(n)]
     lam = np.array([basis.eigenvalues[n - 1] for n in live])
     entry = np.array([initial[n - 1] for n in live])
-    history: list[list[ModeSegment]] = [[] for _ in live]
+    past: list[list[ModeSegment]] = []
     for j in range(schedule.num_segments if live else 0):
         built = _build_segments(j, schedule, source, live, lam, entry,
-                                history, n_cells, n_quad)
-        for n, seg, previous in zip(live, built, history):
+                                past, n_cells, n_quad)
+        for n, seg in zip(live, built):
             if not (np.isfinite(seg.load_samples).all()
                     and np.isfinite(seg.tail_samples).all()
                     and math.isfinite(seg.exit_value)
                     and math.isfinite(seg.exit_derivative)):
                 raise NumericError("non-finite segment state",
                                    mode=n, segment=j)
-            previous.append(seg)
+        past.append(built)
         entry = np.array([seg.exit_value for seg in built])
 
-    segments = dict(zip(live, history))
+    segments = dict(zip(live, zip(*past)))
     modes = tuple(ModeSolution(n, basis.eigenvalues[n - 1],
                                schedule.breakpoints,
                                tuple(segments.get(n, ())))

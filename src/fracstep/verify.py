@@ -317,27 +317,31 @@ def blowup_rate_fit(field: SolutionField, j: int):
     return _fit_slope(offsets, values)
 
 
-def _mode_history(field: SolutionField, n: int, k: int, times,
-                  kernel_exponent: float, n_quad: int):
-    """Kernel integral of mode ``n``'s derivative over segment ``k``.
+def _history(field: SolutionField, rows: list[int], k: int, times,
+             kernel_exponent: float, n_quad: int) -> np.ndarray:
+    """Kernel integrals of modes' derivatives over segment ``k``.
 
-    The segment is cut at the earliest of ``times``, so a scalar time
-    inside segment ``k`` integrates its part up to that time, and times
-    past the segment end share one call.  Independent of the solver's
-    internal tabulations: the derivative is re-evaluated through the
-    public closed form, with the segment's own power scaled out so the
-    transformed profile is smooth.
+    ``rows`` are zero-based mode indices; the result has one row per
+    mode, then the shape of ``times``.  The segment is cut at the
+    earliest of ``times``, so a scalar time inside segment ``k``
+    integrates its part up to that time, and times past the segment end
+    share one call.  Independent of the solver's internal tabulations:
+    the derivatives are re-evaluated through the public
+    ``mode_derivatives``, with the segment's own power scaled out so the
+    transformed profile is smooth.  All rows share one
+    ``scaled_power_history`` call, and each equals a call for its mode
+    alone, bit for bit.
     """
     schedule = field.problem.schedule
     a, b = schedule.segment(k)
     b = min(b, float(np.min(times)))
     order = schedule.orders[k]
-    mode = field.modes[n - 1]
     inv = 1.0 / order
 
     def profile(w):
         w = np.atleast_1d(w)
-        return mode.derivative(a + w ** inv) * w ** (inv - 1.0) * order
+        return field.mode_derivatives(a + w ** inv)[rows] \
+            * w ** (inv - 1.0) * order
 
     # profile(w) = order * w**(1/order - 1) * u'(a + w**(1/order)) makes
     # (s-a)**(order-1) * profile((s-a)**order) equal u'(s) exactly
@@ -351,7 +355,8 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
 
     The segment load is the base load minus the memory of all earlier
     segments; its derivative adds the differentiated memory kernel,
-    which is what carries the blow-up for ``j >= 1``.
+    which is what carries the blow-up for ``j >= 1``.  Each earlier
+    segment's memory is one history call for all nonzero modes.
     """
     schedule = spec.schedule
     if not 0 <= j < schedule.num_segments:
@@ -366,12 +371,11 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     # rows are offsets, so each norm sums its modes in mode order
     per_mode = np.zeros((offsets.size, spec.num_modes))
     for n in range(1, spec.num_modes + 1):
-        rate = np.asarray(spec.source.mode_derivative(n, times), dtype=float)
-        if not field.modes[n - 1].is_zero:
-            for k in range(j):
-                rate = rate + prefac * _mode_history(field, n, k, times,
-                                                     order + 1.0, n_quad)
-        per_mode[:, n - 1] = rate
+        per_mode[:, n - 1] = spec.source.mode_derivative(n, times)
+    live = [i for i, mode in enumerate(field.modes) if not mode.is_zero]
+    for k in range(j) if live else ():
+        per_mode[:, live] = per_mode[:, live] + prefac * _history(
+            field, live, k, times, order + 1.0, n_quad).T
     values = np.array([float(np.sqrt(np.sum(row ** 2))) for row in per_mode])
     return offsets, values
 
@@ -395,10 +399,27 @@ def vo_caputo_derivative(field: SolutionField, n: int, t,
     current time's order, using only the public derivative evaluator;
     this is the independent path the residual check relies on.  ``t``
     may be an array: times on the same segment share one call per past
-    segment.  A scalar gives a float.
+    segment.  A scalar gives a float.  The one-row case of the residual
+    check's evaluation of all modes at once, and equal to its row bit
+    for bit.
+    """
+    if not 1 <= n <= len(field.modes):
+        raise DomainError(f"mode index {n} outside [1, {len(field.modes)}]")
+    t = np.asarray(t, dtype=float)
+    out = _vo_caputo_rows(field, [n - 1], t, n_quad)[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
+                    n_quad: int) -> np.ndarray:
+    """:func:`vo_caputo_derivative` of the zero-based modes ``rows``.
+
+    Every history integral is one call for all rows: one per past
+    segment for the times on each segment, and one per time for the
+    current segment, which is cut at each time separately.  The result
+    has shape ``(len(rows),) + t.shape``.
     """
     schedule = field.problem.schedule
-    t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     outside = ~((0.0 < flat) & (flat <= schedule.horizon))
     if outside.any():
@@ -407,20 +428,19 @@ def vo_caputo_derivative(field: SolutionField, n: int, t,
             f"(0, {schedule.horizon}]")
     current = np.array([_order_at_clamped(schedule, s)[0]
                         for s in flat.tolist()], dtype=int)
-    out = np.empty(flat.size)
+    out = np.empty((len(rows), flat.size))
     for j in np.unique(current).tolist():
         here = np.flatnonzero(current == j)
         kappa = schedule.orders[j]
-        total = np.zeros(here.size)
+        total = np.zeros((len(rows), here.size))
         for k in range(j):
-            total += _mode_history(field, n, k, flat[here], kappa, n_quad)
-        # the current segment is cut at each time separately
+            total += _history(field, rows, k, flat[here], kappa, n_quad)
         a, _ = schedule.segment(j)
         for i, s in enumerate(flat[here].tolist()):
             if s > a:
-                total[i] += _mode_history(field, n, j, s, kappa, n_quad)
-        out[here] = total / gamma_fn(1.0 - kappa)
-    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+                total[:, i] += _history(field, rows, j, s, kappa, n_quad)
+        out[:, here] = total / gamma_fn(1.0 - kappa)
+    return out.reshape((len(rows),) + t.shape)
 
 
 def residual_check(field: SolutionField, spec: ProblemSpec, probes,
@@ -430,7 +450,9 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
 
     ``probes`` holds ``(x, t)`` rows; times must keep the configured
     fraction of the shortest segment away from every breakpoint, where
-    the derivative's blow-up would poison the quadrature.
+    the derivative's blow-up would poison the quadrature.  The memory
+    derivatives of all modes are evaluated together, one history call
+    per segment and group of times.
     """
     schedule = spec.schedule
     probes = np.asarray(probes, dtype=float)
@@ -447,13 +469,15 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
 
     # rows are times, so each row is one contiguous modal vector
     defect = np.zeros((times.size, spec.num_modes))
-    for n in range(1, spec.num_modes + 1):
-        mode = field.modes[n - 1]
-        if mode.is_zero and spec.source.is_zero_mode(n):
-            continue
-        mem = vo_caputo_derivative(field, n, times, n_quad)
-        load = np.asarray(spec.source.mode_values(n, times), dtype=float)
-        defect[:, n - 1] = mem + mode.eigenvalue * values[n - 1] - load
+    rows = [n - 1 for n in range(1, spec.num_modes + 1)
+            if not (field.modes[n - 1].is_zero
+                    and spec.source.is_zero_mode(n))]
+    if rows:
+        mem = _vo_caputo_rows(field, rows, times, n_quad)
+        for i, row in zip(rows, mem):
+            load = np.asarray(spec.source.mode_values(i + 1, times),
+                              dtype=float)
+            defect[:, i] = row + field.modes[i].eigenvalue * values[i] - load
 
     worst = 0.0
     for t, row in zip(times, defect):

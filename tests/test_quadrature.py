@@ -5,6 +5,7 @@ frozen here; the Duhamel references additionally agree with an adaptive
 scipy integral of the independently verified kernel to ~1e-12.
 """
 
+import ast
 import math
 import os
 
@@ -172,6 +173,50 @@ class TestScaledPowerHistory:
             np.testing.assert_array_equal(got, want)
             assert isinstance(want[0][0], float)
 
+    def test_rows_match_one_row_calls(self, monkeypatch):
+        # one profile row per eigenvalue, one of them a zero row; far
+        # times, near times with t > b, t == b and scalar times, and a
+        # budget small enough to split the times into many blocks
+        lams = np.array([9.0, 0.0, 2.5, 40.0])
+        scale = np.array([[1.0], [0.0], [-0.7], [1.3]])
+
+        def rows(xi):
+            return scale * ml_values(SCALED_ORDER, SCALED_ORDER,
+                                     -lams[:, None] * xi)
+
+        def one(m):
+            return lambda xi: scale[m, 0] * ml_values(
+                SCALED_ORDER, SCALED_ORDER, -lams[m] * xi)
+
+        b = 0.4
+        for budget in (quadrature._BLOCK_NODES, 700):
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+            for kappa in (0.45, 1.45):
+                times = np.array([[0.9, b + 1e-9, 0.41],
+                                  [b + 0.04, 2.0, b]])
+                if kappa > 1.0:
+                    times[1, 2] = 0.5
+                got = scaled_power_history(rows, 0.0, b, times, kappa,
+                                           SCALED_ORDER)
+                assert got.shape == (4,) + times.shape
+                for m in range(4):
+                    want = scaled_power_history(one(m), 0.0, b, times,
+                                                kappa, SCALED_ORDER)
+                    np.testing.assert_array_equal(got[m], want)
+                assert np.all(got[1] == 0.0)
+                for t in (0.9, b + 1e-9, b + 0.04):
+                    at = scaled_power_history(rows, 0.0, b, t, kappa,
+                                              SCALED_ORDER)
+                    assert at.shape == (4,)
+                    np.testing.assert_array_equal(at, [
+                        scaled_power_history(one(m), 0.0, b, t, kappa,
+                                             SCALED_ORDER)
+                        for m in range(4)])
+            at_b = scaled_power_history(rows, 0.0, b, b, 0.45, SCALED_ORDER)
+            np.testing.assert_array_equal(at_b, [
+                scaled_power_history(one(m), 0.0, b, b, 0.45, SCALED_ORDER)
+                for m in range(4)])
+
     def test_validation(self):
         one = lambda xi: np.ones_like(xi)
         for a, b, t, kappa, power in [
@@ -251,9 +296,38 @@ class TestPowerKernelConvolve:
             power_kernel_convolve(nodes, samples, float(t), 0.45)
             for t in times])
 
+    @pytest.mark.parametrize("kappa", [0.45, 1.45])
+    def test_rows_match_one_row_calls(self, kappa, monkeypatch):
+        # (M, N) samples, a zero row among them; near and far times, and
+        # a budget that splits the times into blocks of two
+        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        samples = np.vstack([np.cos(3.0 * nodes), np.zeros_like(nodes),
+                             0.4 - 1.3 * nodes, np.exp(-nodes)])
+        times = np.array([[self.B + 1e-9, 0.71, 1.5],
+                          [self.B + 0.002, 0.9, self.B]])
+        if kappa > 1.0:
+            times[1, 2] = 0.75
+        for budget in (quadrature._BLOCK_NODES, 600):
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+            got = power_kernel_convolve(nodes, samples, times, kappa)
+            assert got.shape == (4,) + times.shape
+            for row, values in zip(samples, got):
+                np.testing.assert_array_equal(
+                    values, power_kernel_convolve(nodes, row, times, kappa))
+            assert np.all(got[1] == 0.0)
+            at = power_kernel_convolve(nodes, samples, 0.9, kappa)
+            assert at.shape == (4,)
+            np.testing.assert_array_equal(at, [
+                power_kernel_convolve(nodes, row, 0.9, kappa)
+                for row in samples])
+
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 9)
         ones = np.ones(9)
+        with pytest.raises(DomainError):
+            power_kernel_convolve(nodes, np.ones((2, 8)), 1.1, 0.5)
+        with pytest.raises(DomainError):
+            power_kernel_convolve(nodes, np.ones((2, 2, 9)), 1.1, 0.5)
         with pytest.raises(DomainError):
             power_kernel_convolve(nodes, ones, 0.9, 0.5)   # t short
         with pytest.raises(DomainError):
@@ -395,3 +469,25 @@ class TestCompositeGraded:
         got = composite_graded_integral(np.sin, 0.0, math.pi,
                                         left_exponent=0.0, n_cells=16)
         assert got == pytest.approx(2.0, rel=1e-10)
+
+
+def test_quadrature_module_uses_no_blas_product():
+    # BLAS fixes no summation order, so a product there could make a
+    # batched row differ from a one-row call in its last bits
+    path = os.path.join(os.path.dirname(quadrature.__file__),
+                        "quadrature.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        if isinstance(node, ast.Attribute) \
+                and node.attr in ("dot", "matmul", "einsum"):
+            found.append(f".{node.attr} at line {node.lineno}")
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name in ("dot", "matmul", "einsum")
+                for alias in node.names):
+            found.append(f"import at line {node.lineno}")
+    assert found == []

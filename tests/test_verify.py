@@ -17,6 +17,7 @@ from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource, solve
 from fracstep.special import gamma_fn, ml_values
+import fracstep.solver as S
 import fracstep.verify as V
 
 
@@ -44,6 +45,22 @@ def rate_run():
     spec = ProblemSpec(schedule=sched, operator=OperatorSpec(diffusion=0.1),
                        initial_coefficients=(1.0, 0.5))
     return spec, solve(spec, n_cells=64)
+
+
+def forced_problem(num_modes):
+    sched = OrderSchedule(breakpoints=(0.0, 0.25, 0.625, 1.0),
+                          orders=(0.3, 0.8, 0.5))
+    coeffs = (1.0, 0.5, 0.25)[:num_modes]
+    return ProblemSpec(
+        schedule=sched, operator=OperatorSpec(), initial_coefficients=coeffs,
+        source=SeparableSource(np.ones(num_modes), lambda t: 1.0 + 0.5 * t,
+                               lambda t: 0.5 + 0.0 * t))
+
+
+@pytest.fixture(scope="module")
+def forced_run():
+    spec = forced_problem(3)
+    return spec, solve(spec, n_cells=16, n_quad=16)
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +305,13 @@ class TestResidual:
         with pytest.raises(DomainError):
             V.vo_caputo_derivative(field, 1, np.array([0.5, 1.5]))
 
+    def test_caputo_rejects_bad_mode_index(self, mixed_run):
+        # mode 0 must not wrap around to the last mode
+        _, field = mixed_run
+        for n in (0, 3):
+            with pytest.raises(DomainError):
+                V.vo_caputo_derivative(field, n, 0.7)
+
     def test_caputo_array_matches_scalar_calls(self, mixed_run):
         # times on both segments, the breakpoint and the horizon; each
         # past segment is one call over all later times, bit for bit
@@ -299,6 +323,57 @@ class TestResidual:
             want = [[V.vo_caputo_derivative(field, n, float(t)) for t in row]
                     for row in times]
             np.testing.assert_array_equal(got, want)
+
+
+class TestModeBatchedHistory:
+    """Verification evaluates every memory integral for all modes at once."""
+
+    def test_rows_equal_one_mode_calls(self, forced_run):
+        # past segments, the current segment, a breakpoint and the horizon
+        _, field = forced_run
+        times = np.array([0.1, 0.25, 0.3, 0.625 + 1e-6, 0.8, 1.0])
+        got = V._vo_caputo_rows(field, [0, 1, 2], times, 12)
+        assert got.shape == (3, times.size)
+        for n in (1, 2, 3):
+            np.testing.assert_array_equal(
+                got[n - 1], V.vo_caputo_derivative(field, n, times, 12))
+        for k in range(3):
+            rows = V._history(field, [0, 2], k, times[times >= 0.625], 0.5,
+                              12)
+            for i, n in enumerate((1, 3)):
+                np.testing.assert_array_equal(rows[i], V._history(
+                    field, [n - 1], k, times[times >= 0.625], 0.5, 12)[0])
+
+    def test_history_calls_do_not_grow_with_modes(self, monkeypatch):
+        # one scaled_power_history call per (past segment, kernel
+        # exponent) in the solve, and as many in the report for any
+        # number of modes
+        counts = []
+
+        def count(module):
+            real = module.scaled_power_history
+
+            def counting(*args, **kwargs):
+                counts[-1][module.__name__] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "scaled_power_history", counting)
+
+        count(S)
+        count(V)
+        for num_modes in (1, 3):
+            counts.append({S.__name__: 0, V.__name__: 0})
+            spec = forced_problem(num_modes)
+            field = solve(spec, n_cells=8, n_quad=8)
+            V.build_report(field, n_quad=8)
+        probes = V.default_space_time_probes(forced_problem(3))
+        segments = 3
+        past = sum(range(segments))
+        # the report: the source fits and the residual's past segments
+        # once per (segment, past segment), and the residual's current
+        # segment once per probe time
+        report = 2 * past + np.unique(probes[:, 1]).size
+        assert counts == [{S.__name__: 2 * past, V.__name__: report}] * 2
 
 
 class TestInitialLimit:
