@@ -260,13 +260,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging() -> None:
+    name = os.environ.get("FRACSTEP_LOG", "WARNING").upper()
+    # a level name maps to its number; an unknown name maps to a string
+    if not isinstance(logging.getLevelName(name), int):
+        raise ConfigError(
+            f"FRACSTEP_LOG names no log level: {name!r} (use DEBUG, INFO, "
+            "WARNING, ERROR or CRITICAL)")
+    logging.basicConfig(level=name,
+                        format="%(name)s %(levelname)s %(message)s")
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FRACSTEP_LOG", "WARNING").upper(),
-        format="%(name)s %(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _configure_logging()
         raw = load_config(args.config)
         cfg = build_run_config(raw)
         log.info("running %s on %s", args.command, args.config)

@@ -2,7 +2,13 @@
 
 The schema ships with the package (``config_schema.json``) and is the
 single authority on accepted keys; anything it does not know is
-rejected, so configs cannot silently carry typos.  Semantic rules that
+rejected, so configs cannot silently carry typos.  A small interpreter
+in this module checks configs against it with JSON Schema 2020-12
+semantics (booleans are not numbers, integer-valued floats are
+integers, bounds apply to numbers only), covering just the keywords the
+schema uses and refusing any other, so no command imports a general
+validator.  The first error by instance path becomes a
+:class:`ConfigError` with a JSON pointer to it.  Semantic rules that
 JSON Schema cannot express (monotone breakpoints, length agreement
 between mode lists) surface as :class:`ConfigError` with a JSON pointer
 to the offending element.
@@ -13,8 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import ge, gt, le, lt
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError, DomainError
@@ -63,14 +69,126 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: value.is_integer()
+    if isinstance(value, float) else _is_number(value),
+}
+
+
+# Each keyword check takes (instance, keyword argument, enclosing schema,
+# instance path) and yields (path, message) per violation.
+
+def _type(value, name, schema, path):
+    if not _TYPES[name](value):
+        yield path, f"{value!r} is not of type {name!r}"
+
+
+def _properties(value, props, schema, path):
+    if isinstance(value, dict):
+        for key, sub in props.items():
+            if key in value:
+                yield from _errors(value[key], sub, path + (key,))
+
+
+def _additional_properties(value, allowed, schema, path):
+    if allowed is not False:
+        raise NotImplementedError("additionalProperties must be false")
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extra = sorted(key for key in value if key not in known)
+        if extra:
+            verb = "was" if len(extra) == 1 else "were"
+            yield path, ("Additional properties are not allowed ("
+                         f"{', '.join(map(repr, extra))} {verb} unexpected)")
+
+
+def _required(value, keys, schema, path):
+    if isinstance(value, dict):
+        for key in keys:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _items(value, sub, schema, path):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _errors(item, sub, path + (index,))
+
+
+def _min_items(value, count, schema, path):
+    if isinstance(value, list) and len(value) < count:
+        yield path, (f"{value!r} should be non-empty" if count == 1
+                     else f"{value!r} is too short")
+
+
+def _bound(fails, words):
+    def check(value, limit, schema, path):
+        if _is_number(value) and fails(value, limit):
+            yield path, f"{value!r} is {words} {limit!r}"
+    return check
+
+
+def _const(value, expected, schema, path):
+    # True == 1 in Python, but JSON keeps booleans apart from numbers
+    if value != expected or \
+            isinstance(value, bool) != isinstance(expected, bool):
+        yield path, f"{expected!r} was expected"
+
+
+def _one_of(value, branches, schema, path):
+    matches = sum(not any(_errors(value, branch, path))
+                  for branch in branches)
+    if matches != 1:
+        yield path, (f"{value!r} is not valid under any of the given schemas"
+                     if matches == 0 else f"{value!r} is valid under more "
+                     "than one of the given schemas")
+
+
+#: The keywords the interpreter applies; any other is refused.
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+    "items": _items,
+    "minItems": _min_items,
+    "minimum": _bound(lt, "less than the minimum of"),
+    "maximum": _bound(gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(ge,
+                               "greater than or equal to the maximum of"),
+    "const": _const,
+    "oneOf": _one_of,
+}
+
+#: Keywords that only annotate the schema.
+_ANNOTATIONS = frozenset({"$schema", "title"})
+
+
+def _errors(value, schema: dict, path: tuple):
+    """Yield ``(path, message)`` for every violation, in schema order."""
+    for key, arg in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key not in _KEYWORDS:
+            raise NotImplementedError(
+                f"config schema keyword {key!r} is not interpreted")
+        yield from _KEYWORDS[key](value, arg, schema, path)
+
+
 def _validate_schema(raw: dict) -> None:
-    validator = jsonschema.Draft202012Validator(schema())
-    errors = sorted(validator.iter_errors(raw),
-                    key=lambda e: list(e.absolute_path))
+    # a stable sort by path keeps schema order among errors at one place
+    errors = sorted(_errors(raw, schema(), ()), key=lambda e: e[0])
     if errors:
-        first = errors[0]
-        pointer = "/" + "/".join(str(p) for p in first.absolute_path)
-        raise ConfigError(first.message, pointer=pointer)
+        path, message = errors[0]
+        raise ConfigError(message, pointer="/" + "/".join(map(str, path)))
 
 
 def _build_source(block: dict | None, num_modes: int) -> ModalSource | None:
@@ -139,7 +257,8 @@ def build_run_config(raw: dict) -> RunConfig:
 
     initial = prob["initial"]
     if initial["kind"] == "zero":
-        coefficients = (0.0,) * initial["num_modes"]
+        # 2.0 is an integer to the schema
+        coefficients = (0.0,) * int(initial["num_modes"])
     else:
         coefficients = tuple(float(c) for c in initial["coefficients"])
 

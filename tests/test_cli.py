@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from fracstep import cli
-from fracstep.errors import NumericError
+from fracstep.errors import ConfigError, NumericError
 
 from oracles import relaxation_oracle
 
@@ -52,6 +52,13 @@ def two_segment_config(**run):
         },
         "run": {"cells": 48, "quad": 16, **run},
     }
+
+
+def config_pointer(payload):
+    from fracstep.config import build_run_config
+    with pytest.raises(ConfigError) as info:
+        build_run_config(payload)
+    return info.value.pointer
 
 
 def read_csv(path):
@@ -204,6 +211,64 @@ class TestConfigErrors:
         diag = json.loads(capsys.readouterr().err)
         assert diag["pointer"] == f"/run/{key}"
 
+    def test_bool_is_not_an_integer(self, tmp_path):
+        assert config_pointer(reference_config(cells=True)) == "/run/cells"
+        cfg = write_config(tmp_path / "c.json",
+                           reference_config(cells=16.0, time_points=3))
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_initial_matching_no_branch_points_at_initial(self):
+        payload = reference_config()
+        payload["problem"]["initial"] = {"kind": "zero",
+                                         "coefficients": [1.0]}
+        assert config_pointer(payload) == "/problem/initial"
+
+    def test_shallower_error_reported_first(self):
+        payload = reference_config()
+        payload["problem"]["schedule"]["orders"] = [1.5]
+        payload["problem"]["surprise"] = 1
+        assert config_pointer(payload) == "/problem"
+
+    @pytest.mark.parametrize("points,accepted", [
+        (0, True), (1, False), (15, False), (16, True), (16.0, True),
+        (False, False), (-1, False)])
+    def test_oracle_spatial_points_zero_or_at_least_16(self, points,
+                                                       accepted):
+        payload = reference_config(oracle_spatial_points=points)
+        if accepted:
+            from fracstep.config import build_run_config
+            build_run_config(payload)
+        else:
+            assert config_pointer(payload) == "/run/oracle_spatial_points"
+
+    def test_too_few_spatial_points_exit_2_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the L1 march ran")
+
+        monkeypatch.setattr(cli, "solve_mode_l1", refuse)
+        cfg = write_config(tmp_path / "c.json", reference_config(
+            oracle_step_exponent=5, oracle_spatial_points=15))
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["pointer"] == "/run/oracle_spatial_points"
+        assert not out.exists()
+
+    def test_unknown_log_level_exits_2_no_outputs(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("FRACSTEP_LOG", "verbose")
+        cfg = write_config(tmp_path / "c.json", reference_config())
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "config"
+        assert "FRACSTEP_LOG" in diag["message"]
+        assert not out.exists()
+
 
 class TestConfigSources:
     def test_polynomial_profile_and_derivative(self):
@@ -279,6 +344,16 @@ class TestConfigSources:
         field = solve(spec, n_cells=64, n_quad=16)
         ts = np.linspace(0.0, 1.0, 6)
         assert np.array_equal(modes[:, 2], field.mode_trajectory(1, ts))
+
+    def test_integer_valued_float_mode_count(self, tmp_path):
+        payload = reference_config(time_points=3)
+        payload["problem"]["initial"] = {"kind": "zero", "num_modes": 2.0}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["solve", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        _, modes = read_csv(tmp_path / "out" / "modes.csv")
+        assert modes[:, 1].tolist() == [1.0, 2.0] * 3
+        assert np.all(modes[:, 2] == 0.0)
 
 
 class TestNumericExit:
@@ -462,7 +537,8 @@ class TestWriteCsv:
 
 def test_commands_do_not_import_scipy(tmp_path):
     # only the finite-difference oracle needs scipy; every other command
-    # must run in a fresh interpreter without loading any scipy module
+    # must run in a fresh interpreter without loading any scipy module,
+    # and no command loads jsonschema, which only the tests use
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(two_segment_config(
         cells=16, compare_step_exponents=[6, 7, 8], verify_quad=12,
@@ -474,7 +550,7 @@ def test_commands_do_not_import_scipy(tmp_path):
         f"    assert cli.main([command, '--config', {str(cfg)!r},",
         f"                     '--out', {str(tmp_path / 'out')!r}]) == 0",
         "print(sorted(m for m in sys.modules",
-        "             if m == 'scipy' or m.startswith('scipy.')))",
+        "             if m.partition('.')[0] in ('scipy', 'jsonschema')))",
     ])
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
