@@ -59,14 +59,24 @@ class RunConfig:
 
 
 def load_config(path: str) -> dict:
-    """Parse a JSON config file; malformed text is a config error."""
+    """Parse a JSON config file; malformed text is a config error.
+
+    Python's parser also takes ``NaN``, ``Infinity`` and ``-Infinity``,
+    which are not JSON; they are refused here, because a NaN passes every
+    schema bound (each comparison with it is false).
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"malformed JSON: {name} is not a JSON number; "
+                      "numbers must be finite")
 
 
 def _is_number(value) -> bool:

@@ -399,21 +399,15 @@ def _kernel_antiderivatives(alpha: float, lam: np.ndarray,
     ``IK(tau) = tau**a * E_{a,a+1}(-lam tau**a)`` integrates the kernel
     from zero and ``IK2(tau) = tau**(a+1) * E_{a,a+2}(-lam tau**a)``
     integrates ``IK``; both follow from term-by-term integration of the
-    defining series and both vanish at zero.  ``lam`` is a column of
-    eigenvalues: row ``m`` of each result belongs to ``lam[m]``, and each
-    antiderivative is one ``ml_values`` call for all rows.
+    defining series and both are exactly zero at ``tau == 0``.  ``tau``
+    must be non-negative.  ``lam`` is a column of eigenvalues: row ``m``
+    of each result belongs to ``lam[m]``, and one ``ml_values`` call
+    evaluates both functions for all rows.
     """
-    tau = np.asarray(tau, dtype=float)
-    ik = np.zeros((lam.size, tau.size))
-    ik2 = np.zeros_like(ik)
-    pos = tau > 0.0
-    if np.any(pos):
-        tp = tau[pos]
-        arg = -lam[:, None] * tp ** alpha
-        ik[:, pos] = tp ** alpha * ml_values(alpha, alpha + 1.0, arg)
-        ik2[:, pos] = tp ** (alpha + 1.0) * ml_values(alpha, alpha + 2.0,
-                                                      arg)
-    return ik, ik2
+    power = tau ** alpha
+    e1, e2 = ml_values(alpha, (alpha + 1.0, alpha + 2.0),
+                       -lam[:, None] * power)
+    return power * e1, tau ** (alpha + 1.0) * e2
 
 
 def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
@@ -438,17 +432,17 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     ``t`` itself, with the density interpolated there.  The meshes of
     consecutive times are laid end to end in blocks of about
     ``_BLOCK_NODES`` nodes over all rows, so memory stays bounded however
-    many times and rows are asked for; one pair of ``ml_values`` calls
-    serves each block.  Every cell's contribution is an elementwise
-    expression of its own mesh, and each time sums its own cells with
-    one numpy reduction along the row, in an order fixed by the number of
-    cells.  So each result depends on its own eigenvalue, samples and
-    ``t`` alone, bit for bit, whatever the other rows, times or blocks.
+    many times and rows are asked for; one ``ml_values`` call serves each
+    block.  Every cell's contribution is an elementwise expression of its
+    own mesh, and each time sums its own cells with one numpy reduction
+    along the row, in an order fixed by the number of cells.  So each
+    result depends on its own eigenvalue, samples and ``t`` alone, bit
+    for bit, whatever the other rows, times or blocks.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim > 1 or np.any(lam < 0.0):
+    if lam.ndim > 1 or (lam < 0.0).any():
         raise DomainError(
             f"modal eigenvalues must be a scalar or 1-d, all >= 0, got {lam}")
     nodes = np.asarray(nodes, dtype=float)
@@ -458,26 +452,30 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     if samples.shape != lam.shape + nodes.shape:
         raise DomainError("samples must align with nodes, one row per "
                           "eigenvalue")
-    if np.any(np.diff(nodes) <= 0.0):
+    if (nodes[1:] - nodes[:-1] <= 0.0).any():
         raise DomainError("mesh nodes must be strictly increasing")
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    if not np.all((nodes[0] < flat) & (flat <= nodes[-1])):
+    if not ((nodes[0] < flat) & (flat <= nodes[-1])).all():
         raise DomainError(
             f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
 
     rows = lam.reshape(-1)
     samples = samples.reshape(rows.size, nodes.size)
     below = np.searchsorted(nodes, flat)
-    # a block holds the times whose meshes, over all rows, end in the same
-    # multiple of the node budget, so it exceeds the budget by at most
-    # one mesh per row
-    block = (np.cumsum(below + 1) * rows.size - 1) // _BLOCK_NODES
-    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), flat.size]
-    out = np.concatenate([
-        _duhamel_block(alpha, rows, nodes, samples, flat[lo:hi],
-                       below[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])], axis=1)
+    if (int(below.sum()) + flat.size) * rows.size <= _BLOCK_NODES:
+        cuts = [0, flat.size]   # the common case: one block
+    else:
+        # a block holds the times whose meshes, over all rows, end in the
+        # same multiple of the node budget, so it exceeds the budget by
+        # at most one mesh per row
+        block = (np.cumsum(below + 1) * rows.size - 1) // _BLOCK_NODES
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(),
+                flat.size]
+    parts = [_duhamel_block(alpha, rows, nodes, samples, flat[lo:hi],
+                            below[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     out = out.reshape(lam.shape + times.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -487,13 +485,16 @@ def _duhamel_block(alpha: float, lam: np.ndarray, nodes: np.ndarray,
                    below: np.ndarray) -> np.ndarray:
     """``duhamel_convolve`` for validated times, ``below`` nodes under
     each, one row per eigenvalue; returns (rows, times)."""
-    # mesh k is nodes[:below[k]] then flat[k], ending at ends[k];
+    # mesh k is nodes[:below[k]] then flat[k], from starts[k] to ends[k];
     # np.interp returns a node's own sample exactly, as slicing would
-    ends = np.cumsum(below + 1) - 1
-    pos = np.arange((below + 1).sum()) - np.repeat(ends - below, below + 1)
+    counts = below + 1
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ends -= 1
+    pos = np.arange(counts.sum()) - np.repeat(starts, counts)
     mesh = nodes[pos]
     mesh[ends] = flat
-    u = np.repeat(flat, below + 1) - mesh  # zero at the end of each mesh
+    u = np.repeat(flat, counts) - mesh  # zero at the end of each mesh
     ik, ik2 = _kernel_antiderivatives(alpha, lam, u)
     # cell i spans [u[i+1], u[i]] in the kernel variable, width
     # h = u[i] - u[i+1]: mass is int K(u) du over it, and the weight of
@@ -503,17 +504,16 @@ def _duhamel_block(alpha: float, lam: np.ndarray, nodes: np.ndarray,
     # so fewer (rows x nodes) arrays are alive at once
     mass = ik[:, :-1] - ik[:, 1:]
     right_weight = ik2[:, :-1] - ik2[:, 1:]
-    right_weight /= np.diff(mesh)
+    right_weight /= mesh[1:] - mesh[:-1]
     right_weight -= ik[:, 1:]
     density = samples[:, pos]
     density[:, ends] = [np.interp(flat, nodes, row) for row in samples]
     contrib = np.multiply(density[:, :-1], mass, out=mass)
-    step = np.diff(density)
+    step = density[:, 1:] - density[:, :-1]
     step *= right_weight
     contrib += step
     out = np.empty((lam.size, flat.size))
-    for k, (lo, hi) in enumerate(zip((ends - below).tolist(),
-                                     ends.tolist())):
+    for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
         out[:, k] = contrib[:, lo:hi].sum(axis=-1)
     return out
 

@@ -240,19 +240,23 @@ def _values(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
     """
     first = segs[0]
     flat = t.reshape(-1)
-    outside = ~((first.start <= flat) & (flat <= first.end))
-    if outside.any():
-        raise DomainError(f"time {flat[outside][0]} outside segment "
+    inside = (first.start <= flat) & (flat <= first.end)
+    if not inside.all():
+        raise DomainError(f"time {flat[~inside][0]} outside segment "
                           f"[{first.start}, {first.end}]")
     lam = np.array([seg.eigenvalue for seg in segs])
-    entry = np.array([seg.entry_value for seg in segs])
-    out = np.repeat(entry[:, None], flat.size, axis=1)
+    entry = np.array([[seg.entry_value] for seg in segs])
+    density = np.array([seg.load_samples for seg in segs]) \
+        - lam[:, None] * entry
     later = flat > first.start
-    if later.any():
-        density = np.array([seg.load_samples for seg in segs]) \
-            - (lam * entry)[:, None]
-        out[:, later] += duhamel_convolve(first.order, lam, first.nodes,
-                                          density, flat[later])
+    if later.all():   # the common case needs no mask
+        out = entry + duhamel_convolve(first.order, lam, first.nodes,
+                                       density, flat)
+    else:
+        out = np.repeat(entry, flat.size, axis=1)
+        if later.any():
+            out[:, later] += duhamel_convolve(first.order, lam, first.nodes,
+                                              density, flat[later])
     return out.reshape((len(segs),) + t.shape)
 
 
@@ -268,9 +272,9 @@ def _derivatives(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
     """
     first = segs[0]
     flat = t.reshape(-1)
-    outside = ~((first.start < flat) & (flat <= first.end))
-    if outside.any():
-        raise DomainError(f"time {flat[outside][0]} outside half-open "
+    inside = (first.start < flat) & (flat <= first.end)
+    if not inside.all():
+        raise DomainError(f"time {flat[~inside][0]} outside half-open "
                           f"segment ({first.start}, {first.end}]")
     lam = np.array([seg.eigenvalue for seg in segs])
     strength = np.array([seg.impulse_strength for seg in segs])
@@ -420,14 +424,18 @@ def _sample(modes, t, side: str, evaluate) -> np.ndarray:
     live = [i for i, m in enumerate(modes) if not m.is_zero]
     if live:
         flat = t.reshape(-1)
-        res = out.reshape(len(modes), -1)
-        last = len(modes[live[0]].segments) - 1
-        index = np.clip(np.searchsorted(modes[live[0]].breakpoints, flat,
-                                        side) - 1, 0, last)
-        for j in np.unique(index):
-            here = index == j
-            res[np.ix_(live, here)] = evaluate(
-                [modes[i].segments[j] for i in live], flat[here])
+        # a time's segment is the number of interior breakpoints below it
+        # (or at it, on the right side)
+        index = np.searchsorted(modes[live[0]].breakpoints[1:-1], flat,
+                                side)
+        parts = sorted(set(index.tolist()))
+        rows = np.empty((len(live), flat.size))
+        for j in parts:
+            # a segment that holds every time takes them without a mask
+            here = index == j if len(parts) > 1 else slice(None)
+            rows[:, here] = evaluate([modes[i].segments[j] for i in live],
+                                     flat[here])
+        out.reshape(len(modes), -1)[live] = rows
     return out
 
 

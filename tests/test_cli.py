@@ -270,6 +270,41 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_in_profile_exits_2(self, tmp_path, capsys,
+                                                   literal):
+        payload = reference_config()
+        payload["problem"]["source"] = {
+            "kind": "separable", "coefficients": [0.7],
+            "time_profile": {"kind": "polynomial",
+                             "coefficients": ["@", 0.5]}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload).replace('"@"', literal),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "config"
+        assert literal.lstrip("-") in diag["message"]
+        assert not out.exists()
+
+    def test_nan_ml_window_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(reference_config(ml_z_min="@"))
+                       .replace('"@"', "NaN"), encoding="utf-8")
+        assert cli.main(["ml-eval", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_load_config_raises_config_error_on_nan(self, tmp_path):
+        from fracstep.config import load_config
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"run": {"cells": NaN}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="NaN"):
+            load_config(str(cfg))
+
+
 class TestConfigSources:
     def test_polynomial_profile_and_derivative(self):
         from fracstep.config import build_run_config

@@ -471,11 +471,16 @@ class TestCompositeGraded:
         assert got == pytest.approx(2.0, rel=1e-10)
 
 
-def test_quadrature_module_uses_no_blas_product():
+_BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot")
+
+
+@pytest.mark.parametrize("module", ["quadrature.py", "special.py",
+                                    "solver.py"])
+def test_quadrature_module_uses_no_blas_product(module):
     # BLAS fixes no summation order, so a product there could make a
-    # batched row differ from a one-row call in its last bits
-    path = os.path.join(os.path.dirname(quadrature.__file__),
-                        "quadrature.py")
+    # batched row differ from a one-row call, or the contour sum of one
+    # call size differ from another's, in its last bits
+    path = os.path.join(os.path.dirname(quadrature.__file__), module)
     with open(path) as handle:
         tree = ast.parse(handle.read())
     found = []
@@ -483,11 +488,9 @@ def test_quadrature_module_uses_no_blas_product():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) \
                 and isinstance(node.op, ast.MatMult):
             found.append(f"@ at line {node.lineno}")
-        if isinstance(node, ast.Attribute) \
-                and node.attr in ("dot", "matmul", "einsum"):
+        if isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
             found.append(f".{node.attr} at line {node.lineno}")
         if isinstance(node, ast.ImportFrom) and any(
-                alias.name in ("dot", "matmul", "einsum")
-                for alias in node.names):
+                alias.name in _BLAS_NAMES for alias in node.names):
             found.append(f"import at line {node.lineno}")
     assert found == []

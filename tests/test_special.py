@@ -15,6 +15,7 @@ import pytest
 
 from oracles import ml_oracle
 
+from fracstep import special
 from fracstep.errors import DomainError
 from fracstep.special import (
     MLParams,
@@ -39,6 +40,13 @@ RELAX_0_7_5_0_3 = 0.19798766099663128277
 DKER_0_6_3_0_2 = 0.27798540607258802782
 IKER_0_4_2_0_7 = 0.34751140580717904992
 IKER_0_5_10_9 = 0.09812041111385832485
+
+
+def assert_same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def duhamel_kernel(alpha, lam, s):
@@ -140,6 +148,50 @@ class TestMLArray:
             vals = ml_values(alpha, beta, z)
             scalars = np.array([ml(params, float(zi)) for zi in z])
             np.testing.assert_array_equal(vals, scalars)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.6, 0.95])
+    def test_every_call_size_and_shape_gives_the_same_bits(self, alpha):
+        # calls up to the cutoff sum all contour nodes at once, larger
+        # ones loop over the nodes; a probe must not see the difference
+        n = special._BROADCAST_POINTS
+        rng = np.random.default_rng(13)
+        probes = -np.array([0.0, 1e-300, 1e-9, 0.3, 2.0, 75.0, 4e4, 3e7,
+                            special._X_CAP, 1e200, 1.7e308])
+        filler = -10.0 ** rng.uniform(-6.0, 9.0, 4096)
+        for beta in (alpha, alpha + 1.0, alpha + 2.0):
+            alone = np.concatenate([ml_values(alpha, beta, probes[i:i + 1])
+                                    for i in range(probes.size)])
+            for size in (n, n + 1, 4096):
+                z = filler[:size].copy()
+                at = rng.choice(size, probes.size, replace=False)
+                z[at] = probes
+                assert_same_bits(ml_values(alpha, beta, z)[at], alone)
+                flat = ml_values(alpha, beta, z)
+                # a row, or a strided (points x 8) view of the array
+                layout = (lambda a: a.reshape(1, -1)) if size % 8 \
+                    else (lambda a: a.reshape(8, -1).T)
+                assert_same_bits(ml_values(alpha, beta, layout(z)),
+                                 layout(flat))
+            assert_same_bits(ml_values(alpha, beta, probes[3]), alone[3])
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.6, 0.95])
+    def test_rows_of_several_betas_match_one_beta_calls(self, alpha):
+        betas = (alpha, alpha + 1.0, alpha + 2.0)
+        z = -np.concatenate([[0.0, special._X_CAP, 1e300],
+                             10.0 ** np.linspace(-6.0, 9.0, 4093)])
+        for size in (1, 3, special._BROADCAST_POINTS,
+                     special._BROADCAST_POINTS + 1, 4096):
+            for shape in ((size,), (1, size)):
+                part = z[:size].reshape(shape)
+                rows = ml_values(alpha, betas, part)
+                assert rows.shape == (3,) + shape
+                for row, beta in zip(rows, betas):
+                    assert_same_bits(row, ml_values(alpha, beta, part))
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.0), ()])
+    def test_rejects_bad_or_no_betas(self, betas):
+        with pytest.raises(DomainError):
+            ml_values(0.5, betas, np.array([-1.0]))
 
     def test_mid_band_value_does_not_depend_on_history(self):
         # a fresh interpreter, so nothing has been evaluated before the
