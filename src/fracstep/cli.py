@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, build_run_config, load_config
 from .errors import ConfigError, DomainError, FracstepError
-from .l1 import L1Grid, solve_mode_l1
+from .l1 import L1Grid, solve_full_l1_fd, solve_mode_l1
 from .operator import ModalBasis
 from .solver import solve
 from .special import ml_values
@@ -60,15 +60,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _meta(cfg: RunConfig, timings: dict) -> dict:
-    # scipy is only the finite-difference oracle's dependency: its version
-    # comes from the installed metadata, so no other command imports it
-    from importlib.metadata import version
     return {
         "config": cfg.raw,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": version("scipy"),
             "fracstep": __version__,
         },
         "timings": timings,
@@ -90,10 +86,15 @@ def _oracle_grid(cfg: RunConfig, key: str, exponent: int) -> L1Grid:
         raise ConfigError(str(exc), pointer=f"/run/{key}") from exc
 
 
-def _mode_loads(cfg: RunConfig, times: np.ndarray) -> list:
+def _mode_l1(cfg: RunConfig, grid: L1Grid) -> np.ndarray:
+    """L1 values of every mode on ``grid``, one row per mode."""
     spec = cfg.problem
-    return [np.asarray(spec.source.mode_values(n, times), dtype=float)
-            for n in range(1, spec.num_modes + 1)]
+    loads = np.vstack([
+        np.asarray(spec.source.mode_values(n, grid.times), dtype=float)
+        for n in range(1, spec.num_modes + 1)])
+    eigenvalues = ModalBasis(spec.operator, spec.num_modes).eigenvalues
+    return solve_mode_l1(eigenvalues, lambda t: loads, spec.schedule,
+                         spec.initial_coefficients, grid)
 
 
 def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
@@ -118,23 +119,15 @@ def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
     spec = cfg.problem
     exponent = int(cfg.run_value("oracle_step_exponent", 10))
     grid = _oracle_grid(cfg, "oracle_step_exponent", exponent)
-    basis = ModalBasis(spec.operator, spec.num_modes)
-    loads = _mode_loads(cfg, grid.times)
     t0 = time.perf_counter()
-    rows = []
-    for n in range(1, spec.num_modes + 1):
-        u = solve_mode_l1(basis.eigenvalues[n - 1],
-                          lambda t, n=n: loads[n - 1],
-                          spec.schedule,
-                          spec.initial_coefficients[n - 1], grid)
-        rows.extend((t, float(n), u[m]) for m, t in enumerate(grid.times))
+    u = _mode_l1(cfg, grid)
     timing = time.perf_counter() - t0
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = ((t, float(n + 1), u[n, m]) for m, t in enumerate(grid.times)
+            for n in range(spec.num_modes))
 
     points = int(cfg.run_value("oracle_spatial_points", 0))
     fd = None
     if points > 0:
-        from .l1 import solve_full_l1_fd
         t0 = time.perf_counter()
         fd = solve_full_l1_fd(spec, grid, points)
         timing += time.perf_counter() - t0
@@ -151,7 +144,6 @@ def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
 
 
 def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
-    spec = cfg.problem
     exponents = sorted(int(e) for e in cfg.run_value(
         "compare_step_exponents", list(COMPARE_EXPONENTS)))
     grids = {e: _oracle_grid(cfg, "compare_step_exponents", e)
@@ -161,21 +153,12 @@ def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
     field, t_solve = _solve_field(cfg)
     reference = field.mode_values(coarse.times)
 
-    basis = ModalBasis(spec.operator, spec.num_modes)
     t0 = time.perf_counter()
     table = []
     for e in exponents:
         grid = grids[e]
-        loads = _mode_loads(cfg, grid.times)
         stride = round(grid.num_steps / coarse.num_steps)
-        diffs = []
-        for n in range(1, spec.num_modes + 1):
-            u = solve_mode_l1(basis.eigenvalues[n - 1],
-                              lambda t, n=n: loads[n - 1],
-                              spec.schedule,
-                              spec.initial_coefficients[n - 1], grid)
-            diffs.append(u[::stride] - reference[n - 1])
-        diffs = np.vstack(diffs)
+        diffs = _mode_l1(cfg, grid)[:, ::stride] - reference
         table.append((2.0 ** -e, float(np.max(np.abs(diffs))),
                       float(np.sqrt(np.mean(diffs ** 2)))))
     timing = time.perf_counter() - t0

@@ -9,14 +9,16 @@ the fractional derivative at ``t_m`` into a weighted sum of increments,
 
 At step ``m`` the exponent is the order at the *current* time ``t_m``,
 so crossing a breakpoint reweights the entire history - exactly the
-operator the segment recursion solves.  Every step is still one implicit
-equation over the full history; only how they are solved has changed.
-While the order is constant the steps form a lower-triangular Toeplitz
+operator the segment recursion solves.  While the order is constant the
+implicit steps of one scalar equation form a lower-triangular Toeplitz
 system, so ``solve_mode_l1`` solves each run of equal order with a few
-FFT convolutions (Hairer, Lubich and Schlichte 1985) instead of one
-step at a time.  The oracle still uses no Mittag-Leffler value and no
-quadrature, so it stays independent of the spectral construction it
-cross-checks.
+FFT convolutions (Hairer, Lubich and Schlichte 1985), for a whole column
+of eigenvalues at once.  It is the module's one L1 engine.  The
+finite-difference field solve ``solve_full_l1_fd`` reduces to it
+exactly: the discrete sine vectors diagonalize the three-point stencil,
+so the sine-transformed field obeys one scalar L1 equation per discrete
+mode.  The oracle uses no Mittag-Leffler value and no quadrature, so it
+stays independent of the spectral construction it cross-checks.
 """
 
 from __future__ import annotations
@@ -122,27 +124,21 @@ class _IncrementLadder:
             self._scales[order] = tau ** (-order) / gamma_fn(2.0 - order)
         return self._diffs[order][:n] * self._scales[order]
 
-    def weights(self, order: float, m: int, tau: float) -> np.ndarray:
-        """Increment weights of the L1 sum at step ``m``.
-
-        Entry ``k`` multiplies ``u_{k+1} - u_k``: the moments in time
-        order, so the last entry is ``b_0``.
-        """
-        return self.moments(order, m, tau)[::-1]
-
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int,
                     skip: int = 0) -> np.ndarray:
     """Coefficients ``skip .. n-1`` of the power-series product ``a * b``.
 
-    One real FFT convolution, zero-padded to a power of two just long
-    enough that the wrapped-around tail of the product lands below
-    ``skip``, where no coefficient is returned.
+    One real FFT convolution along the last axis, zero-padded to a power
+    of two just long enough that the wrapped-around tail of the product
+    lands below ``skip``, where no coefficient is returned.  Leading axes
+    broadcast, so rows of series multiply row by row.
     """
-    a, b = a[:n], b[:n]
-    size = 1 << (max(a.size + b.size - 1 - skip, n) - 1).bit_length()
+    a, b = a[..., :n], b[..., :n]
+    size = 1 << (max(a.shape[-1] + b.shape[-1] - 1 - skip, n)
+                 - 1).bit_length()
     prod = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-    return prod[skip:n]
+    return prod[..., skip:n]
 
 
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
@@ -150,33 +146,34 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
 
     Newton's iteration ``g <- g - g (a g - 1)`` doubles the number of
     correct coefficients per pass (Kung 1974); each pass costs two
-    series products.
+    series products.  Each row of ``a`` is one series.
     """
-    g = np.array([1.0 / a[0]])
-    while g.size < a.size:
-        n, k = g.size, min(2 * g.size, a.size)
+    g = 1.0 / a[..., :1]
+    while g.shape[-1] < a.shape[-1]:
+        n = g.shape[-1]
+        k = min(2 * n, a.shape[-1])
         defect = _series_product(a, g, k, skip=n)
-        g = np.concatenate([g, -_series_product(g, defect, k - n)])
+        g = np.concatenate([g, -_series_product(g, defect, k - n)], axis=-1)
     return g
 
 
 def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``sum_{j<=k} col_j x_{k-j} = rhs_k`` for ``k < rhs.size``.
+    """Solve ``sum_{j<=k} col_j x_{k-j} = rhs_k`` for ``k < rhs.shape[-1]``.
 
     The product with the series ``1 / col(z)`` solves the lower-triangular
     Toeplitz system; one refinement step with the residual removes most
     of the FFT rounding, whose size follows the norms of the factors
-    rather than the entries.
+    rather than the entries.  Each row is one system.
     """
-    n = rhs.size
-    g = _series_reciprocal(col[:n])
+    n = rhs.shape[-1]
+    g = _series_reciprocal(col[..., :n])
     x = _series_product(g, rhs, n)
     return x + _series_product(g, rhs - _series_product(col, x, n), n)
 
 
-def solve_mode_l1(lam: float, f_n, schedule: OrderSchedule, u0_n: float,
+def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
                   grid: L1Grid) -> np.ndarray:
-    """Solve one mode equation with the L1 scheme; values at grid times.
+    """Solve mode equations with the L1 scheme; values at grid times.
 
     Step ``m`` is the implicit balance
     ``sum_k b_{m-1-k} (u_{k+1} - u_k) + lam u_m = f(t_m)`` with the
@@ -189,19 +186,34 @@ def solve_mode_l1(lam: float, f_n, schedule: OrderSchedule, u0_n: float,
     one FFT convolution, and the run's system is solved with the series
     reciprocal of its column.  The values are ``u0`` plus the running sum
     of the increments, so a zero right-hand side gives exactly ``u0``.
+
+    ``lam`` is one eigenvalue or a 1-d column of them; ``u0_n`` has its
+    shape, and ``f_n(times)`` returns ``lam.shape + times.shape`` loads.
+    Each row is solved along the last axis with the same operations as a
+    one-row call, so every row equals that call bit for bit.  The result
+    has shape ``lam.shape + times.shape``.
     """
     if not isinstance(grid, L1Grid):
         raise DomainError("grid must be an L1Grid")
-    if lam < 0.0:
-        raise DomainError(f"modal eigenvalue must be >= 0, got {lam}")
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim > 1:
+        raise DomainError(f"eigenvalues must be a scalar or 1-d, got "
+                          f"shape {lam.shape}")
+    if not np.all(lam >= 0.0):
+        raise DomainError(
+            f"modal eigenvalue must be >= 0, got {lam[~(lam >= 0.0)][0]}")
+    u0 = np.asarray(u0_n, dtype=float)
+    if u0.shape != lam.shape:
+        raise DomainError(f"initial values of shape {u0.shape} do not "
+                          f"match eigenvalues of shape {lam.shape}")
     if abs(grid.horizon - schedule.horizon) > ALIGNMENT_TOLERANCE:
         raise DomainError("grid horizon does not match the schedule")
 
     times = grid.times
     loads = np.asarray(f_n(times), dtype=float)
-    if loads.shape != times.shape:
-        raise DomainError("source callable must map times to like shape")
-    u0 = float(u0_n)
+    if loads.shape != lam.shape + times.shape:
+        raise DomainError("source callable must map times to one row of "
+                          "loads per eigenvalue")
     seg = _segment_of_step(grid, schedule)
     step_orders = np.asarray(schedule.orders)[seg[1:]]
     ladder = _IncrementLadder(grid.num_steps)
@@ -210,19 +222,35 @@ def solve_mode_l1(lam: float, f_n, schedule: OrderSchedule, u0_n: float,
     cuts = np.flatnonzero(step_orders[1:] != step_orders[:-1]) + 1
     edges = [0, *cuts.tolist(), grid.num_steps]
 
-    # w[k] = u_{k+1} - u_k, filled run by run
-    rhs = loads[1:] - lam * u0
-    w = np.zeros(grid.num_steps)
+    # w[..., k] = u_{k+1} - u_k, filled run by run
+    lam_col, u0_col = lam[..., None], u0[..., None]
+    rhs = loads[..., 1:] - lam_col * u0_col
+    w = np.zeros(lam.shape + (grid.num_steps,))
     for start, stop in zip(edges[:-1], edges[1:]):
-        c = ladder.moments(step_orders[start], stop, grid.step) + lam
-        run = rhs[start:stop]
+        c = ladder.moments(step_orders[start], stop, grid.step) + lam_col
+        run = rhs[..., start:stop]
         if start > 0:
-            run = run - _series_product(c, w[:start], stop, skip=start)
-        w[start:stop] = _toeplitz_solve(c, run)
-    u = np.concatenate([[u0], u0 + np.cumsum(w)])
+            run = run - _series_product(c, w[..., :start], stop, skip=start)
+        w[..., start:stop] = _toeplitz_solve(c, run)
+    u = np.concatenate([u0_col, u0_col + np.cumsum(w, axis=-1)], axis=-1)
     if not np.all(np.isfinite(u)):
         raise NumericError("non-finite L1 trajectory")
     return u
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis; it is its own inverse.
+
+    ``X_k = sqrt(2/(P+1)) sum_i x_i sin(pi i k/(P+1))`` for ``i, k`` in
+    ``1 .. P``.  Entry ``k`` of the real FFT of the odd extension
+    ``(0, x_1 .. x_P, 0, -x_P .. -x_1)`` has the imaginary part
+    ``-2 sum_i x_i sin(pi i k/(P+1))``, so one ``rfft`` gives the whole
+    transform.
+    """
+    p = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return np.fft.rfft(odd)[..., 1:p + 1].imag * -math.sqrt(0.5 / (p + 1))
 
 
 def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
@@ -231,14 +259,14 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
 
     Returns ``u[i, m]`` with ``i`` over all ``spatial_points + 2`` grid
     abscissae (Dirichlet rows exactly zero) and ``m`` over grid times.
-    The spatial operator is the symmetric second-order stencil; each
-    step performs one banded Cholesky solve, with the factorization
-    reused while the order (and hence the diagonal shift) is unchanged.
+    The spatial operator is the symmetric second-order stencil, whose
+    orthonormal eigenvectors are the discrete sine vectors.  The L1
+    equations of the whole field are therefore, exactly, one scalar L1
+    equation per discrete sine mode at the stencil eigenvalue: the
+    sampled initial data and loads are sine-transformed, all modes are
+    solved in one ``solve_mode_l1`` call, and the result is transformed
+    back.  No step is marched and no matrix is factored.
     """
-    # the only scipy.linalg user; importing it here keeps it out of
-    # every CLI start that does not build the oracle field
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
     if not isinstance(spec, ProblemSpec):
         raise DomainError("spec must be a ProblemSpec")
     if not isinstance(grid, L1Grid):
@@ -249,43 +277,26 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     if abs(grid.horizon - spec.schedule.horizon) > ALIGNMENT_TOLERANCE:
         raise DomainError("grid horizon does not match the schedule")
 
-    schedule = spec.schedule
     op = GridOperator(spec.operator, spatial_points)
-    diag, off = op.tridiagonal()
-    xs = op.x
+    times = grid.times
 
     # data synthesized from the analytic eigenfunctions: this is input
-    # data, not solver output, so no spectral machinery is borrowed
-    basis = ModalBasis(spec.operator, spec.num_modes)
-    shapes = basis.evaluation_matrix(xs)  # (P, N)
-    u_now = shapes @ np.asarray(spec.initial_coefficients)
-    times = grid.times
-    mode_loads = np.vstack([
-        np.asarray(spec.source.mode_values(n, times), dtype=float)
-        for n in range(1, spec.num_modes + 1)])  # (N, M+1)
+    # data, not solver output, so no spectral machinery is borrowed.
+    # Elementwise products summed mode by mode, never a BLAS product, so
+    # the field cannot depend on the BLAS build or its thread count.
+    shapes = ModalBasis(spec.operator, spec.num_modes).evaluation_matrix(
+        op.x).T  # (N, P)
+    initial = np.zeros(spatial_points)
+    loads = np.zeros((times.size, spatial_points))
+    for n, (shape, c) in enumerate(zip(shapes, spec.initial_coefficients)):
+        initial += c * shape
+        loads += np.asarray(spec.source.mode_values(n + 1, times),
+                            dtype=float)[:, None] * shape
 
-    seg = _segment_of_step(grid, schedule)
-    ladder = _IncrementLadder(grid.num_steps)
-    factor_cache: dict[float, np.ndarray] = {}
-
+    modal = solve_mode_l1(op.eigenvalues(), lambda t: _dst(loads).T,
+                          spec.schedule, _dst(initial), grid)
     out = np.zeros((spatial_points + 2, times.size))
-    out[1:-1, 0] = u_now
-    du = np.empty((grid.num_steps, spatial_points))
-    for m in range(1, times.size):
-        order = schedule.orders[seg[m]]
-        w = ladder.weights(order, m, grid.step)
-        if order not in factor_cache:
-            ab = np.zeros((2, spatial_points))
-            ab[0, 1:] = off
-            ab[1, :] = diag + w[-1]
-            factor_cache[order] = cholesky_banded(ab)
-        rhs = shapes @ mode_loads[:, m] + w[-1] * u_now
-        if m > 1:
-            rhs -= np.dot(w[:-1], du[:m - 1])
-        u_next = cho_solve_banded((factor_cache[order], False), rhs)
-        du[m - 1] = u_next - u_now
-        u_now = u_next
-        out[1:-1, m] = u_now
+    out[1:-1] = _dst(modal.T).T
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite L1 field")
     return out

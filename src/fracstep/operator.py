@@ -7,10 +7,12 @@ boundary values.  Two representations serve the two solution paths:
   eigenvalues ``a (n pi / L)**2 + c``, to synthesize fields from modal
   coefficients and to measure fractional-power norms.
 * :class:`GridOperator` discretizes with second-order central differences
-  on a uniform interior grid.  Its tridiagonal matrix drives the
-  finite-difference L1 solve, so results obtained through the modal
-  route can be cross-checked against a discretization that shares no
-  code with it.
+  on a uniform interior grid.  The stencil matrix is diagonalized by the
+  discrete sine vectors, and its closed-form eigenvalues are all the
+  finite-difference L1 solve needs: it sine-transforms the sampled data
+  and solves one scalar L1 equation per discrete mode.  Those
+  eigenvalues differ from the continuous ones, so the modal route is
+  still cross-checked against a discretization of its own.
 
 Coercivity is enforced at construction: the smallest eigenvalue must be
 positive, i.e. the reaction coefficient may be negative but not reach
@@ -126,9 +128,16 @@ class GridOperator:
         self.h = spec.length / (self.interior_points + 1)
         self.x = self.h * np.arange(1, self.interior_points + 1)
 
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Main and off diagonal of the discrete operator matrix."""
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues ``mu_k``, ``k = 1 .. P``, of the stencil matrix.
+
+        The matrix ``tridiag(-a/h**2, 2a/h**2 + c, -a/h**2)`` has the
+        sampled sines ``sin(k pi i/(P+1))`` as eigenvectors, with
+        ``mu_k = 2a/h**2 (1 - cos(k pi/(P+1))) + c``, written here as
+        ``4a/h**2 sin(k pi/(2(P+1)))**2 + c`` to keep the small ones
+        free of cancellation.
+        """
         a, c = self.spec.diffusion, self.spec.reaction
-        d = np.full(self.interior_points, 2.0 * a / self.h ** 2 + c)
-        e = np.full(self.interior_points - 1, -a / self.h ** 2)
-        return d, e
+        k = np.arange(1, self.interior_points + 1)
+        half = np.sin(k * math.pi / (2 * (self.interior_points + 1)))
+        return 4.0 * a / self.h ** 2 * half ** 2 + c

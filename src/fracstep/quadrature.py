@@ -133,15 +133,14 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def graded_mesh(a: float, b: float, n: int, grading: float = 2.0,
-                side: str = "left") -> np.ndarray:
-    """Nodes of a mesh on ``[a, b]`` algebraically refined toward an end.
+def graded_mesh(a: float, b: float, n: int,
+                grading: float = 2.0) -> np.ndarray:
+    """Nodes of a mesh on ``[a, b]`` algebraically refined toward ``a``.
 
-    With ``side="left"`` the nodes are ``a + (b-a) * (i/n)**grading``; the
-    ``"right"`` variant mirrors them and ``"both"`` grades half the cells
-    toward each end.  The effective grading is reduced if the requested one
-    would compress the smallest cell below ``MIN_CELL_FRACTION`` of the
-    interval, which keeps all nodes distinct in double precision.
+    The nodes are ``a + (b-a) * (i/n)**grading``.  The effective grading
+    is reduced if the requested one would compress the smallest cell
+    below ``MIN_CELL_FRACTION`` of the interval, which keeps all nodes
+    distinct in double precision.
     """
     a, b = float(a), float(b)
     n = int(n)
@@ -151,24 +150,11 @@ def graded_mesh(a: float, b: float, n: int, grading: float = 2.0,
         raise DomainError(f"need at least one cell, got n={n}")
     if grading < 1.0:
         raise DomainError(f"grading must be >= 1, got {grading}")
-    if side not in ("left", "right", "both"):
-        raise DomainError(f"side must be left, right or both, got {side!r}")
-
-    if side == "both":
-        if n < 2:
-            raise DomainError("two-sided grading needs at least two cells")
-        half = 0.5 * (a + b)
-        nl = n // 2
-        left = graded_mesh(a, half, nl, grading, "left")
-        right = graded_mesh(half, b, n - nl, grading, "right")
-        return np.concatenate([left, right[1:]])
 
     if n > 1:
         # n**(-r) >= MIN_CELL_FRACTION  <=>  r <= log(1/frac) / log(n)
         grading = min(grading, math.log(1.0 / MIN_CELL_FRACTION) / math.log(n))
     frac = (np.arange(n + 1) / n) ** grading
-    if side == "right":
-        frac = 1.0 - frac[::-1]
     nodes = a + (b - a) * frac
     nodes[0], nodes[-1] = a, b
     return nodes
@@ -271,8 +257,7 @@ def scaled_power_history(profile, a: float, b: float, times,
     for s_hi, here in ((b, ~near), (mid, near)):
         index = np.flatnonzero(here)
         if index.size:
-            edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
-                                3.0, "left")
+            edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells), 3.0)
             xi, half = _cell_nodes(edges, x)
             kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)
             parts.append((index, xi[None], w * kern,
@@ -531,7 +516,7 @@ def composite_graded_integral(smooth, a: float, b: float,
     p = float(left_exponent)
     if p <= -1.0:
         raise DomainError(f"left exponent must exceed -1, got {p}")
-    nodes = graded_mesh(a, b, n_cells, grading, "left")
+    nodes = graded_mesh(a, b, n_cells, grading)
     xj, wj = _jacobi_rule(int(n_gauss), p, 0.0)
     x, w = _legendre_rule(int(n_gauss))
     first = 0.5 * (float(nodes[1]) - float(nodes[0]))

@@ -378,7 +378,7 @@ def _build_segments(j: int, schedule: OrderSchedule, source: ModalSource,
     """
     beta = schedule.orders[j]
     a, b = schedule.segment(j)
-    nodes = graded_mesh(a, b, n_cells, _MESH_GRADING, "left")
+    nodes = graded_mesh(a, b, n_cells, _MESH_GRADING)
     values = np.array([source.mode_values(n, nodes) for n in modes],
                       dtype=float)
     rates = np.array([source.mode_derivative(n, nodes) for n in modes],

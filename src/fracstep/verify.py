@@ -207,7 +207,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
             lambda s: rate_norm(s) * (s - a) ** (-whiten), a, b,
             left_exponent=whiten, n_cells=n_cells, grading=3.0,
             n_gauss=n_gauss)
-        sample = graded_mesh(a, b, 512, 4.0, "left")[1:]
+        sample = graded_mesh(a, b, 512, 4.0)[1:]
         weighted_sup = float(np.max(
             (sample - a) ** (order + margin) * rate_norm(sample)))
     return float(value_part + rate_part + weighted_sup)

@@ -181,6 +181,15 @@ def blowup_response_oracle(order: float, lam: float, dt: float,
         return left + right
 
 
+def _step_segments(schedule, grid) -> np.ndarray:
+    """Segment of each grid node; a breakpoint node starts its segment."""
+    marks = [round(t / grid.step) for t in schedule.breakpoints]
+    return np.minimum(
+        np.searchsorted(marks, np.arange(grid.num_steps + 1),
+                        side="right") - 1,
+        schedule.num_segments - 1)
+
+
 def l1_march_oracle(lam: float, f_n, schedule, u0_n: float, grid,
                     dtype=float) -> np.ndarray:
     """Step-by-step L1 march in ``dtype``: one implicit solve per step.
@@ -193,10 +202,7 @@ def l1_march_oracle(lam: float, f_n, schedule, u0_n: float, grid,
     three more digits than doubles; ``Gamma(2 - b)`` comes from mpmath.
     """
     n = grid.num_steps
-    marks = [round(t / grid.step) for t in schedule.breakpoints]
-    seg = np.minimum(
-        np.searchsorted(marks, np.arange(n + 1), side="right") - 1,
-        schedule.num_segments - 1)
+    seg = _step_segments(schedule, grid)
     loads = np.asarray(f_n(grid.times), dtype=float).astype(dtype)
     lam = dtype(lam)
     step = dtype(grid.step)
@@ -218,3 +224,57 @@ def l1_march_oracle(lam: float, f_n, schedule, u0_n: float, grid,
         u[m] = (loads[m] + w[-1] * u[m - 1] - hist) / (w[-1] + lam)
         du[m - 1] = u[m] - u[m - 1]
     return u
+
+
+def fd_march_oracle(spec, grid, spatial_points: int) -> np.ndarray:
+    """Finite-difference L1 field, marched one time level at a time.
+
+    Step ``m`` solves the stencil system
+    ``(A + b_0) u_m = F_m + b_0 u_{m-1} - sum_{k<m-1} b_{m-1-k} du_k``
+    with ``A = tridiag(-a/h**2, 2a/h**2 + c, -a/h**2)``, the loads ``F``
+    and initial data sampled from the analytic modes, and the moments
+    ``b_j`` at the order of ``t_m``.  scipy's banded Cholesky factors
+    ``A + b_0`` once per order.  This is the plain march that
+    ``fracstep.l1.solve_full_l1_fd`` replaces by a sine transform and
+    Toeplitz solves; the field is returned on all ``spatial_points + 2``
+    abscissae with zero Dirichlet rows.
+    """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    op, p, n = spec.operator, spatial_points, grid.num_steps
+    h = op.length / (p + 1)
+    modes = np.arange(1, spec.num_modes + 1)
+    shapes = math.sqrt(2.0 / op.length) * np.sin(
+        np.outer(h * np.arange(1, p + 1), modes) * math.pi / op.length)
+    loads = shapes @ np.vstack([spec.source.mode_values(k, grid.times)
+                                for k in modes])
+    u_now = shapes @ np.asarray(spec.initial_coefficients, dtype=float)
+    seg = _step_segments(spec.schedule, grid)
+    moments, factors = {}, {}
+
+    out = np.zeros((p + 2, n + 1))
+    out[1:-1, 0] = u_now
+    du = np.empty((n, p))
+    for m in range(1, n + 1):
+        order = spec.schedule.orders[seg[m]]
+        if order not in moments:
+            # (j + 1)**a - j**a = j**a expm1(a log1p(1/j)), no cancellation
+            a = 1.0 - order
+            j = np.arange(1, n, dtype=float)
+            moments[order] = np.concatenate(
+                [[1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))]) \
+                * grid.step ** (-order) / math.gamma(2.0 - order)
+            band = np.zeros((2, p))
+            band[0, 1:] = -op.diffusion / h ** 2
+            band[1] = (2.0 * op.diffusion / h ** 2 + op.reaction
+                       + moments[order][0])
+            factors[order] = cholesky_banded(band)
+        b = moments[order]
+        rhs = loads[:, m] + b[0] * u_now
+        if m > 1:
+            rhs -= np.dot(b[m - 1:0:-1], du[:m - 1])
+        u_next = cho_solve_banded((factors[order], False), rhs)
+        du[m - 1] = u_next - u_now
+        u_now = u_next
+        out[1:-1, m] = u_now
+    return out

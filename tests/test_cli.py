@@ -126,7 +126,7 @@ class TestSolve:
                          str(tmp_path / "out")]) == 0
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["config"] == payload
-        for key in ("python", "numpy", "scipy", "fracstep"):
+        for key in ("python", "numpy", "fracstep"):
             assert meta["versions"][key]
         assert meta["timings"]["total_seconds"] > 0.0
 
@@ -571,17 +571,17 @@ class TestWriteCsv:
 
 
 def test_commands_do_not_import_scipy(tmp_path):
-    # only the finite-difference oracle needs scipy; every other command
-    # must run in a fresh interpreter without loading any scipy module,
-    # and no command loads jsonschema, which only the tests use
+    # scipy and jsonschema are test dependencies only: every command,
+    # the finite-difference oracle field included, must run in a fresh
+    # interpreter without loading any module of either
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(two_segment_config(
         cells=16, compare_step_exponents=[6, 7, 8], verify_quad=12,
-        ml_count=5)))
+        ml_count=5, oracle_step_exponent=6, oracle_spatial_points=16)))
     script = "\n".join([
         "import sys",
         "import fracstep.cli as cli",
-        "for command in ('solve', 'compare', 'verify', 'ml-eval'):",
+        "for command in ('solve', 'oracle', 'compare', 'verify', 'ml-eval'):",
         f"    assert cli.main([command, '--config', {str(cfg)!r},",
         f"                     '--out', {str(tmp_path / 'out')!r}]) == 0",
         "print(sorted(m for m in sys.modules",
@@ -591,5 +591,4 @@ def test_commands_do_not_import_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
-    assert meta["versions"]["scipy"]
+    assert (tmp_path / "out" / "oracle_field.csv").exists()

@@ -19,7 +19,7 @@ from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
 from fracstep.special import gamma_fn, ml_values
 
-from oracles import l1_march_oracle
+from oracles import fd_march_oracle, l1_march_oracle
 
 # mpmath, 40 digits: order 0.5, step 0.25, fourth step (m = 4)
 WEIGHTS_HALF_M4 = np.array([
@@ -34,6 +34,14 @@ WEIGHT_03_M1 = 2.1958807640781435631
 
 def two_segment_schedule():
     return OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
+
+
+def weights(order, m, tau):
+    """Increment weights of the L1 sum at step ``m``, in time order.
+
+    Entry ``k`` multiplies ``u_{k+1} - u_k``, so the last entry is ``b_0``.
+    """
+    return _IncrementLadder(m).moments(order, m, tau)[::-1]
 
 
 class TestL1Grid:
@@ -65,12 +73,12 @@ class TestL1Grid:
 
 class TestWeights:
     def test_first_step_single_weight(self):
-        w = _IncrementLadder(1).weights(0.3, 1, 0.1)
+        w = weights(0.3, 1, 0.1)
         assert w.shape == (1,)
         assert w[0] == pytest.approx(WEIGHT_03_M1, rel=1e-14)
 
     def test_frozen_fourth_step(self):
-        w = _IncrementLadder(4).weights(0.5, 4, 0.25)
+        w = weights(0.5, 4, 0.25)
         np.testing.assert_allclose(w, WEIGHTS_HALF_M4, rtol=1e-14)
 
     @pytest.mark.parametrize("order,m,tau",
@@ -79,7 +87,7 @@ class TestWeights:
     def test_telescoping_sum(self, order, m, tau):
         # the depth differences telescope, so the sum is the weight of a
         # single increment spanning the whole interval
-        w = _IncrementLadder(m).weights(order, m, tau)
+        w = weights(order, m, tau)
         total = m ** (1.0 - order) * tau ** (-order) / gamma_fn(2.0 - order)
         assert w.sum() == pytest.approx(total, rel=1e-13)
 
@@ -97,7 +105,7 @@ class TestWeights:
         np.testing.assert_allclose(b[depths], expected, rtol=1e-14)
 
     def test_positive_and_loaded_toward_present(self):
-        w = _IncrementLadder(9).weights(0.4, 9, 0.1)
+        w = weights(0.4, 9, 0.1)
         assert np.all(w > 0.0)
         assert np.all(np.diff(w) > 0.0)
         assert w[-1] == pytest.approx(
@@ -246,6 +254,85 @@ class TestAgreesWithMarch:
         assert err <= 5e-14 * max(1.0, abs(u0))
 
 
+class TestRows:
+    """A column of eigenvalues solves one row per mode in one call."""
+
+    # repeated order: the adjacent 0.7 runs merge, and 0.3 comes back
+    SCHEDULE = OrderSchedule(breakpoints=(0.0, 0.125, 0.5, 0.75, 1.0),
+                             orders=(0.3, 0.7, 0.7, 0.3))
+    LAMS = (float(np.pi ** 2), 0.0, 1e4, 37.5)
+    U0 = (1.0, -0.25, 2.0, 0.0)
+
+    @staticmethod
+    def loads(times, rows):
+        t = np.asarray(times, dtype=float)
+        return np.vstack([(k - 1.5) * (1.0 + np.sin((k + 2) * t))
+                          for k in range(rows)])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_rows_equal_one_row_calls_bit_for_bit(self, rows):
+        grid = L1Grid.for_schedule(self.SCHEDULE, 2.0 ** -9)
+        lams = np.array(self.LAMS[:rows])
+        u0 = np.array(self.U0[:rows])
+        loads = self.loads(grid.times, rows)
+        batch = solve_mode_l1(lams, lambda t: loads, self.SCHEDULE, u0, grid)
+        assert batch.shape == (rows, grid.num_steps + 1)
+        for k in range(rows):
+            one = solve_mode_l1(lams[k], lambda t: loads[k], self.SCHEDULE,
+                                u0[k], grid)
+            assert one.shape == (grid.num_steps + 1,)
+            assert np.array_equal(batch[k], one)
+
+    def test_zero_row_stays_exactly_zero(self):
+        grid = L1Grid.for_schedule(self.SCHEDULE, 2.0 ** -8)
+        loads = self.loads(grid.times, 3)
+        loads[1] = 0.0
+        u = solve_mode_l1(np.array([4.0, 9.0, 16.0]), lambda t: loads,
+                          self.SCHEDULE, np.array([1.0, 0.0, -1.0]), grid)
+        assert np.all(u[1] == 0.0)
+        assert np.all(u[[0, 2], 1:] != 0.0)
+
+    def test_rejects_mismatched_shapes(self):
+        grid = L1Grid.for_schedule(self.SCHEDULE, 2.0 ** -4)
+        lams = np.array([1.0, 2.0])
+        loads = np.zeros((2, grid.num_steps + 1))
+        with pytest.raises(DomainError):
+            solve_mode_l1(lams, lambda t: loads, self.SCHEDULE, 1.0, grid)
+        with pytest.raises(DomainError):
+            solve_mode_l1(lams, lambda t: loads[0], self.SCHEDULE,
+                          np.ones(2), grid)
+        with pytest.raises(DomainError):
+            solve_mode_l1(np.ones((2, 1)), lambda t: loads[:, None],
+                          self.SCHEDULE, np.ones((2, 1)), grid)
+        with pytest.raises(DomainError):
+            solve_mode_l1(np.array([1.0, -1.0]), lambda t: loads,
+                          self.SCHEDULE, np.ones(2), grid)
+
+
+def forced_three_segments():
+    """Three segments, three modes, a linear-in-time load on each."""
+    return ProblemSpec(
+        schedule=OrderSchedule(breakpoints=(0.0, 0.25, 0.625, 1.0),
+                               orders=(0.3, 0.8, 0.5)),
+        operator=OperatorSpec(),
+        initial_coefficients=(1.0, 0.5, 0.25),
+        source=SeparableSource((1.0, 1.0, 1.0),
+                               lambda t: 1.0 + 0.5 * t,
+                               lambda t: np.full_like(t, 0.5)))
+
+
+def aliased_modes():
+    """20 analytic modes on 16 interior points: modes 17 and up alias."""
+    n = np.arange(1, 21)
+    return ProblemSpec(
+        schedule=two_segment_schedule(),
+        operator=OperatorSpec(diffusion=0.5, reaction=2.0, length=2.0),
+        initial_coefficients=tuple((-1.0) ** n / n),
+        source=SeparableSource(tuple(1.0 / n ** 2),
+                               lambda t: np.cos(4.0 * t),
+                               lambda t: -4.0 * np.sin(4.0 * t)))
+
+
 class TestFullFiniteDifference:
     def test_pure_eigenmode_matches_scalar_march(self):
         # the sampled sine is an exact eigenvector of the stencil, so
@@ -259,15 +346,25 @@ class TestFullFiniteDifference:
         field = solve_full_l1_fd(spec, grid, points)
 
         op = GridOperator(spec.operator, points)
-        # closed-form eigenvalue of the stencil, whose eigenvector is the
-        # sampled sine: 2a/h**2 * (1 - cos(pi h / L)) + c
-        lam_h = 2.0 / op.h ** 2 * (1.0 - np.cos(np.pi * op.h))
+        lam_h = op.eigenvalues()[0]
         scalar = solve_mode_l1(lam_h, np.zeros_like, spec.schedule, 1.0,
                                grid)
         shape = ModalBasis(spec.operator, 1).evaluation_matrix(op.x)[:, 0]
         np.testing.assert_allclose(field[1:-1, :],
                                    np.outer(shape, scalar),
                                    rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("problem,points", [
+        (forced_three_segments, 32), (aliased_modes, 16)])
+    def test_matches_step_march(self, problem, points):
+        # the sine transform is an identity of the discrete system, so
+        # it must reproduce the banded-Cholesky march up to rounding
+        spec = problem()
+        grid = L1Grid.for_schedule(spec.schedule, 2.0 ** -8)
+        field = solve_full_l1_fd(spec, grid, points)
+        ref = fd_march_oracle(spec, grid, points)
+        assert np.max(np.abs(field)) > 0.1
+        np.testing.assert_allclose(field, ref, rtol=0.0, atol=1e-12)
 
     def test_boundary_rows_exactly_zero(self):
         spec = ProblemSpec(schedule=two_segment_schedule(),
@@ -293,7 +390,7 @@ class TestFullFiniteDifference:
         sched = two_segment_schedule()
         op_spec = OperatorSpec()
         op = GridOperator(op_spec, 48)
-        lam_h = 2.0 / op.h ** 2 * (1.0 - np.cos(np.pi * op.h))
+        lam_h = op.eigenvalues()[0]
 
         def mode_load(times):
             t = np.asarray(times, dtype=float)

@@ -72,16 +72,31 @@ class TestModalBasis:
             ModalBasis(OperatorSpec(), 0)
 
 
+def stencil(grid):
+    """Main and off diagonal of tridiag(-a/h**2, 2a/h**2 + c, -a/h**2)."""
+    a, c, h = grid.spec.diffusion, grid.spec.reaction, grid.h
+    return (np.full(grid.interior_points, 2.0 * a / h ** 2 + c),
+            np.full(grid.interior_points - 1, -a / h ** 2))
+
+
 class TestGridOperator:
     def test_discrete_eigenvalue_closed_form(self, grid):
         h = grid.h
-        vals = eigvalsh_tridiagonal(*grid.tridiagonal())
+        vals = grid.eigenvalues()
         for n in (1, 2, 7):
             want = 2.0 / h ** 2 * (1.0 - math.cos(n * math.pi * h))
             assert vals[n - 1] == pytest.approx(want, rel=1e-10)
+        # every eigenvalue, also with a reaction term and another length,
+        # against a symmetric tridiagonal eigensolver on the stencil
+        shifted = GridOperator(
+            OperatorSpec(diffusion=0.7, reaction=-1.0, length=2.0), 37)
+        for g in (grid, shifted):
+            np.testing.assert_allclose(g.eigenvalues(),
+                                       eigvalsh_tridiagonal(*stencil(g)),
+                                       rtol=1e-10)
 
     def test_discrete_eigenvalue_below_continuous(self, grid):
-        vals = eigvalsh_tridiagonal(*grid.tridiagonal())
+        vals = grid.eigenvalues()
         for n in (1, 2, 3):
             lam_h = vals[n - 1]
             lam = grid.spec.eigenvalue(n)
@@ -89,15 +104,17 @@ class TestGridOperator:
             assert lam - lam_h < 1e-3 * lam
 
     def test_eigenvectors_approximate_sine_modes(self, grid):
-        # the sampled first sine mode is an exact eigenvector of the
-        # stencil, with the closed-form discrete eigenvalue
-        d, e = grid.tridiagonal()
-        mode = math.sqrt(2.0) * np.sin(math.pi * grid.x)
-        image = d * mode
-        image[:-1] += e * mode[1:]
-        image[1:] += e * mode[:-1]
-        lam_h = 2.0 / grid.h ** 2 * (1.0 - math.cos(math.pi * grid.h))
-        np.testing.assert_allclose(image, lam_h * mode, rtol=0.0, atol=1e-9)
+        # every sampled sine mode is an exact eigenvector of the stencil,
+        # with the closed-form discrete eigenvalue
+        d, e = stencil(grid)
+        for n in (1, 5, grid.interior_points):
+            mode = math.sqrt(2.0) * np.sin(n * math.pi * grid.x)
+            image = d * mode
+            image[:-1] += e * mode[1:]
+            image[1:] += e * mode[:-1]
+            lam_h = grid.eigenvalues()[n - 1]
+            np.testing.assert_allclose(image, lam_h * mode, rtol=0.0,
+                                       atol=1e-9 * lam_h)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -53,32 +53,19 @@ JACOBI_REFERENCE = os.path.join(os.path.dirname(__file__), "data",
 
 class TestGradedMesh:
     def test_left_grading_shape(self):
-        nodes = graded_mesh(1.0, 3.0, 8, 2.0, "left")
+        nodes = graded_mesh(1.0, 3.0, 8, 2.0)
         assert nodes[0] == 1.0 and nodes[-1] == 3.0
         widths = np.diff(nodes)
         assert np.all(widths > 0)
         assert np.all(np.diff(widths) > 0)  # cells grow away from a
 
-    def test_right_grading_mirrors_left(self):
-        left = graded_mesh(0.0, 1.0, 16, 3.0, "left")
-        right = graded_mesh(0.0, 1.0, 16, 3.0, "right")
-        np.testing.assert_allclose(right, 1.0 - left[::-1], atol=1e-15)
-
-    def test_both_sides(self):
-        nodes = graded_mesh(0.0, 2.0, 10, 2.5, "both")
-        assert nodes.size == 11
-        widths = np.diff(nodes)
-        assert widths[0] < widths[4] and widths[-1] < widths[5]
-
     def test_collapse_guard_keeps_nodes_distinct(self):
-        nodes = graded_mesh(0.0, 1.0, 4096, 50.0, "left")
+        nodes = graded_mesh(0.0, 1.0, 4096, 50.0)
         assert np.all(np.diff(nodes) > 0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(a=1.0, b=1.0, n=4), dict(a=0.0, b=-1.0, n=4),
         dict(a=0.0, b=1.0, n=0), dict(a=0.0, b=1.0, n=4, grading=0.5),
-        dict(a=0.0, b=1.0, n=4, side="middle"),
-        dict(a=0.0, b=1.0, n=1, side="both"),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -249,13 +236,13 @@ class TestPowerKernelConvolve:
     @pytest.mark.parametrize("kappa", [0.35, 0.45, 1.3, 1.7])
     @pytest.mark.parametrize("t", [0.7 + 1e-9, 0.71, 1.5])
     def test_affine_density_is_exact(self, kappa, t):
-        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        nodes = graded_mesh(self.A, self.B, 37, 3.0)
         got = power_kernel_convolve(nodes, 0.4 - 1.3 * nodes, t, kappa)
         assert got == pytest.approx(self._affine_reference(t, kappa),
                                     rel=1e-13)
 
     def test_coincident_weak_kernel(self):
-        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        nodes = graded_mesh(self.A, self.B, 37, 3.0)
         got = power_kernel_convolve(nodes, 0.4 - 1.3 * nodes, 0.7, 0.45)
         assert got == pytest.approx(self._affine_reference(0.7, 0.45),
                                     rel=1e-12)
@@ -273,7 +260,7 @@ class TestPowerKernelConvolve:
     def test_batch_matches_one_time_at_a_time(self, monkeypatch):
         # near times (t == end included, kappa < 1) and far ones; each
         # time is summed on its own row, so batching changes no bit
-        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        nodes = graded_mesh(self.A, self.B, 37, 3.0)
         samples = np.cos(3.0 * nodes)
         for kappa in (0.45, 1.45):
             times = np.array([[self.B + 1e-9, 0.71, 1.5],
@@ -300,7 +287,7 @@ class TestPowerKernelConvolve:
     def test_rows_match_one_row_calls(self, kappa, monkeypatch):
         # (M, N) samples, a zero row among them; near and far times, and
         # a budget that splits the times into blocks of two
-        nodes = graded_mesh(self.A, self.B, 37, 3.0, "left")
+        nodes = graded_mesh(self.A, self.B, 37, 3.0)
         samples = np.vstack([np.cos(3.0 * nodes), np.zeros_like(nodes),
                              0.4 - 1.3 * nodes, np.exp(-nodes)])
         times = np.array([[self.B + 1e-9, 0.71, 1.5],
@@ -356,10 +343,10 @@ class TestDuhamelConvolve:
         assert got == pytest.approx(want, abs=1e-13)
 
     def test_affine_density_is_exact(self):
-        nodes = graded_mesh(0.1, 0.9, 17, 3.0, "left")
+        nodes = graded_mesh(0.1, 0.9, 17, 3.0)
         got = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, nodes,
                                2.0 - 3.0 * nodes, times=nodes[-1])
-        fine = graded_mesh(0.1, 0.9, 4096, 3.0, "left")
+        fine = graded_mesh(0.1, 0.9, 4096, 3.0)
         want = duhamel_convolve(DUHAMEL_ALPHA, DUHAMEL_LAM, fine,
                                 2.0 - 3.0 * fine, times=fine[-1])
         assert got == pytest.approx(want, abs=1e-12)
@@ -384,7 +371,7 @@ class TestDuhamelConvolve:
         # each time's mesh is the nodes below it plus the time itself, so
         # batching must not change a single bit; the batch holds a time
         # on a node, times between nodes and the last node
-        nodes = graded_mesh(0.1, 0.9, 40, 3.0, "left")
+        nodes = graded_mesh(0.1, 0.9, 40, 3.0)
         samples = np.cos(3.0 * nodes)
         times = np.array([[0.1 + 1e-9, nodes[7], 0.3],
                           [0.55, 0.8999, nodes[-1]]])
@@ -410,7 +397,7 @@ class TestDuhamelConvolve:
         # meshes of up to 300 nodes cross numpy's 128-element pairwise
         # summation blocks; each row must still equal its one-row call
         # and each time alone its value inside the batch, bit for bit
-        nodes = graded_mesh(0.1, 0.9, 299, 3.0, "left")
+        nodes = graded_mesh(0.1, 0.9, 299, 3.0)
         lam = np.array([0.0, 9.0, 1e3, 9.0, 2.5])
         samples = np.array([np.cos(3.0 * nodes), np.cos(3.0 * nodes),
                             1.0 + nodes ** 2, 2.0 - 3.0 * nodes,
@@ -475,7 +462,7 @@ _BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot")
 
 
 @pytest.mark.parametrize("module", ["quadrature.py", "special.py",
-                                    "solver.py"])
+                                    "solver.py", "l1.py"])
 def test_quadrature_module_uses_no_blas_product(module):
     # BLAS fixes no summation order, so a product there could make a
     # batched row differ from a one-row call, or the contour sum of one

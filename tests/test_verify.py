@@ -134,7 +134,7 @@ class TestDataFunctional:
         value_part = quad(lambda t: t ** 0.2, 0.0, 1.0)[0]
         rate_part = 1.0  # int_0^1 0.2 t^-0.8 dt
         from fracstep.quadrature import graded_mesh
-        mesh = graded_mesh(0.0, 1.0, 512, 4.0, "left")[1:]
+        mesh = graded_mesh(0.0, 1.0, 512, 4.0)[1:]
         weighted_sup = float(np.max(0.2 * mesh ** -0.05))
         got = V.segment_load_norm(spec, 0)
         assert got == pytest.approx(value_part + rate_part + weighted_sup,
