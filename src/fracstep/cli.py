@@ -25,7 +25,7 @@ from .config import RunConfig, build_run_config, load_config
 from .errors import ConfigError, DomainError, FracstepError
 from .l1 import L1Grid, solve_full_l1_fd, solve_mode_l1
 from .operator import ModalBasis
-from .solver import solve
+from .solver import DEFAULT_CELLS, DEFAULT_QUAD, solve
 from .special import ml_values
 from . import verify as verify_mod
 
@@ -74,8 +74,8 @@ def _meta(cfg: RunConfig, timings: dict) -> dict:
 def _solve_field(cfg: RunConfig):
     t0 = time.perf_counter()
     field = solve(cfg.problem,
-                  n_cells=int(cfg.run_value("cells", 256)),
-                  n_quad=int(cfg.run_value("quad", 32)))
+                  n_cells=int(cfg.run_value("cells", DEFAULT_CELLS)),
+                  n_quad=int(cfg.run_value("quad", DEFAULT_QUAD)))
     return field, time.perf_counter() - t0
 
 

@@ -26,12 +26,18 @@ terms that cancel.  The recursion per segment does three things:
   kernels, and its leading blow-up ``(s - t_j)**(b-1)`` as well as the
   memory rate's ``(s - t_j)**(-b)`` are peeled off analytically so that
   all quadratures see smooth factors only.
+
+The solved field is stored as it is built and read: one :class:`Segment`
+record per schedule segment, holding one row per live mode (a mode
+with zero data and no forcing stays zero and has none) in each of its
+arrays.  Every evaluator takes a record and a selection of rows and
+works on those arrays directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +57,7 @@ __all__ = [
     "ZeroSource",
     "SeparableSource",
     "ProblemSpec",
-    "ModeSegment",
-    "ModeSolution",
+    "Segment",
     "SolutionField",
     "solve",
 ]
@@ -191,150 +196,132 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ModeSegment:
-    """One mode's solution on one segment of the order schedule."""
+class Segment:
+    """Every live mode's solution on one segment of the order schedule.
+
+    One row per live mode, in mode order, in each row array; the mesh is
+    shared.  ``density`` is the effective load minus ``eigenvalue *
+    entry``, the integrand of :func:`_values`.  The exit values and
+    derivatives are evaluated from the rest of the record, so they are
+    filled in last.
+    """
 
     index: int
     order: float
-    eigenvalue: float
     start: float
     end: float
-    entry_value: float
-    impulse_strength: float     # load(start) - eigenvalue * entry_value
-    memory_amplitude: float     # coefficient of the memory rate's blow-up
-    nodes: np.ndarray           # graded sample mesh, nodes[0] == start
-    load_samples: np.ndarray    # effective load at the nodes
-    tail_samples: np.ndarray    # forced part of the derivative at the nodes
-    exit_value: float
-    exit_derivative: float
+    nodes: np.ndarray              # graded sample mesh, nodes[0] == start
+    eigenvalues: np.ndarray
+    entry_values: np.ndarray
+    density: np.ndarray            # one row of node samples per mode
+    tails: np.ndarray              # forced part of the derivative
+    exit_values: np.ndarray | None = None
+    exit_derivatives: np.ndarray | None = None
 
-    def value(self, t):
-        """Trajectory value, valid on the closed segment.
-
-        The one-row case of :func:`_values`; ``t`` may be an array,
-        evaluated with one ``duhamel_convolve`` call, and a scalar gives
-        a float.
-        """
-        out = _values([self], np.asarray(t, dtype=float))[0]
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, t):
-        """Closed-form time derivative, valid on the half-open segment.
-
-        The one-row case of :func:`_derivatives`; ``t`` may be an array,
-        evaluated with one ``ml_values`` call, and a scalar gives a float.
-        """
-        out = _derivatives([self], np.asarray(t, dtype=float))[0]
-        return float(out) if out.ndim == 0 else out
+    @property
+    def impulse_strengths(self) -> np.ndarray:
+        """Coefficients of the derivative's ``(t - start)**(order - 1)``
+        blow-up: the density at the segment start."""
+        return self.density[:, 0]
 
 
-def _values(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
-    """Values of modes on one schedule segment, one row per segment.
+def _values(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
+    """Values of the modes in ``rows`` of one schedule segment.
 
-    Evaluated as ``entry + int K(t - s) * (load(s) - lam * entry) ds``
-    with one ``duhamel_convolve`` call for all rows, each of which
-    depends on its own mode alone, bit for bit.  The convolution
-    integrates affine densities exactly, so a steady state, whose load
-    is the constant ``lam * entry``, returns ``entry`` exactly.  Valid on
-    the closed segment; the result has shape ``(len(segs),) + t.shape``.
+    ``rows`` is a slice or a list of row indices.  Evaluated as ``entry +
+    int K(t - s) * density(s) ds`` with one ``duhamel_convolve`` call for
+    all rows, each of which depends on its own mode alone, bit for bit.
+    The convolution integrates affine densities exactly, so a steady
+    state, whose density is zero, returns ``entry`` exactly.  Valid on
+    the closed segment; the result has one row per selected mode, then
+    the shape of ``t``.
     """
-    first = segs[0]
     flat = t.reshape(-1)
-    inside = (first.start <= flat) & (flat <= first.end)
+    inside = (seg.start <= flat) & (flat <= seg.end)
     if not inside.all():
         raise DomainError(f"time {flat[~inside][0]} outside segment "
-                          f"[{first.start}, {first.end}]")
-    lam = np.array([seg.eigenvalue for seg in segs])
-    entry = np.array([[seg.entry_value] for seg in segs])
-    density = np.array([seg.load_samples for seg in segs]) \
-        - lam[:, None] * entry
-    later = flat > first.start
+                          f"[{seg.start}, {seg.end}]")
+    lam = seg.eigenvalues[rows]
+    entry = seg.entry_values[rows, None]
+    later = flat > seg.start
     if later.all():   # the common case needs no mask
-        out = entry + duhamel_convolve(first.order, lam, first.nodes,
-                                       density, flat)
+        out = entry + duhamel_convolve(seg.order, lam, seg.nodes,
+                                       seg.density[rows], flat)
     else:
         out = np.repeat(entry, flat.size, axis=1)
         if later.any():
-            out[:, later] += duhamel_convolve(first.order, lam, first.nodes,
-                                              density, flat[later])
-    return out.reshape((len(segs),) + t.shape)
+            out[:, later] += duhamel_convolve(seg.order, lam, seg.nodes,
+                                              seg.density[rows], flat[later])
+    return out.reshape(lam.shape + t.shape)
 
 
-def _derivatives(segs: list[ModeSegment], t: np.ndarray) -> np.ndarray:
-    """Closed-form time derivatives of modes on one schedule segment.
+def _derivatives(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
+    """Closed-form time derivatives of the modes in ``rows`` of a segment.
 
     The impulse part carries the exact ``(t - start)**(order - 1)``
     blow-up, with one ``ml_values`` call for all rows; the forced tail is
     interpolated from its tabulation.  Valid on the half-open segment:
     the start is rejected because the derivative is unbounded there
-    whenever the impulse strength is nonzero.  The result has shape
-    ``(len(segs),) + t.shape``.
+    whenever the impulse strength is nonzero.  Shaped as :func:`_values`.
     """
-    first = segs[0]
     flat = t.reshape(-1)
-    inside = (first.start < flat) & (flat <= first.end)
+    inside = (seg.start < flat) & (flat <= seg.end)
     if not inside.all():
         raise DomainError(f"time {flat[~inside][0]} outside half-open "
-                          f"segment ({first.start}, {first.end}]")
-    lam = np.array([seg.eigenvalue for seg in segs])
-    strength = np.array([seg.impulse_strength for seg in segs])
-    dt = flat - first.start
-    impulse = strength[:, None] * dt ** (first.order - 1.0) \
-        * ml_values(first.order, first.order,
-                    -lam[:, None] * dt ** first.order)
-    tail = [np.interp(flat, seg.nodes, seg.tail_samples) for seg in segs]
-    return (impulse + tail).reshape((len(segs),) + t.shape)
+                          f"segment ({seg.start}, {seg.end}]")
+    lam = seg.eigenvalues[rows]
+    dt = flat - seg.start
+    impulse = seg.impulse_strengths[rows, None] * dt ** (seg.order - 1.0) \
+        * ml_values(seg.order, seg.order, -lam[:, None] * dt ** seg.order)
+    tail = [np.interp(flat, seg.nodes, row) for row in seg.tails[rows]]
+    return (impulse + tail).reshape(lam.shape + t.shape)
 
 
-def _memory(segs: list[ModeSegment], times: np.ndarray,
-            kernel_exponent: float, n_quad: int) -> np.ndarray:
-    """Memory kernel applied to modes' derivatives on one past segment.
+def _memory(seg: Segment, times: np.ndarray, kernel_exponent: float,
+            n_quad: int) -> np.ndarray:
+    """Memory kernel applied to every mode's derivative on a past segment.
 
-    ``segs`` are the modes' segments on that schedule segment, and the
-    result has one row per segment and one column per time.  The
-    impulse part is ``strength * (s - start)**(order - 1)`` times a
+    The result has one row per mode of ``seg`` and one column per time.
+    The impulse part is ``strength * (s - start)**(order - 1)`` times a
     Mittag-Leffler factor whose argument scales like ``(s - start)**
     order``; the scaled-variable rule resolves that combination exactly,
     with one profile evaluation for all rows and times.  The tabulated
     forced tails go through one ``power_kernel_convolve`` call.  Rows
     with a zero impulse strength skip the impulse part, and unforced
     rows, whose tails are exactly zero, skip the tail.  Each row equals
-    a call with that segment alone, bit for bit.
+    a call with that mode alone, bit for bit.
     """
-    first = segs[0]
-    out = np.zeros((len(segs), times.size))
-    tails = np.array([seg.tail_samples for seg in segs])
-    forced = tails.any(axis=1)
+    out = np.zeros((seg.eigenvalues.size, times.size))
+    forced = seg.tails.any(axis=1)
     if forced.any():
-        out[forced] = power_kernel_convolve(first.nodes, tails[forced],
+        out[forced] = power_kernel_convolve(seg.nodes, seg.tails[forced],
                                             times, kernel_exponent)
-    strength = np.array([seg.impulse_strength for seg in segs])
+    strength = seg.impulse_strengths
     hit = strength != 0.0
     if hit.any():
-        lam = np.array([seg.eigenvalue for seg in segs])[hit, None]
+        lam = seg.eigenvalues[hit, None]
 
         def profile(xi):
-            return strength[hit, None] * ml_values(first.order, first.order,
+            return strength[hit, None] * ml_values(seg.order, seg.order,
                                                    -lam * xi)
 
-        out[hit] += scaled_power_history(profile, first.start, first.end,
-                                         times, kernel_exponent,
-                                         first.order, n=n_quad)
+        out[hit] += scaled_power_history(profile, seg.start, seg.end,
+                                         times, kernel_exponent, seg.order,
+                                         n=n_quad)
     return out
 
 
-def _segment_load(nodes: np.ndarray, beta: float,
-                  past: list[list[ModeSegment]], values: np.ndarray,
-                  rates: np.ndarray,
+def _segment_load(nodes: np.ndarray, beta: float, past: list[Segment],
+                  values: np.ndarray, rates: np.ndarray,
                   n_quad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective loads, memory amplitudes and smooth rates of modes.
 
     ``values`` and ``rates`` hold the physical load and its derivative at
     ``nodes``, the mesh of the segment starting at ``nodes[0]``, one row
-    per mode; ``past`` holds the modes' segments on each earlier
-    schedule segment, in the same order.  One array pass serves every
-    mode: each memory integral is one ``_memory`` call per past segment
-    and kernel exponent.
+    per mode; ``past`` holds the earlier schedule segments, with rows in
+    the same order.  One array pass serves every mode: each memory
+    integral is one ``_memory`` call per past segment and kernel
+    exponent.
     """
     a = nodes[0]
     inv_gamma = 1.0 / gamma_fn(1.0 - beta)
@@ -342,15 +329,14 @@ def _segment_load(nodes: np.ndarray, beta: float,
     memory_amplitude = np.zeros(values.shape[0])
     rate_remainder = np.zeros_like(values)
     if past:
-        load -= inv_gamma * sum(_memory(segs, nodes, beta, n_quad)
-                                for segs in past)
+        load -= inv_gamma * sum(_memory(seg, nodes, beta, n_quad)
+                                for seg in past)
         # memory rate: amplitude of its (s - a)**(-beta) blow-up plus a
         # bounded remainder; the first node gets its neighbor's value,
         # which only the vanishing first cell mass ever weights
-        memory_amplitude = np.array(
-            [seg.exit_derivative for seg in past[-1]]) * inv_gamma
+        memory_amplitude = past[-1].exit_derivatives * inv_gamma
         rate = beta * inv_gamma * sum(
-            _memory(segs, nodes[1:], 1.0 + beta, n_quad) for segs in past)
+            _memory(seg, nodes[1:], 1.0 + beta, n_quad) for seg in past)
         rate_remainder[:, 1:] = rate - memory_amplitude[:, None] \
             * (nodes[1:] - a) ** (-beta)
         rate_remainder[:, 0] = rate_remainder[:, 1]
@@ -365,141 +351,122 @@ def _segment_load(nodes: np.ndarray, beta: float,
     return load, memory_amplitude, smooth_rate
 
 
-def _build_segments(j: int, schedule: OrderSchedule, source: ModalSource,
-                    modes: list[int], lam: np.ndarray, entry: np.ndarray,
-                    past: list[list[ModeSegment]], n_cells: int,
-                    n_quad: int) -> list[ModeSegment]:
-    """Segment ``j`` of every listed mode, from its entry and history.
+def _build_segment(j: int, schedule: OrderSchedule, source: ModalSource,
+                   live: list[int], lam: np.ndarray, entry: np.ndarray,
+                   past: list[Segment], n_cells: int,
+                   n_quad: int) -> Segment:
+    """Segment ``j`` of the zero-based modes ``live``, from their entry
+    values and the earlier segments ``past``.
 
-    ``past[k]`` holds the listed modes' segments on schedule segment
-    ``k``.  The loads of all modes are one array pass, and the forced
-    tails, exit values and exit derivatives take one batched call each;
-    every row equals a one-mode call bit for bit.
+    The loads of all modes are one array pass, and the forced tails,
+    exit values and exit derivatives take one batched call each; every
+    row equals a one-mode call bit for bit.
     """
     beta = schedule.orders[j]
     a, b = schedule.segment(j)
     nodes = graded_mesh(a, b, n_cells, _MESH_GRADING)
-    values = np.array([source.mode_values(n, nodes) for n in modes],
+    values = np.array([source.mode_values(i + 1, nodes) for i in live],
                       dtype=float)
-    rates = np.array([source.mode_derivative(n, nodes) for n in modes],
+    rates = np.array([source.mode_derivative(i + 1, nodes) for i in live],
                      dtype=float)
     loads, amplitudes, rates = _segment_load(nodes, beta, past, values,
                                              rates, n_quad)
 
     # the blow-up's forced response int_0^dt K_b(dt - u) u**(-b) du is
     # Gamma(1 - b) * E_{b,1}(-lam dt**b) in closed form
-    tails = np.zeros((len(modes), nodes.size))
+    tails = np.zeros((len(live), nodes.size))
     hit = amplitudes != 0.0
     if hit.any():
         tails[hit] = amplitudes[hit, None] * gamma_fn(1.0 - beta) \
             * ml_values(beta, 1.0, -lam[hit, None] * (nodes - a) ** beta)
     tails[:, 1:] += duhamel_convolve(beta, lam, nodes, rates, nodes[1:])
 
-    segments = [
-        ModeSegment(index=j, order=beta, eigenvalue=float(lam[k]), start=a,
-                    end=b, entry_value=float(entry[k]),
-                    impulse_strength=float(load[0] - lam[k] * entry[k]),
-                    memory_amplitude=float(amplitudes[k]), nodes=nodes,
-                    load_samples=load, tail_samples=tails[k],
-                    exit_value=math.nan, exit_derivative=math.nan)
-        for k, load in enumerate(loads)]
+    seg = Segment(index=j, order=beta, start=a, end=b, nodes=nodes,
+                  eigenvalues=lam, entry_values=entry,
+                  density=loads - lam[:, None] * entry[:, None], tails=tails)
     end = np.asarray(b, dtype=float)
-    for seg, value, slope in zip(segments, _values(segments, end),
-                                 _derivatives(segments, end)):
-        object.__setattr__(seg, "exit_value", float(value))
-        object.__setattr__(seg, "exit_derivative", float(slope))
-    return segments
+    return replace(seg, exit_values=_values(seg, slice(None), end),
+                   exit_derivatives=_derivatives(seg, slice(None), end))
 
 
-def _sample(modes, t, side: str, evaluate) -> np.ndarray:
-    """``evaluate(segments, times)`` once per schedule segment, over the
-    segments of the nonzero modes; zero modes give zero rows.
+def _sample(field: SolutionField, rows, t, side: str,
+            evaluate) -> np.ndarray:
+    """``evaluate(segment, rows, times)`` once per schedule segment.
 
     A breakpoint goes to the segment on its ``side``; times outside the
     horizon reach an end segment, which rejects them.  The result has
-    shape ``(len(modes),) + t.shape``.
+    one row per selected mode, then the shape of ``t``.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros((len(modes),) + t.shape)
-    live = [i for i, m in enumerate(modes) if not m.is_zero]
-    if live:
-        flat = t.reshape(-1)
-        # a time's segment is the number of interior breakpoints below it
-        # (or at it, on the right side)
-        index = np.searchsorted(modes[live[0]].breakpoints[1:-1], flat,
-                                side)
-        parts = sorted(set(index.tolist()))
-        rows = np.empty((len(live), flat.size))
-        for j in parts:
-            # a segment that holds every time takes them without a mask
-            here = index == j if len(parts) > 1 else slice(None)
-            rows[:, here] = evaluate([modes[i].segments[j] for i in live],
-                                     flat[here])
-        out.reshape(len(modes), -1)[live] = rows
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class ModeSolution:
-    """Composite trajectory of one mode across all segments."""
-
-    mode: int
-    eigenvalue: float
-    breakpoints: tuple[float, ...]
-    segments: tuple[ModeSegment, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.segments
-
-    def value(self, t):
-        """Trajectory value; at interior junctions the later segment's entry.
-
-        ``t`` may be an array; each segment evaluates its points with one
-        ``duhamel_convolve`` call.  A scalar gives a float.
-        """
-        out = _sample([self], t, "right", _values)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, t):
-        """Closed-form derivative; at interior junctions the left limit.
-
-        ``t`` may be an array; each segment evaluates its points with one
-        ``ml_values`` call.  A scalar gives a float.
-        """
-        out = _sample([self], t, "left", _derivatives)[0]
-        return float(out) if out.ndim == 0 else out
+    flat = t.reshape(-1)
+    # a time's segment is the number of interior breakpoints below it
+    # (or at it, on the right side)
+    index = np.searchsorted(field.problem.schedule.breakpoints[1:-1], flat,
+                            side)
+    parts = sorted(set(index.tolist()))
+    out = np.empty((field.segments[0].eigenvalues[rows].size, flat.size))
+    for j in parts:
+        # a segment that holds every time takes them without a mask
+        here = index == j if len(parts) > 1 else slice(None)
+        out[:, here] = evaluate(field.segments[j], rows, flat[here])
+    return out.reshape(out.shape[:1] + t.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionField:
-    """Full modal solution with spatial synthesis."""
+    """Full modal solution with spatial synthesis.
+
+    ``segments`` holds one :class:`Segment` per schedule segment, each
+    with one row per live mode; ``live`` lists those modes, zero-based
+    and ascending.  The other modes have zero data and no forcing, so
+    they stay zero and have no rows (and with no live mode there are no
+    segments).
+    """
 
     problem: ProblemSpec
     basis: ModalBasis
-    modes: tuple[ModeSolution, ...]
+    segments: tuple[Segment, ...]
+    live: tuple[int, ...]
+
+    def _all_modes(self, t, side: str, evaluate) -> np.ndarray:
+        """Every mode at ``t``: the live rows sampled, the others zero."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((self.problem.num_modes,) + t.shape)
+        if self.live:
+            out[list(self.live)] = _sample(self, slice(None), t, side,
+                                           evaluate)
+        return out
 
     def mode_values(self, t) -> np.ndarray:
         """Mode coefficients at ``t``, one column per time for an array.
 
-        Each segment evaluates every nonzero mode at its times with one
+        At interior junctions the later segment's entry.  Each segment
+        evaluates every live mode at its times with one
         ``duhamel_convolve`` call; row ``n - 1`` equals
-        ``modes[n - 1].value(t)`` bit for bit.
+        ``mode_trajectory(n, t)`` bit for bit.
         """
-        return _sample(self.modes, t, "right", _values)
+        return self._all_modes(t, "right", _values)
 
     def mode_derivatives(self, t) -> np.ndarray:
         """Mode derivatives at ``t``, as :meth:`mode_values` is to values.
 
         At interior junctions the left limit; each segment makes one
-        ``ml_values`` call for every nonzero mode.
+        ``ml_values`` call for every live mode.
         """
-        return _sample(self.modes, t, "left", _derivatives)
+        return self._all_modes(t, "left", _derivatives)
 
-    def mode_trajectory(self, n: int, times) -> np.ndarray:
-        if not 1 <= n <= len(self.modes):
-            raise DomainError(f"mode index {n} outside [1, {len(self.modes)}]")
-        return self.modes[n - 1].value(times)
+    def mode_trajectory(self, n: int, times):
+        """Values of mode ``n``, from its row alone; a scalar time gives a
+        float."""
+        if not 1 <= n <= self.problem.num_modes:
+            raise DomainError(
+                f"mode index {n} outside [1, {self.problem.num_modes}]")
+        t = np.asarray(times, dtype=float)
+        if n - 1 in self.live:
+            out = _sample(self, [self.live.index(n - 1)], t, "right",
+                          _values)[0]
+        else:
+            out = np.zeros(t.shape)
+        return float(out) if out.ndim == 0 else out
 
     def evaluate(self, x, t: float):
         """Field value ``u(x, t)``; ``x`` may be a scalar or an array."""
@@ -515,18 +482,16 @@ class SolutionField:
     def junction_gaps(self) -> np.ndarray:
         """Trajectory mismatch at each interior breakpoint, per junction.
 
-        Each gap re-evaluates the earlier segment of every nonzero mode at
-        its endpoint, in one call, and compares with the entry value the
-        later segment was built from; the construction hands that exact
-        float across, so the gaps are zero not merely small.
+        Each gap re-evaluates the earlier segment of every live mode at
+        its endpoint, in one call, and compares with the entry values the
+        later segment was built from; the construction hands those exact
+        floats across, so the gaps are zero not merely small.
         """
         interior = self.problem.schedule.breakpoints[1:-1]
-        live = [m for m in self.modes if not m.is_zero]
         gaps = np.zeros(len(interior))
-        for i, t in enumerate(interior if live else ()):
-            left = _values([m.segments[i] for m in live], np.asarray(t))
-            right = [m.segments[i + 1].entry_value for m in live]
-            gaps[i] = np.max(np.abs(left - right))
+        for i, t in enumerate(interior if self.live else ()):
+            left = _values(self.segments[i], slice(None), np.asarray(t))
+            gaps[i] = np.max(np.abs(left - self.segments[i + 1].entry_values))
         return gaps
 
 
@@ -549,27 +514,23 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
     basis = ModalBasis(problem.operator, problem.num_modes)
     source = problem.source
     initial = problem.initial_coefficients
-    live = [n for n in range(1, problem.num_modes + 1)
-            if initial[n - 1] != 0.0 or not source.is_zero_mode(n)]
-    lam = np.array([basis.eigenvalues[n - 1] for n in live])
-    entry = np.array([initial[n - 1] for n in live])
-    past: list[list[ModeSegment]] = []
+    live = [i for i in range(problem.num_modes)
+            if initial[i] != 0.0 or not source.is_zero_mode(i + 1)]
+    lam = basis.eigenvalues[live]
+    entry = np.array(initial)[live]
+    segments: list[Segment] = []
     for j in range(schedule.num_segments if live else 0):
-        built = _build_segments(j, schedule, source, live, lam, entry,
-                                past, n_cells, n_quad)
-        for n, seg in zip(live, built):
-            if not (np.isfinite(seg.load_samples).all()
-                    and np.isfinite(seg.tail_samples).all()
-                    and math.isfinite(seg.exit_value)
-                    and math.isfinite(seg.exit_derivative)):
-                raise NumericError("non-finite segment state",
-                                   mode=n, segment=j)
-        past.append(built)
-        entry = np.array([seg.exit_value for seg in built])
-
-    segments = dict(zip(live, zip(*past)))
-    modes = tuple(ModeSolution(n, basis.eigenvalues[n - 1],
-                               schedule.breakpoints,
-                               tuple(segments.get(n, ())))
-                  for n in range(1, problem.num_modes + 1))
-    return SolutionField(problem=problem, basis=basis, modes=modes)
+        seg = _build_segment(j, schedule, source, live, lam, entry,
+                             segments, n_cells, n_quad)
+        finite = (np.isfinite(seg.density).all(axis=1)
+                  & np.isfinite(seg.tails).all(axis=1)
+                  & np.isfinite(seg.exit_values)
+                  & np.isfinite(seg.exit_derivatives))
+        if not finite.all():
+            raise NumericError("non-finite segment state",
+                               mode=live[int(np.argmin(finite))] + 1,
+                               segment=j)
+        segments.append(seg)
+        entry = seg.exit_values
+    return SolutionField(problem=problem, basis=basis,
+                         segments=tuple(segments), live=tuple(live))

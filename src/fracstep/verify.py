@@ -96,14 +96,6 @@ class RegularityReport:
         }
 
 
-def _order_at_clamped(schedule: OrderSchedule, t: float) -> tuple[int, float]:
-    """Segment index and order at ``t``, final time included."""
-    if t >= schedule.horizon:
-        return schedule.num_segments - 1, schedule.orders[-1]
-    j = schedule.segment_index(t)
-    return j, schedule.orders[j]
-
-
 def _fit_slope(offsets: np.ndarray, values: np.ndarray):
     """Least-squares log-log slope, or ``None`` for numerically zero data.
 
@@ -257,22 +249,21 @@ def w11_norm(field: SolutionField, n_cells: int = 48,
     """
     schedule = field.problem.schedule
     total = 0.0
-    for j in range(schedule.num_segments):
+    # a field without live modes has a zero derivative and no segments
+    for j in range(schedule.num_segments if field.live else 0):
         a, b = schedule.segment(j)
         order = schedule.orders[j]
-        amps = np.array([0.0 if m.is_zero
-                         else m.segments[j].impulse_strength
-                         for m in field.modes])
-        lams = np.array([m.eigenvalue for m in field.modes])
-        active = amps != 0.0
+        seg = field.segments[j]
+        hit = seg.impulse_strengths != 0.0
+        amps = seg.impulse_strengths[hit, None]
+        lams = seg.eigenvalues[hit, None]
 
         def impulse_norm_y(y):
             y = np.atleast_1d(y)
-            rows = [amps[i] * ml_values(order, order, -lams[i] * y)
-                    for i in np.flatnonzero(active)]
-            if not rows:
+            if not amps.size:
                 return np.zeros(y.size)
-            return np.sqrt(np.sum(np.square(np.vstack(rows)), axis=0))
+            rows = amps * ml_values(order, order, -lams * y)
+            return np.sqrt(np.sum(np.square(rows), axis=0))
 
         span = (b - a) ** order
         part = composite_graded_integral(
@@ -372,12 +363,11 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     per_mode = np.zeros((offsets.size, spec.num_modes))
     for n in range(1, spec.num_modes + 1):
         per_mode[:, n - 1] = spec.source.mode_derivative(n, times)
-    live = [i for i, mode in enumerate(field.modes) if not mode.is_zero]
+    live = list(field.live)
     for k in range(j) if live else ():
         per_mode[:, live] = per_mode[:, live] + prefac * _history(
             field, live, k, times, order + 1.0, n_quad).T
-    values = np.array([float(np.sqrt(np.sum(row ** 2))) for row in per_mode])
-    return offsets, values
+    return offsets, np.sqrt(np.sum(per_mode ** 2, axis=1))
 
 
 def source_rate_fit(spec: ProblemSpec, field: SolutionField, j: int,
@@ -403,8 +393,9 @@ def vo_caputo_derivative(field: SolutionField, n: int, t,
     check's evaluation of all modes at once, and equal to its row bit
     for bit.
     """
-    if not 1 <= n <= len(field.modes):
-        raise DomainError(f"mode index {n} outside [1, {len(field.modes)}]")
+    num_modes = field.problem.num_modes
+    if not 1 <= n <= num_modes:
+        raise DomainError(f"mode index {n} outside [1, {num_modes}]")
     t = np.asarray(t, dtype=float)
     out = _vo_caputo_rows(field, [n - 1], t, n_quad)[0]
     return float(out) if out.ndim == 0 else out
@@ -426,8 +417,9 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
         raise DomainError(
             f"time {flat[outside][0]} outside the half-open horizon "
             f"(0, {schedule.horizon}]")
-    current = np.array([_order_at_clamped(schedule, s)[0]
-                        for s in flat.tolist()], dtype=int)
+    # a time's segment is the number of interior breakpoints at or below
+    # it, so the final time falls in the last segment
+    current = np.searchsorted(schedule.breakpoints[1:-1], flat, "right")
     out = np.empty((len(rows), flat.size))
     for j in np.unique(current).tolist():
         here = np.flatnonzero(current == j)
@@ -470,14 +462,14 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     # rows are times, so each row is one contiguous modal vector
     defect = np.zeros((times.size, spec.num_modes))
     rows = [n - 1 for n in range(1, spec.num_modes + 1)
-            if not (field.modes[n - 1].is_zero
-                    and spec.source.is_zero_mode(n))]
+            if n - 1 in field.live or not spec.source.is_zero_mode(n)]
     if rows:
         mem = _vo_caputo_rows(field, rows, times, n_quad)
         for i, row in zip(rows, mem):
             load = np.asarray(spec.source.mode_values(i + 1, times),
                               dtype=float)
-            defect[:, i] = row + field.modes[i].eigenvalue * values[i] - load
+            defect[:, i] = row + field.basis.eigenvalues[i] * values[i] \
+                - load
 
     worst = 0.0
     for t, row in zip(times, defect):

@@ -43,6 +43,11 @@ def _relax_reference(lam):
     return ml_values(BETA, 1.0, -lam * TIMES ** BETA)
 
 
+def _segment_value(seg, t):
+    """Value of the first row of one segment record alone."""
+    return solver_module._values(seg, [0], np.asarray(t, dtype=float))[0]
+
+
 @pytest.fixture(scope="module")
 def single_run():
     sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(BETA,))
@@ -148,19 +153,19 @@ class TestConstantOrder:
         assert np.abs(got - _relax_reference(lam)).max() <= 1e-8
 
     def test_initial_value_exact(self, single_run):
-        assert single_run.modes[0].value(0.0) == 1.0
+        assert single_run.mode_trajectory(1, 0.0) == 1.0
 
     def test_derivative_closed_form(self, single_run):
         lam = single_run.basis.eigenvalues[0]
         par = MLParams(BETA, BETA)
         for t in (0.01, 0.2, 0.7, 1.0):
             want = -lam * t ** (BETA - 1.0) * ml(par, -lam * t ** BETA)
-            got = single_run.modes[0].derivative(t)
+            got = single_run.mode_derivatives(t)[0]
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_derivative_rejected_at_initial_time(self, single_run):
         with pytest.raises(DomainError):
-            single_run.modes[0].derivative(0.0)
+            single_run.mode_derivatives(0.0)
 
     def test_monotone_decay(self, single_run):
         vals = single_run.mode_trajectory(1, TIMES)
@@ -169,9 +174,9 @@ class TestConstantOrder:
 
     def test_rejects_times_outside_horizon(self, single_run):
         with pytest.raises(DomainError):
-            single_run.modes[0].value(1.5)
+            single_run.mode_trajectory(1, 1.5)
         with pytest.raises(DomainError):
-            single_run.modes[0].value(-0.1)
+            single_run.mode_trajectory(1, -0.1)
 
     def test_trajectory_preserves_shape(self, single_run):
         grid = TIMES[:10].reshape(2, 5)
@@ -193,9 +198,10 @@ class TestEqualOrderSplit:
         assert gaps[0] == 0.0
 
     def test_entry_value_is_handed_exactly(self, split_run):
-        first, second = split_run.modes[0].segments
-        assert second.entry_value == first.exit_value
-        assert second.value(0.4) == first.exit_value
+        first, second = split_run.segments
+        assert second.entry_values[0] == first.exit_values[0]
+        assert _segment_value(second, 0.4) == first.exit_values[0]
+        assert split_run.mode_trajectory(1, 0.4) == first.exit_values[0]
 
     def test_derivative_continues_smoothly(self, split_run):
         # equal orders leave the true derivative smooth across the
@@ -204,44 +210,46 @@ class TestEqualOrderSplit:
         par = MLParams(BETA, BETA)
         for t in (0.45, 0.6, 0.9):
             want = -lam * t ** (BETA - 1.0) * ml(par, -lam * t ** BETA)
-            got = split_run.modes[0].derivative(t)
+            got = split_run.mode_derivatives(t)[0]
             assert got == pytest.approx(want, rel=1e-4)
 
     def test_derivative_at_junction_is_left_limit(self, split_run):
-        first = split_run.modes[0].segments[0]
-        got = split_run.modes[0].derivative(0.4)
-        assert got == first.exit_derivative
+        first = split_run.segments[0]
+        got = split_run.mode_derivatives(0.4)[0]
+        assert got == first.exit_derivatives[0]
 
     def test_array_derivative_matches_pointwise(self, split_run):
-        mode = split_run.modes[0]
         ts = np.array([[0.1, 0.4], [0.7, 1.0]])
-        got = mode.derivative(ts)
+        got = split_run.mode_derivatives(ts)[0]
         assert got.shape == ts.shape
-        assert got[0, 1] == mode.segments[0].exit_derivative
-        want = [[mode.derivative(float(t)) for t in row] for row in ts]
+        assert got[0, 1] == split_run.segments[0].exit_derivatives[0]
+        want = [[split_run.mode_derivatives(float(t))[0] for t in row]
+                for row in ts]
         np.testing.assert_array_equal(got, want)
         with pytest.raises(DomainError):
-            mode.derivative(np.array([0.5, 0.0]))
+            split_run.mode_derivatives(np.array([0.5, 0.0]))
 
     def test_array_value_matches_pointwise(self, split_run):
-        mode = split_run.modes[0]
-        first, second = mode.segments
+        first, second = split_run.segments
         ts = np.array([[0.0, 0.1, 0.4], [0.4 + 1e-9, 0.7, 1.0]])
-        got = mode.value(ts)
+        got = split_run.mode_trajectory(1, ts)
         assert got.shape == ts.shape
         assert got[0, 0] == 1.0
-        assert got[0, 2] == second.entry_value
-        assert got[1, 2] == second.exit_value
-        want = [[mode.value(float(t)) for t in row] for row in ts]
+        assert got[0, 2] == second.entry_values[0]
+        assert got[1, 2] == second.exit_values[0]
+        want = [[split_run.mode_trajectory(1, float(t)) for t in row]
+                for row in ts]
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(first.value(ts[0]),
-                                      [first.value(float(t)) for t in ts[0]])
-        np.testing.assert_array_equal(second.value(ts[1]),
-                                      [second.value(float(t)) for t in ts[1]])
+        np.testing.assert_array_equal(
+            _segment_value(first, ts[0]),
+            [_segment_value(first, float(t)) for t in ts[0]])
+        np.testing.assert_array_equal(
+            _segment_value(second, ts[1]),
+            [_segment_value(second, float(t)) for t in ts[1]])
         with pytest.raises(DomainError):
-            mode.value(np.array([0.5, 1.5]))
+            split_run.mode_trajectory(1, np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
-            second.value(np.array([0.5, 0.3]))
+            _segment_value(second, np.array([0.5, 0.3]))
 
 
 class TestThreeSegmentChain:
@@ -268,16 +276,16 @@ class TestMixedOrders:
 
     def test_blowup_exponent_after_order_jump(self, mixed_run):
         # the derivative right of the jump blows up like dt**(b1 - 1)
-        mode = mixed_run.modes[0]
         offsets = np.array([1e-6, 1e-5, 1e-4, 1e-3])
-        logs = np.log([abs(mode.derivative(0.5 + d)) for d in offsets])
+        logs = np.log([abs(mixed_run.mode_derivatives(0.5 + d)[0])
+                       for d in offsets])
         slope = np.polyfit(np.log(offsets), logs, 1)[0]
         assert slope == pytest.approx(0.8 - 1.0, abs=0.05)
 
     def test_value_routing_at_horizon_end(self, mixed_run):
         # t == T belongs to the final segment
-        end = mixed_run.modes[0].segments[-1]
-        assert mixed_run.modes[0].value(1.0) == end.exit_value
+        end = mixed_run.segments[-1]
+        assert mixed_run.mode_trajectory(1, 1.0) == end.exit_values[0]
 
 
 class TestBlowupResponse:
@@ -362,7 +370,7 @@ class TestForcedProblems:
         got = field.mode_trajectory(1, TIMES)
         assert np.abs(got - (1.0 + TIMES)).max() <= 1e-5
         for t in (0.3, 0.8):
-            assert field.modes[0].derivative(t) == pytest.approx(1.0,
+            assert field.mode_derivatives(t)[0] == pytest.approx(1.0,
                                                                  abs=1e-3)
 
     def test_constant_source_closed_form(self):
@@ -381,7 +389,8 @@ class TestForcedProblems:
         for t in (0.25, 0.5, 1.0):
             want = ml(p1, -lam * t ** BETA) \
                 + q * t ** BETA * ml(p2, -lam * t ** BETA)
-            assert field.modes[0].value(t) == pytest.approx(want, abs=1e-9)
+            assert field.mode_trajectory(1, t) == pytest.approx(want,
+                                                                abs=1e-9)
 
     def test_nan_source_names_the_subproblem(self):
         src = SeparableSource(
@@ -396,6 +405,21 @@ class TestForcedProblems:
         assert info.value.mode == 1
         assert info.value.segment == 0
 
+    def test_nan_source_names_the_mode_past_a_skipped_one(self):
+        # mode 1 has zero data and no forcing, so it has no row; the
+        # error must name mode 2, not the row index
+        src = SeparableSource(
+            (0.0, 1.0, 0.0),
+            lambda t: np.full_like(np.asarray(t, dtype=float), math.nan),
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=(0.0, 0.0, 1.0), source=src)
+        with pytest.raises(NumericError) as info:
+            solve(prob, n_cells=16, n_quad=16)
+        assert (info.value.mode, info.value.segment) == (2, 0)
+        assert "mode=2, segment=0" in str(info.value)
+
 
 class TestZeroModes:
     def test_unforced_zero_mode_short_circuits(self):
@@ -404,9 +428,9 @@ class TestZeroModes:
         prob = ProblemSpec(schedule=sched, operator=OP,
                            initial_coefficients=(1.0, 0.0))
         field = solve(prob, n_cells=64, n_quad=16)
-        assert field.modes[1].is_zero
-        assert field.modes[1].value(0.7) == 0.0
-        assert field.modes[1].derivative(0.7) == 0.0
+        assert 1 not in field.live
+        assert field.mode_trajectory(2, 0.7) == 0.0
+        assert field.mode_derivatives(0.7)[1] == 0.0
         assert np.all(field.mode_trajectory(2, TIMES) == 0.0)
 
     def test_unforced_tails_skip_the_power_kernel(self, monkeypatch):
@@ -429,10 +453,9 @@ class TestZeroModes:
 
         memory = solver_module._memory
 
-        def always_convolved(segs, times, kernel_exponent, n_quad):
-            tails = np.array([seg.tail_samples for seg in segs])
-            return memory(segs, times, kernel_exponent, n_quad) + counting(
-                segs[0].nodes, tails, times, kernel_exponent)
+        def always_convolved(seg, times, kernel_exponent, n_quad):
+            return memory(seg, times, kernel_exponent, n_quad) + counting(
+                seg.nodes, seg.tails, times, kernel_exponent)
 
         monkeypatch.setattr(solver_module, "_memory", always_convolved)
         convolved = solve(prob, n_cells=16, n_quad=16).mode_values(TIMES)
@@ -462,7 +485,7 @@ class TestSolutionField:
     def test_evaluate_matches_mode_synthesis(self, single_run):
         x = 0.37
         got = single_run.evaluate(x, 0.6)
-        want = single_run.modes[0].value(0.6) \
+        want = single_run.mode_trajectory(1, 0.6) \
             * math.sqrt(2.0) * math.sin(math.pi * x)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -573,15 +596,24 @@ class TestBatchIndependence:
         slopes = field.mode_derivatives(ts[1:])
         assert values.shape == (spec.num_modes, ts.size)
         assert slopes.shape == (spec.num_modes, ts.size - 1)
-        for n, mode in enumerate(field.modes, start=1):
-            np.testing.assert_array_equal(values[n - 1], mode.value(ts))
+        for n in range(1, spec.num_modes + 1):
+            np.testing.assert_array_equal(values[n - 1],
+                                          field.mode_trajectory(n, ts))
             np.testing.assert_array_equal(
-                values[n - 1], [mode.value(float(t)) for t in ts])
-            np.testing.assert_array_equal(slopes[n - 1],
-                                          mode.derivative(ts[1:]))
+                values[n - 1], [field.mode_trajectory(n, float(t))
+                                for t in ts])
             np.testing.assert_array_equal(
-                slopes[n - 1], [mode.derivative(float(t)) for t in ts[1:]])
-            if not mode.is_zero:
+                slopes[n - 1], [field.mode_derivatives(float(t))[n - 1]
+                                for t in ts[1:]])
+            if n - 1 not in field.live:
+                assert not slopes[n - 1].any()
+            else:
+                # the mode's row evaluated alone
+                row = [field.live.index(n - 1)]
+                np.testing.assert_array_equal(
+                    slopes[n - 1], solver_module._sample(
+                        field, row, ts[1:], "left",
+                        solver_module._derivatives)[0])
                 alone = solve(_only_mode(spec, n), n_cells=cells, n_quad=8)
                 np.testing.assert_array_equal(
                     values[n - 1], alone.mode_values(ts)[n - 1])

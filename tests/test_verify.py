@@ -94,11 +94,9 @@ def trapezoid_w11(field):
         span = (b - a) ** order
         y = span * (np.arange(1, 8001) / 8000.0) ** 2
         t = np.minimum(a + y ** (1.0 / order), b)
-        vals = np.linalg.norm([m.derivative(t) for m in field.modes],
-                              axis=0)
+        vals = np.linalg.norm(field.mode_derivatives(t), axis=0)
         integrand = vals * y ** (1.0 / order - 1.0) / order
-        amps = [0.0 if m.is_zero else m.segments[j].impulse_strength
-                for m in field.modes]
+        amps = field.segments[j].impulse_strengths
         start = np.linalg.norm(amps) / (order * gamma_fn(order))
         total += np.trapezoid(np.concatenate(([start], integrand)),
                               np.concatenate(([0.0], y)))
@@ -266,7 +264,7 @@ class TestResidual:
         lam = spec.operator.eigenvalue(1)
         for t in (0.11, 0.37, 0.93):
             mem = V.vo_caputo_derivative(field, 1, t)
-            assert mem == pytest.approx(-lam * field.modes[0].value(t),
+            assert mem == pytest.approx(-lam * field.mode_trajectory(1, t),
                                         abs=1e-9)
 
     def test_single_mode_residual_tiny(self, relax_run):
