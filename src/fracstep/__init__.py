@@ -15,8 +15,7 @@ from .errors import (AccuracyError, ConfigError, DomainError, FracstepError,
                      NumericError, RegularityError)
 from .operator import GridOperator, ModalBasis, OperatorSpec
 from .schedule import OrderSchedule
-from .solver import (ModalSource, ProblemSpec, SeparableSource,
-                     SolutionField, ZeroSource, solve)
+from .solver import ProblemSpec, SeparableSource, SolutionField, solve
 
 __all__ = [
     "AccuracyError",
@@ -25,7 +24,6 @@ __all__ = [
     "FracstepError",
     "GridOperator",
     "ModalBasis",
-    "ModalSource",
     "NumericError",
     "OperatorSpec",
     "OrderSchedule",
@@ -33,7 +31,6 @@ __all__ = [
     "RegularityError",
     "SeparableSource",
     "SolutionField",
-    "ZeroSource",
     "solve",
     "__version__",
 ]

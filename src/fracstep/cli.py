@@ -89,9 +89,7 @@ def _oracle_grid(cfg: RunConfig, key: str, exponent: int) -> L1Grid:
 def _mode_l1(cfg: RunConfig, grid: L1Grid) -> np.ndarray:
     """L1 values of every mode on ``grid``, one row per mode."""
     spec = cfg.problem
-    loads = np.vstack([
-        np.asarray(spec.source.mode_values(n, grid.times), dtype=float)
-        for n in range(1, spec.num_modes + 1)])
+    loads = spec.source.values(grid.times)
     eigenvalues = ModalBasis(spec.operator, spec.num_modes).eigenvalues
     return solve_mode_l1(eigenvalues, lambda t: loads, spec.schedule,
                          spec.initial_coefficients, grid)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .operator import OperatorSpec
 from .schedule import OrderSchedule
-from .solver import ModalSource, ProblemSpec, SeparableSource
+from .solver import ProblemSpec, SeparableSource
 
 __all__ = ["RunConfig", "load_config", "build_run_config", "schema"]
 
@@ -201,7 +201,8 @@ def _validate_schema(raw: dict) -> None:
         raise ConfigError(message, pointer="/" + "/".join(map(str, path)))
 
 
-def _build_source(block: dict | None, num_modes: int) -> ModalSource | None:
+def _build_source(block: dict | None,
+                  num_modes: int) -> SeparableSource | None:
     if block is None or block["kind"] == "zero":
         return None
     coeffs = block["coefficients"]

@@ -288,10 +288,10 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
         op.x).T  # (N, P)
     initial = np.zeros(spatial_points)
     loads = np.zeros((times.size, spatial_points))
-    for n, (shape, c) in enumerate(zip(shapes, spec.initial_coefficients)):
+    for shape, c, load in zip(shapes, spec.initial_coefficients,
+                              spec.source.values(times)):
         initial += c * shape
-        loads += np.asarray(spec.source.mode_values(n + 1, times),
-                            dtype=float)[:, None] * shape
+        loads += load[:, None] * shape
 
     modal = solve_mode_l1(op.eigenvalues(), lambda t: _dst(loads).T,
                           spec.schedule, _dst(initial), grid)

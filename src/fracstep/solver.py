@@ -31,7 +31,10 @@ The solved field is stored as it is built and read: one :class:`Segment`
 record per schedule segment, holding one row per live mode (a mode
 with zero data and no forcing stays zero and has none) in each of its
 arrays.  Every evaluator takes a record and a selection of rows and
-works on those arrays directly.
+works on those arrays directly.  The load is one
+:class:`SeparableSource`, a time profile times a vector of modal
+coefficients, sampled for every mode in one array call; its ``forced``
+mask marks the modes with a nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ from .schedule import OrderSchedule
 from .special import gamma_fn, ml_values
 
 __all__ = [
-    "ModalSource",
-    "ZeroSource",
     "SeparableSource",
     "ProblemSpec",
     "Segment",
@@ -68,51 +69,15 @@ DEFAULT_QUAD = 32
 _MESH_GRADING = 4.0
 
 
-class ModalSource:
-    """Time profiles of the load's modal coefficients.
-
-    Subclasses provide the coefficient of each eigenmode as a function of
-    time together with its exact time derivative; the derivative feeds
-    the closed-form derivative of the solution and is never replaced by
-    a finite difference.
-    """
-
-    num_modes: int
-
-    def mode_values(self, n: int, times) -> np.ndarray:
-        raise NotImplementedError
-
-    def mode_derivative(self, n: int, times) -> np.ndarray:
-        raise NotImplementedError
-
-    def is_zero_mode(self, n: int) -> bool:
-        """True when mode ``n`` is identically unforced."""
-        return False
-
-
-class ZeroSource(ModalSource):
-    """No forcing at all."""
-
-    def __init__(self, num_modes: int):
-        if num_modes < 1:
-            raise DomainError(f"need at least one mode, got {num_modes}")
-        self.num_modes = int(num_modes)
-
-    def mode_values(self, n, times):
-        return np.zeros_like(np.asarray(times, dtype=float))
-
-    def mode_derivative(self, n, times):
-        return np.zeros_like(np.asarray(times, dtype=float))
-
-    def is_zero_mode(self, n):
-        return True
-
-
-class SeparableSource(ModalSource):
+class SeparableSource:
     """Load of the form ``time_value(t) * sum_n coefficients[n] X_n(x)``.
 
-    ``time_value`` and ``time_derivative`` must accept node arrays; the
-    derivative must be the exact derivative of the value profile.
+    Every load the package takes is one time profile times a vector of
+    modal coefficients; no forcing is a zero vector.  ``time_value`` and
+    ``time_derivative`` map a time array to an array of its shape; the
+    derivative must be the exact derivative of the value profile, since
+    it feeds the closed-form derivative of the solution and is never
+    replaced by a finite difference.
     """
 
     def __init__(self, coefficients, time_value, time_derivative):
@@ -121,21 +86,36 @@ class SeparableSource(ModalSource):
             raise DomainError("coefficients must be a finite 1-d sequence")
         self.coefficients = c
         self.num_modes = c.size
+        #: modes with a nonzero coefficient; the others are unforced
+        self.forced = c != 0.0
         self.time_value = time_value
         self.time_derivative = time_derivative
 
-    def mode_values(self, n, times):
+    def _profile(self, name: str, times) -> np.ndarray:
+        """The profile ``name`` at ``times``, checked to keep their shape."""
         t = np.asarray(times, dtype=float)
-        return self.coefficients[n - 1] * np.asarray(self.time_value(t),
-                                                     dtype=float)
+        p = np.asarray(getattr(self, name)(t), dtype=float)
+        if p.shape != t.shape:
+            raise DomainError(f"{name} returned shape {p.shape} for "
+                              f"times of shape {t.shape}")
+        return p
 
-    def mode_derivative(self, n, times):
-        t = np.asarray(times, dtype=float)
-        return self.coefficients[n - 1] * np.asarray(self.time_derivative(t),
-                                                     dtype=float)
+    def values(self, times) -> np.ndarray:
+        """Modal load coefficients at ``times``: one profile call, one row
+        per mode, then the shape of ``times``."""
+        return np.multiply.outer(self.coefficients,
+                                 self._profile("time_value", times))
 
-    def is_zero_mode(self, n):
-        return self.coefficients[n - 1] == 0.0
+    def derivatives(self, times) -> np.ndarray:
+        """Exact time derivatives of :meth:`values`, shaped alike."""
+        return np.multiply.outer(self.coefficients,
+                                 self._profile("time_derivative", times))
+
+    def mode_values(self, n: int, times) -> np.ndarray:
+        """Row ``n - 1`` of :meth:`values`, bit for bit; kept for the
+        benchmark worker in ``perfbench/worker.py``, which samples the
+        load mode by mode."""
+        return self.coefficients[n - 1] * self._profile("time_value", times)
 
 
 @dataclass(frozen=True)
@@ -144,7 +124,8 @@ class ProblemSpec:
 
     ``initial_coefficients`` are the modal coefficients of the initial
     state; their length fixes the number of modes carried throughout.
-    A ``source`` of ``None`` becomes a :class:`ZeroSource`.
+    A ``source`` of ``None`` becomes a :class:`SeparableSource` with zero
+    coefficients.
     ``regularity_margins`` hold one exponent reserve per segment, each in
     ``(0, 1 - order)``; they parameterize how close to the worst case the
     load derivative is allowed to blow up at the segment start and
@@ -154,7 +135,7 @@ class ProblemSpec:
     schedule: OrderSchedule
     operator: OperatorSpec
     initial_coefficients: tuple[float, ...]
-    source: ModalSource | None = None
+    source: SeparableSource | None = None
     regularity_margins: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -169,9 +150,10 @@ class ProblemSpec:
         if not all(math.isfinite(c) for c in coeffs):
             raise DomainError("initial coefficients must be finite")
         if self.source is None:
-            object.__setattr__(self, "source", ZeroSource(len(coeffs)))
-        if not isinstance(self.source, ModalSource):
-            raise DomainError("source must be a ModalSource")
+            object.__setattr__(self, "source", SeparableSource(
+                np.zeros(len(coeffs)), np.zeros_like, np.zeros_like))
+        if not isinstance(self.source, SeparableSource):
+            raise DomainError("source must be a SeparableSource")
         if self.source.num_modes != len(coeffs):
             raise DomainError(
                 f"source carries {self.source.num_modes} modes, "
@@ -351,7 +333,7 @@ def _segment_load(nodes: np.ndarray, beta: float, past: list[Segment],
     return load, memory_amplitude, smooth_rate
 
 
-def _build_segment(j: int, schedule: OrderSchedule, source: ModalSource,
+def _build_segment(j: int, schedule: OrderSchedule, source: SeparableSource,
                    live: list[int], lam: np.ndarray, entry: np.ndarray,
                    past: list[Segment], n_cells: int,
                    n_quad: int) -> Segment:
@@ -365,12 +347,9 @@ def _build_segment(j: int, schedule: OrderSchedule, source: ModalSource,
     beta = schedule.orders[j]
     a, b = schedule.segment(j)
     nodes = graded_mesh(a, b, n_cells, _MESH_GRADING)
-    values = np.array([source.mode_values(i + 1, nodes) for i in live],
-                      dtype=float)
-    rates = np.array([source.mode_derivative(i + 1, nodes) for i in live],
-                     dtype=float)
-    loads, amplitudes, rates = _segment_load(nodes, beta, past, values,
-                                             rates, n_quad)
+    loads, amplitudes, rates = _segment_load(
+        nodes, beta, past, source.values(nodes)[live],
+        source.derivatives(nodes)[live], n_quad)
 
     # the blow-up's forced response int_0^dt K_b(dt - u) u**(-b) du is
     # Gamma(1 - b) * E_{b,1}(-lam dt**b) in closed form
@@ -379,7 +358,12 @@ def _build_segment(j: int, schedule: OrderSchedule, source: ModalSource,
     if hit.any():
         tails[hit] = amplitudes[hit, None] * gamma_fn(1.0 - beta) \
             * ml_values(beta, 1.0, -lam[hit, None] * (nodes - a) ** beta)
-    tails[:, 1:] += duhamel_convolve(beta, lam, nodes, rates, nodes[1:])
+    # rows with no load rate, such as every row of an unforced first
+    # segment, have no Duhamel part
+    moving = rates.any(axis=1)
+    if moving.any():
+        tails[moving, 1:] += duhamel_convolve(beta, lam[moving], nodes,
+                                              rates[moving], nodes[1:])
 
     seg = Segment(index=j, order=beta, start=a, end=b, nodes=nodes,
                   eigenvalues=lam, entry_values=entry,
@@ -514,8 +498,8 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
     basis = ModalBasis(problem.operator, problem.num_modes)
     source = problem.source
     initial = problem.initial_coefficients
-    live = [i for i in range(problem.num_modes)
-            if initial[i] != 0.0 or not source.is_zero_mode(i + 1)]
+    live = np.flatnonzero((np.array(initial) != 0.0)
+                          | source.forced).tolist()
     lam = basis.eigenvalues[live]
     entry = np.array(initial)[live]
     segments: list[Segment] = []

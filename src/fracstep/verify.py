@@ -130,15 +130,11 @@ def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
 
 
 def _load_derivative_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    rows = [np.asarray(spec.source.mode_derivative(n, times), dtype=float)
-            for n in range(1, spec.num_modes + 1)]
-    return np.sqrt(np.sum(np.square(np.vstack(rows)), axis=0))
+    return np.sqrt(np.sum(np.square(spec.source.derivatives(times)), axis=0))
 
 
 def _load_value_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    rows = [np.asarray(spec.source.mode_values(n, times), dtype=float)
-            for n in range(1, spec.num_modes + 1)]
-    return np.sqrt(np.sum(np.square(np.vstack(rows)), axis=0))
+    return np.sqrt(np.sum(np.square(spec.source.values(times)), axis=0))
 
 
 def data_functional(spec: ProblemSpec, j: int, n_cells: int = 48,
@@ -175,7 +171,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
     width = b - a
     order = schedule.orders[k]
     margin = spec.regularity_margins[k]
-    if all(spec.source.is_zero_mode(n) for n in range(1, spec.num_modes + 1)):
+    if not spec.source.forced.any():
         return 0.0
 
     rate_norm = lambda t: _load_derivative_norms(spec, np.atleast_1d(t))
@@ -360,9 +356,7 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     times = a + offsets
 
     # rows are offsets, so each norm sums its modes in mode order
-    per_mode = np.zeros((offsets.size, spec.num_modes))
-    for n in range(1, spec.num_modes + 1):
-        per_mode[:, n - 1] = spec.source.mode_derivative(n, times)
+    per_mode = np.ascontiguousarray(spec.source.derivatives(times).T)
     live = list(field.live)
     for k in range(j) if live else ():
         per_mode[:, live] = per_mode[:, live] + prefac * _history(
@@ -461,15 +455,12 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
 
     # rows are times, so each row is one contiguous modal vector
     defect = np.zeros((times.size, spec.num_modes))
-    rows = [n - 1 for n in range(1, spec.num_modes + 1)
-            if n - 1 in field.live or not spec.source.is_zero_mode(n)]
+    rows = np.flatnonzero(np.isin(np.arange(spec.num_modes), field.live)
+                          | spec.source.forced).tolist()
     if rows:
-        mem = _vo_caputo_rows(field, rows, times, n_quad)
-        for i, row in zip(rows, mem):
-            load = np.asarray(spec.source.mode_values(i + 1, times),
-                              dtype=float)
-            defect[:, i] = row + field.basis.eigenvalues[i] * values[i] \
-                - load
+        defect[:, rows] = (_vo_caputo_rows(field, rows, times, n_quad)
+                           + field.basis.eigenvalues[rows, None] * values[rows]
+                           - spec.source.values(times)[rows]).T
 
     worst = 0.0
     for t, row in zip(times, defect):

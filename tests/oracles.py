@@ -246,8 +246,7 @@ def fd_march_oracle(spec, grid, spatial_points: int) -> np.ndarray:
     modes = np.arange(1, spec.num_modes + 1)
     shapes = math.sqrt(2.0 / op.length) * np.sin(
         np.outer(h * np.arange(1, p + 1), modes) * math.pi / op.length)
-    loads = shapes @ np.vstack([spec.source.mode_values(k, grid.times)
-                                for k in modes])
+    loads = shapes @ spec.source.values(grid.times)
     u_now = shapes @ np.asarray(spec.initial_coefficients, dtype=float)
     seg = _step_segments(spec.schedule, grid)
     moments, factors = {}, {}

@@ -315,10 +315,10 @@ class TestConfigSources:
                              "coefficients": [1.0, -0.5, 0.25]}}
         src = build_run_config(payload).problem.source
         ts = np.array([0.0, 0.3, 1.0])
-        assert np.allclose(src.mode_values(1, ts),
+        assert np.allclose(src.values(ts)[0],
                            2.0 * (1.0 - 0.5 * ts + 0.25 * ts ** 2),
                            rtol=1e-15)
-        assert np.allclose(src.mode_derivative(1, ts),
+        assert np.allclose(src.derivatives(ts)[0],
                            2.0 * (-0.5 + 0.5 * ts), rtol=1e-15)
 
     def test_power_profile_and_derivative(self):
@@ -330,18 +330,20 @@ class TestConfigSources:
                              "exponent": 0.2}}
         src = build_run_config(payload).problem.source
         ts = np.array([0.25, 1.0])
-        assert np.allclose(src.mode_values(1, ts), 4.5 * ts ** 0.2,
+        assert np.allclose(src.values(ts)[0], 4.5 * ts ** 0.2,
                            rtol=1e-15)
-        assert np.allclose(src.mode_derivative(1, ts),
+        assert np.allclose(src.derivatives(ts)[0],
                            0.9 * ts ** -0.8, rtol=1e-15)
         # unbounded but integrable at the left endpoint: sampled as inf
-        assert np.isposinf(src.mode_derivative(1, np.array([0.0]))[0])
+        assert np.isposinf(src.derivatives(np.array([0.0]))[0, 0])
 
     def test_zero_source_builds_none(self):
         from fracstep.config import build_run_config
-        from fracstep.solver import ZeroSource
+        from fracstep.solver import SeparableSource
         source = build_run_config(reference_config()).problem.source
-        assert isinstance(source, ZeroSource)
+        # the config builds no source; the problem fills in zero forcing
+        assert isinstance(source, SeparableSource)
+        assert not source.forced.any()
 
     def test_coefficient_count_mismatch_pointer(self, tmp_path, capsys):
         payload = reference_config()

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import ml_oracle
 
@@ -20,12 +20,7 @@ from fracstep import solver as solver_module
 from fracstep.errors import DomainError, NumericError
 from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
-from fracstep.solver import (
-    ProblemSpec,
-    SeparableSource,
-    ZeroSource,
-    solve,
-)
+from fracstep.solver import ProblemSpec, SeparableSource, solve
 from fracstep.special import (
     MLParams,
     gamma_fn,
@@ -74,25 +69,40 @@ def mixed_run():
 
 class TestSources:
     def test_zero_source(self):
-        src = ZeroSource(3)
+        sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(BETA,))
+        src = ProblemSpec(schedule=sched, operator=OP,
+                          initial_coefficients=(1.0, 0.5, 0.0),
+                          source=None).source
         ts = np.linspace(0.0, 1.0, 7)
+        # truthy, so a ``spec.source or fallback`` keeps it
+        assert src
         assert src.num_modes == 3
-        assert np.all(src.mode_values(2, ts) == 0.0)
-        assert np.all(src.mode_derivative(2, ts) == 0.0)
-        assert src.is_zero_mode(1) and src.is_zero_mode(3)
+        assert np.all(src.values(ts) == 0.0)
+        assert np.all(src.derivatives(ts) == 0.0)
+        assert not src.forced.any()
         with pytest.raises(DomainError):
-            ZeroSource(0)
+            SeparableSource(np.zeros(0), np.zeros_like, np.zeros_like)
 
     def test_separable_source_routes_coefficients(self):
-        src = SeparableSource(coefficients=(2.0, 0.0),
-                              time_value=lambda t: np.asarray(t) ** 2,
-                              time_derivative=lambda t: 2.0 * np.asarray(t))
-        ts = np.array([0.5, 1.0])
-        np.testing.assert_allclose(src.mode_values(1, ts), 2.0 * ts ** 2)
-        np.testing.assert_allclose(src.mode_derivative(1, ts), 4.0 * ts)
-        assert np.all(src.mode_values(2, ts) == 0.0)
-        assert not src.is_zero_mode(1)
-        assert src.is_zero_mode(2)
+        coefficients = (2.0, 0.0, -0.3)
+        value = lambda t: np.asarray(t) ** 2 + np.sin(np.asarray(t))
+        rate = lambda t: 2.0 * np.asarray(t) + np.cos(np.asarray(t))
+        src = SeparableSource(coefficients, value, rate)
+        assert src.forced.tolist() == [True, False, True]
+        for ts in (0.5, np.array([0.5, 1.0]),
+                   np.array([[0.0, 0.25, 0.3], [0.5, 0.7, 1.0]])):
+            t = np.asarray(ts, dtype=float)
+            values, rates = src.values(ts), src.derivatives(ts)
+            assert values.shape == rates.shape == (3,) + t.shape
+            np.testing.assert_allclose(values[0], 2.0 * value(t))
+            np.testing.assert_allclose(rates[0], 2.0 * rate(t))
+            assert np.all(values[1] == 0.0)
+            for n, c in enumerate(coefficients, start=1):
+                # each row is the one-mode product, bit for bit
+                np.testing.assert_array_equal(values[n - 1], c * value(t))
+                np.testing.assert_array_equal(rates[n - 1], c * rate(t))
+                np.testing.assert_array_equal(src.mode_values(n, ts),
+                                              values[n - 1])
 
     def test_separable_source_validation(self):
         good = lambda t: np.asarray(t)
@@ -102,6 +112,24 @@ class TestSources:
             SeparableSource(((1.0, 2.0),), good, good)
         with pytest.raises(DomainError):
             SeparableSource((math.nan,), good, good)
+        # a profile must return an array of its times' shape; a scalar
+        # constant load used to crash solve with a bare IndexError
+        ts = np.array([0.5, 1.0])
+        with pytest.raises(DomainError, match="time_value returned shape"):
+            SeparableSource((1.0,), lambda t: 1.0, good).values(ts)
+        too_long = SeparableSource((1.0,), good, lambda t: np.zeros(3))
+        with pytest.raises(DomainError, match="time_derivative"):
+            too_long.derivatives(ts)
+        for breakpoints, orders in (((0.0, 1.0), (BETA,)),
+                                    ((0.0, 0.5, 1.0), (0.3, 0.8))):
+            for initial in ((1.0,), (1.0, 0.5)):
+                prob = ProblemSpec(
+                    schedule=OrderSchedule(breakpoints, orders), operator=OP,
+                    initial_coefficients=initial,
+                    source=SeparableSource(np.ones(len(initial)),
+                                           lambda t: 1.0, lambda t: 0.0))
+                with pytest.raises(DomainError, match="time_value"):
+                    solve(prob, n_cells=8, n_quad=8)
 
 
 class TestProblemSpec:
@@ -138,7 +166,8 @@ class TestProblemSpec:
         with pytest.raises(DomainError):
             ProblemSpec(schedule=self.SCHED, operator=OP,
                         initial_coefficients=(1.0, 0.0),
-                        source=ZeroSource(3))
+                        source=SeparableSource(np.zeros(3), np.zeros_like,
+                                               np.zeros_like))
 
     def test_num_modes(self):
         prob = ProblemSpec(schedule=self.SCHED, operator=OP,
@@ -567,17 +596,27 @@ def batched_problems(draw):
     return spec, draw(st.integers(8, 32))
 
 
+def _map_data(spec, f):
+    """``spec`` with ``f`` applied to its initial and source coefficients."""
+    src = spec.source
+    return ProblemSpec(schedule=spec.schedule, operator=spec.operator,
+                       initial_coefficients=f(
+                           np.asarray(spec.initial_coefficients)),
+                       source=SeparableSource(f(src.coefficients),
+                                              src.time_value,
+                                              src.time_derivative))
+
+
 def _only_mode(spec, n):
     """``spec`` with every mode but ``n`` zeroed, so it is solved alone."""
     keep = np.arange(1, spec.num_modes + 1) == n
-    source = spec.source
-    if isinstance(source, SeparableSource):
-        source = SeparableSource(np.where(keep, source.coefficients, 0.0),
-                                 source.time_value, source.time_derivative)
-    return ProblemSpec(schedule=spec.schedule, operator=spec.operator,
-                       initial_coefficients=np.where(
-                           keep, spec.initial_coefficients, 0.0),
-                       source=source)
+    return _map_data(spec, lambda c: np.where(keep, c, 0.0))
+
+
+def _probe_times(spec):
+    ts = np.unique(np.concatenate([spec.schedule.breakpoints,
+                                   np.linspace(0.0, 1.0, 11) + 0.01]))
+    return ts[ts <= 1.0]
 
 
 class TestBatchIndependence:
@@ -589,9 +628,7 @@ class TestBatchIndependence:
     def test_rows_equal_one_mode_at_a_time(self, problem):
         spec, cells = problem
         field = solve(spec, n_cells=cells, n_quad=8)
-        ts = np.unique(np.concatenate([spec.schedule.breakpoints,
-                                       np.linspace(0.0, 1.0, 11) + 0.01]))
-        ts = ts[ts <= 1.0]
+        ts = _probe_times(spec)
         values = field.mode_values(ts)
         slopes = field.mode_derivatives(ts[1:])
         assert values.shape == (spec.num_modes, ts.size)
@@ -620,3 +657,27 @@ class TestBatchIndependence:
                 np.testing.assert_array_equal(
                     slopes[n - 1], alone.mode_derivatives(ts[1:])[n - 1])
         assert np.all(field.junction_gaps() == 0.0)
+
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              database=None)
+    @given(batched_problems())
+    def test_scaled_data_scale_the_field_exactly(self, problem):
+        """The solution is linear in the data; scaling by a power of two
+        commutes with every rounding, so it holds bit for bit.  Not
+        where a product underflows to a subnormal, whose spacing does
+        not scale, so the data keep far from that range."""
+        spec, cells = problem
+        data = np.concatenate([spec.initial_coefficients,
+                               spec.source.coefficients])
+        assume(np.all((data == 0.0) | (np.abs(data) >= 1e-100)))
+        ts = _probe_times(spec)
+        field = solve(spec, n_cells=cells, n_quad=8)
+        values = field.mode_values(ts)
+        slopes = field.mode_derivatives(ts[1:])
+        for factor in (2.0, 0.25):
+            scaled = solve(_map_data(spec, lambda c: factor * c),
+                           n_cells=cells, n_quad=8)
+            np.testing.assert_array_equal(scaled.mode_values(ts),
+                                          factor * values)
+            np.testing.assert_array_equal(scaled.mode_derivatives(ts[1:]),
+                                          factor * slopes)
