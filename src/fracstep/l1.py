@@ -13,7 +13,10 @@ operator the segment recursion solves.  While the order is constant the
 implicit steps of one scalar equation form a lower-triangular Toeplitz
 system, so ``solve_mode_l1`` solves each run of equal order with a few
 FFT convolutions (Hairer, Lubich and Schlichte 1985), for a whole column
-of eigenvalues at once.  It is the module's one L1 engine.  The
+of eigenvalues at once.  The series reciprocal of each distinct order's
+Toeplitz column is computed once per call, by Newton's iteration (Kung
+1974), and the orders of a schedule share one stacked chain as long as
+its transforms stay small.  It is the module's one L1 engine.  The
 finite-difference field solve ``solve_full_l1_fd`` reduces to it
 exactly: the discrete sine vectors diagonalize the three-point stencil,
 so the sine-transformed field obeys one scalar L1 equation per discrete
@@ -43,6 +46,12 @@ __all__ = [
 #: Largest admissible defect when checking that the step divides every
 #: segment length.
 ALIGNMENT_TOLERANCE = 1e-12
+
+#: Most elements one stacked reciprocal chain holds: the orders times
+#: the rows times the longest run.  On a 2-core Xeon one chain for three
+#: orders of 1,536 steps was 2.5x faster than three chains, but stacking
+#: two orders of 8,192 steps made that one-row call 10% slower.
+STACK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -100,29 +109,26 @@ def _segment_of_step(grid: L1Grid, schedule: OrderSchedule) -> np.ndarray:
     return np.minimum(out, schedule.num_segments - 1)
 
 
-class _IncrementLadder:
-    """Per-order cache of the power differences behind the L1 weights."""
+def _moments(orders, n: int, tau: float) -> np.ndarray:
+    """Kernel moments ``b_0 .. b_{n-1}`` of the L1 sum, one row per order.
 
-    def __init__(self, num_steps: int):
-        self.num_steps = num_steps
-        self._diffs: dict[float, np.ndarray] = {}
-        self._scales: dict[float, float] = {}
-
-    def moments(self, order: float, n: int, tau: float) -> np.ndarray:
-        """Kernel moments ``b_0 .. b_{n-1}`` of the L1 sum, by depth.
-
-        ``b_j`` multiplies the increment ``j`` steps back from the
-        current one; the moments are the exact kernel integrals of the
-        piecewise-linear reconstruction, positive and decreasing.
-        """
-        if order not in self._diffs:
-            # (j + 1)**a - j**a without cancelling: j**a expm1(a log1p(1/j))
-            a = 1.0 - order
-            j = np.arange(1, self.num_steps, dtype=float)
-            self._diffs[order] = np.concatenate(
-                [[1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))])
-            self._scales[order] = tau ** (-order) / gamma_fn(2.0 - order)
-        return self._diffs[order][:n] * self._scales[order]
+    ``b_j`` multiplies the increment ``j`` steps back from the current
+    one; the moments are the exact kernel integrals of the
+    piecewise-linear reconstruction, positive and decreasing.
+    """
+    # (j + 1)**a - j**a without cancelling: j**a expm1(a log1p(1/j)),
+    # formed in each order's row
+    j = np.arange(1, n, dtype=float)
+    log_step = np.log1p(1.0 / j)
+    out = np.empty((len(orders), n))
+    out[:, 0] = 1.0
+    for row, b in zip(out, orders):
+        a = 1.0 - b
+        diffs = np.multiply(log_step, a, out=row[1:])
+        np.expm1(diffs, out=diffs)
+        diffs *= j ** a
+        row *= tau ** -b / gamma_fn(2.0 - b)
+    return out
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int,
@@ -131,44 +137,93 @@ def _series_product(a: np.ndarray, b: np.ndarray, n: int,
 
     One real FFT convolution along the last axis, zero-padded to a power
     of two just long enough that the wrapped-around tail of the product
-    lands below ``skip``, where no coefficient is returned.  Leading axes
-    broadcast, so rows of series multiply row by row.
+    lands below ``skip``, where no coefficient is returned.  Rows of
+    series multiply row by row.  The product is formed in place in the
+    spectrum of ``a``, which holds one spectrum fewer, so the leading
+    axes of ``b`` must broadcast into those of ``a``; numpy raises a
+    ``ValueError`` for any other shape.
     """
     a, b = a[..., :n], b[..., :n]
-    size = 1 << (max(a.shape[-1] + b.shape[-1] - 1 - skip, n)
-                 - 1).bit_length()
-    prod = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
-    return prod[..., skip:n]
+    size = _fft_size(a.shape[-1] + b.shape[-1] - 1 - skip, n)
+    prod = np.fft.rfft(a, size)
+    prod *= np.fft.rfft(b, size)
+    return np.fft.irfft(prod, size)[..., skip:n]
+
+
+def _times_hat(a: np.ndarray, b_hat: np.ndarray, size: int) -> np.ndarray:
+    """Cyclic convolution of ``a`` with the series whose real FFT of
+    ``size`` is ``b_hat``; the spectra are multiplied in place, so a
+    large call holds one spectrum fewer."""
+    prod = np.fft.rfft(a, size)
+    prod *= b_hat
+    return np.fft.irfft(prod, size)
+
+
+def _fft_size(*lengths: int) -> int:
+    """Smallest power of two that holds every length."""
+    return 1 << (max(lengths) - 1).bit_length()
 
 
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     """Coefficients of ``1 / a(z)`` to the length of ``a``, ``a[0] != 0``.
 
     Newton's iteration ``g <- g - g (a g - 1)`` doubles the number of
-    correct coefficients per pass (Kung 1974); each pass costs two
-    series products.  Each row of ``a`` is one series.
+    correct coefficients per pass (Kung 1974) and leaves the earlier
+    ones as they are.  A pass from ``n`` to ``k`` coefficients takes the
+    defect ``a g`` at ``n .. k-1`` and its product with ``g``, both at one
+    transform size of at least ``k``: the first product's wrapped tail
+    lands below ``n``, the second has no tail, so the transform of ``g``
+    serves both (five transforms per pass).  When the length of ``a`` is
+    a power of two every pass doubles, so the first ``m`` coefficients
+    are those of a call on ``a[..., :m]`` bit for bit, for every power of
+    two ``m``.  Each row of ``a``, along any number of leading axes, is
+    one series and equals a one-row call bit for bit.
     """
-    g = 1.0 / a[..., :1]
-    while g.shape[-1] < a.shape[-1]:
-        n = g.shape[-1]
+    g = np.empty(a.shape)
+    np.divide(1.0, a[..., :1], out=g[..., :1])
+    n = 1
+    while n < a.shape[-1]:
         k = min(2 * n, a.shape[-1])
-        defect = _series_product(a, g, k, skip=n)
-        g = np.concatenate([g, -_series_product(g, defect, k - n)], axis=-1)
+        size = _fft_size(k)
+        g_hat = np.fft.rfft(g[..., :n], size)
+        defect = _times_hat(a[..., :k], g_hat, size)[..., n:k]
+        step = _times_hat(defect, g_hat, size)
+        np.negative(step[..., :k - n], out=g[..., n:k])
+        n = k
     return g
 
 
-def _toeplitz_solve(col: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _toeplitz_solve(col: np.ndarray, recip: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
     """Solve ``sum_{j<=k} col_j x_{k-j} = rhs_k`` for ``k < rhs.shape[-1]``.
 
-    The product with the series ``1 / col(z)`` solves the lower-triangular
+    ``recip`` holds at least as many coefficients of ``1 / col(z)`` as
+    ``rhs`` has entries.  The product with it solves the lower-triangular
     Toeplitz system; one refinement step with the residual removes most
     of the FFT rounding, whose size follows the norms of the factors
-    rather than the entries.  Each row is one system.
+    rather than the entries.  Both products with the reciprocal share its
+    transform (eight transforms per solve).  Each row is one system.
     """
     n = rhs.shape[-1]
-    g = _series_reciprocal(col[..., :n])
-    x = _series_product(g, rhs, n)
-    return x + _series_product(g, rhs - _series_product(col, x, n), n)
+    size = _fft_size(2 * n - 1)
+    g_hat = np.fft.rfft(recip[..., :n], size)
+    x = _times_hat(rhs, g_hat, size)[..., :n]
+    residual = rhs - _series_product(col, x, n)
+    return x + _times_hat(residual, g_hat, size)[..., :n]
+
+
+def _stack_blocks(lengths: list[int], rows: int) -> list[list[int]]:
+    """Orders grouped for stacked reciprocal chains.
+
+    ``lengths[o]`` is the number of reciprocal coefficients order ``o``
+    needs.  All orders share one chain while orders times rows times the
+    longest length stay within ``STACK_ELEMENTS``; past that, one large
+    transform costs more than several smaller ones, and each order has a
+    chain of its own.
+    """
+    if len(lengths) * rows * max(lengths) <= STACK_ELEMENTS:
+        return [list(range(len(lengths)))]
+    return [[o] for o in range(len(lengths))]
 
 
 def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
@@ -181,11 +236,17 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     ``w_k = u_{k+1} - u_k`` it reads
     ``sum_k (b_{m-1-k} + lam) w_k = f(t_m) - lam u0``, so a run of steps
     with one order is a lower-triangular Toeplitz system whose column
-    ``b_j + lam`` is positive and decreasing.  Each maximal run of equal
-    order is solved at once: the earlier steps' history is subtracted in
-    one FFT convolution, and the run's system is solved with the series
-    reciprocal of its column.  The values are ``u0`` plus the running sum
-    of the increments, so a zero right-hand side gives exactly ``u0``.
+    ``b_j + lam`` is positive and decreasing.  The moments of every
+    distinct order are built once, and the series reciprocals of all the
+    orders' columns come from one stacked Newton chain, or from one chain
+    per order where the stack would be large (``_stack_blocks``); each
+    chain runs to a power of two, so an order's coefficients do not
+    depend on whether it is stacked.  Each maximal run of equal order is
+    then solved at once: the earlier steps' history is subtracted in one
+    FFT convolution, and the run's system is solved with its order's
+    reciprocal cut to the run's length.  The values are ``u0`` plus the
+    running sum of the increments, so a zero right-hand side gives
+    exactly ``u0``.
 
     ``lam`` is one eigenvalue or a 1-d column of them; ``u0_n`` has its
     shape, and ``f_n(times)`` returns ``lam.shape + times.shape`` loads.
@@ -216,22 +277,46 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
                           "loads per eigenvalue")
     seg = _segment_of_step(grid, schedule)
     step_orders = np.asarray(schedule.orders)[seg[1:]]
-    ladder = _IncrementLadder(grid.num_steps)
 
     # maximal runs of equal order, as step ranges with stop exclusive
     cuts = np.flatnonzero(step_orders[1:] != step_orders[:-1]) + 1
     edges = [0, *cuts.tolist(), grid.num_steps]
+    runs = list(zip(edges[:-1], edges[1:]))
+    first_orders = step_orders[edges[:-1]].tolist()
+    orders = sorted(set(first_orders))
+    run_order = [orders.index(b) for b in first_orders]
+    lengths = [max(stop - start for (start, stop), o in zip(runs, run_order)
+                   if o == row) for row in range(len(orders))]
+    blocks = _stack_blocks(lengths, max(lam.size, 1))
+    chain = {o: (block, _fft_size(max(lengths[m] for m in block)))
+             for block in blocks for o in block}
+    longest = max(size for _, size in chain.values())
+    moments = _moments(orders, max(grid.num_steps, longest), grid.step)
 
-    # w[..., k] = u_{k+1} - u_k, filled run by run
+    # w[..., k] = u_{k+1} - u_k, filled run by run.  A block's reciprocal
+    # columns come from one chain at the first run that needs one, and
+    # each is dropped after its order's last run, so a large call holds
+    # few of them at a time.
     lam_col, u0_col = lam[..., None], u0[..., None]
     rhs = loads[..., 1:] - lam_col * u0_col
+    del loads   # a large call keeps one copy of the loads
     w = np.zeros(lam.shape + (grid.num_steps,))
-    for start, stop in zip(edges[:-1], edges[1:]):
-        c = ladder.moments(step_orders[start], stop, grid.step) + lam_col
+    recips = {}
+    last_run = {o: k for k, o in enumerate(run_order)}
+    for k, ((start, stop), o) in enumerate(zip(runs, run_order)):
+        if o not in recips:
+            block, size = chain[o]
+            cols = moments[block, :size].reshape(
+                (len(block),) + (1,) * lam.ndim + (size,))
+            recips.update(zip(block, _series_reciprocal(cols + lam_col)))
         run = rhs[..., start:stop]
         if start > 0:
-            run = run - _series_product(c, w[..., :start], stop, skip=start)
-        w[..., start:stop] = _toeplitz_solve(c, run)
+            run = run - _series_product(moments[o, :stop] + lam_col,
+                                        w[..., :start], stop, skip=start)
+        w[..., start:stop] = _toeplitz_solve(
+            moments[o, :stop - start] + lam_col, recips[o], run)
+        if last_run[o] == k:
+            del recips[o]
     u = np.concatenate([u0_col, u0_col + np.cumsum(w, axis=-1)], axis=-1)
     if not np.all(np.isfinite(u)):
         raise NumericError("non-finite L1 trajectory")

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracstep.errors import DomainError
-from fracstep.l1 import (L1Grid, _IncrementLadder, solve_full_l1_fd,
-                         solve_mode_l1)
+from fracstep.l1 import (STACK_ELEMENTS, L1Grid, _moments, _series_reciprocal,
+                         _stack_blocks, solve_full_l1_fd, solve_mode_l1)
 from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
@@ -41,7 +41,7 @@ def weights(order, m, tau):
 
     Entry ``k`` multiplies ``u_{k+1} - u_k``, so the last entry is ``b_0``.
     """
-    return _IncrementLadder(m).moments(order, m, tau)[::-1]
+    return _moments([order], m, tau)[0, ::-1]
 
 
 class TestL1Grid:
@@ -96,7 +96,7 @@ class TestWeights:
         # far back the two powers agree in most digits; the moments must
         # not inherit that cancellation
         depths = [1, 37, 1000, 16383]
-        b = _IncrementLadder(16384).moments(order, 16384, 2.0 ** -14)
+        b = _moments([order], 16384, 2.0 ** -14)[0]
         a = mp.mpf(1.0 - order)  # the exponent as the ladder rounds it
         with mp.workdps(40):
             scale = (mp.mpf(2) ** 14) ** mp.mpf(order) / mp.gamma(1 + a)
@@ -254,6 +254,103 @@ class TestAgreesWithMarch:
         assert err <= 5e-14 * max(1.0, abs(u0))
 
 
+class TestRepeatedAndSplitOrders:
+    """Stacked reciprocal chains against the long-double march."""
+
+    @staticmethod
+    def assert_matches_march(sched, lam, u0):
+        grid = L1Grid.for_schedule(sched, 2.0 ** -10)
+
+        def load(t):
+            return 1.5 * (1.0 + np.sin(3.0 * t))
+
+        u = solve_mode_l1(lam, load, sched, u0, grid)
+        ref = l1_march_oracle(lam, load, sched, u0, grid, np.longdouble)
+        assert float(np.max(np.abs(u - ref))) <= 5e-14 * max(1.0, abs(u0))
+
+    @pytest.mark.parametrize("lam", [0.0, float(np.pi ** 2), 1e4])
+    def test_repeated_order(self, lam):
+        # 0.3 comes back: one reciprocal serves both of its runs
+        sched = OrderSchedule(breakpoints=(0.0, 0.25, 0.625, 1.0),
+                              orders=(0.3, 0.7, 0.3))
+        self.assert_matches_march(sched, lam, 1.0)
+
+    @pytest.mark.parametrize("budget", [STACK_ELEMENTS, 0])
+    @pytest.mark.parametrize("lam", [0.0, float(np.pi ** 2), 1e4])
+    def test_long_run_then_short_distinct_orders(self, lam, budget,
+                                                 monkeypatch):
+        # 768 steps of one order, then four 64-step runs: stacked, the
+        # short orders share the long order's 1,024-coefficient chain, cut
+        # to 64; with no budget every order has a chain of its own
+        monkeypatch.setattr("fracstep.l1.STACK_ELEMENTS", budget)
+        sched = OrderSchedule(
+            breakpoints=(0.0, 0.75, 0.8125, 0.875, 0.9375, 1.0),
+            orders=(0.5, 0.2, 0.4, 0.6, 0.9))
+        self.assert_matches_march(sched, lam, -0.75)
+
+
+class TestStackedReciprocal:
+    @staticmethod
+    def columns(length):
+        moments = _moments([0.2, 0.5, 0.9], length, 2.0 ** -10)
+        lams = np.array([0.0, float(np.pi ** 2)])
+        return moments[:, None, :] + lams[:, None]   # (orders, rows, len)
+
+    def test_rows_equal_one_row_calls_bit_for_bit(self):
+        cols = self.columns(200)
+        stacked = _series_reciprocal(cols)
+        assert stacked.shape == cols.shape
+        for o in range(cols.shape[0]):
+            for r in range(cols.shape[1]):
+                assert np.array_equal(stacked[o, r],
+                                      _series_reciprocal(cols[o, r]))
+
+    def test_power_of_two_prefix_is_the_shorter_chain(self):
+        # a chain run to a longer power of two keeps the shorter chain's
+        # coefficients, so a block's length never shows in a row
+        cols = self.columns(512)
+        long = _series_reciprocal(cols)
+        for m in (1, 2, 64, 256):
+            assert np.array_equal(long[..., :m],
+                                  _series_reciprocal(cols[..., :m]))
+
+    def test_inverts_the_series(self):
+        cols = self.columns(300)
+        recip = _series_reciprocal(cols)
+        prod = np.array([[np.convolve(c, g)[:300] for c, g in zip(cr, gr)]
+                         for cr, gr in zip(cols, recip)])
+        expected = np.zeros(300)
+        expected[0] = 1.0
+        np.testing.assert_allclose(prod, np.broadcast_to(expected,
+                                                         prod.shape),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_block_rule(self):
+        # forced_modes at 2^-12: three orders fit one block for one row
+        assert _stack_blocks([1024, 1536, 1536], 1) == [[0, 1, 2]]
+        # 128 rows: each order alone
+        assert _stack_blocks([1024, 1536, 1536], 128) == [[0], [1], [2]]
+        # two 8192-step runs: too large to stack
+        assert _stack_blocks([8192, 8192], 1) == [[0], [1]]
+        assert 3 * 1536 <= STACK_ELEMENTS < 2 * 8192
+
+    def test_blocking_does_not_change_the_solve(self, monkeypatch):
+        sched = OrderSchedule(
+            breakpoints=(0.0, 0.125, 0.3125, 0.5, 0.75, 1.0),
+            orders=(0.3, 0.8, 0.5, 0.8, 0.65))
+        grid = L1Grid.for_schedule(sched, 2.0 ** -9)
+        lams = np.array([0.0, float(np.pi ** 2), 1e4])
+        loads = np.vstack([np.cos(k * grid.times) for k in range(3)])
+
+        def solve():
+            return solve_mode_l1(lams, lambda t: loads, sched,
+                                 np.array([1.0, -0.5, 2.0]), grid)
+
+        stacked = solve()
+        monkeypatch.setattr("fracstep.l1.STACK_ELEMENTS", 0)
+        assert np.array_equal(solve(), stacked)
+
+
 class TestRows:
     """A column of eigenvalues solves one row per mode in one call."""
 
@@ -281,6 +378,20 @@ class TestRows:
             one = solve_mode_l1(lams[k], lambda t: loads[k], self.SCHEDULE,
                                 u0[k], grid)
             assert one.shape == (grid.num_steps + 1,)
+            assert np.array_equal(batch[k], one)
+
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_forced_schedule_rows_equal_one_row_calls(self, rows):
+        # three distinct orders, stacked in one reciprocal chain
+        sched = forced_three_segments().schedule
+        grid = L1Grid.for_schedule(sched, 2.0 ** -10)
+        lams = np.array(self.LAMS[:rows])
+        u0 = np.array(self.U0[:rows])
+        loads = self.loads(grid.times, rows)
+        batch = solve_mode_l1(lams, lambda t: loads, sched, u0, grid)
+        for k in range(rows):
+            one = solve_mode_l1(lams[k], lambda t: loads[k], sched, u0[k],
+                                grid)
             assert np.array_equal(batch[k], one)
 
     def test_zero_row_stays_exactly_zero(self):
