@@ -11,14 +11,13 @@ the construction.
 
 __version__ = "0.1.0"
 
-from .errors import (AccuracyError, ConfigError, DomainError, FracstepError,
-                     NumericError, RegularityError)
+from .errors import (ConfigError, DomainError, FracstepError, NumericError,
+                     RegularityError)
 from .operator import GridOperator, ModalBasis, OperatorSpec
 from .schedule import OrderSchedule
 from .solver import ProblemSpec, SeparableSource, SolutionField, solve
 
 __all__ = [
-    "AccuracyError",
     "ConfigError",
     "DomainError",
     "FracstepError",

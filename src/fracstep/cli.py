@@ -74,8 +74,8 @@ def _meta(cfg: RunConfig, timings: dict) -> dict:
 def _solve_field(cfg: RunConfig):
     t0 = time.perf_counter()
     field = solve(cfg.problem,
-                  n_cells=int(cfg.run_value("cells", DEFAULT_CELLS)),
-                  n_quad=int(cfg.run_value("quad", DEFAULT_QUAD)))
+                  n_cells=cfg.run_value("cells", DEFAULT_CELLS),
+                  n_quad=cfg.run_value("quad", DEFAULT_QUAD))
     return field, time.perf_counter() - t0
 
 
@@ -99,9 +99,9 @@ def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
     spec = cfg.problem
     field, t_solve = _solve_field(cfg)
     xs = np.linspace(0.0, spec.operator.length,
-                     int(cfg.run_value("space_points", 33)))
+                     cfg.run_value("space_points", 33))
     ts = np.linspace(0.0, spec.schedule.horizon,
-                     int(cfg.run_value("time_points", 33)))
+                     cfg.run_value("time_points", 33))
     values = field.mode_values(ts)
     grid = np.column_stack([field.basis.synthesize(c, xs) for c in values.T])
     mode_rows = ((t, float(n + 1), values[n, k])
@@ -115,7 +115,7 @@ def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
 
 def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
     spec = cfg.problem
-    exponent = int(cfg.run_value("oracle_step_exponent", 10))
+    exponent = cfg.run_value("oracle_step_exponent", 10)
     grid = _oracle_grid(cfg, "oracle_step_exponent", exponent)
     t0 = time.perf_counter()
     u = _mode_l1(cfg, grid)
@@ -123,7 +123,7 @@ def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
     rows = ((t, float(n + 1), u[n, m]) for m, t in enumerate(grid.times)
             for n in range(spec.num_modes))
 
-    points = int(cfg.run_value("oracle_spatial_points", 0))
+    points = cfg.run_value("oracle_spatial_points", 0)
     fd = None
     if points > 0:
         t0 = time.perf_counter()
@@ -142,8 +142,8 @@ def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
 
 
 def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
-    exponents = sorted(int(e) for e in cfg.run_value(
-        "compare_step_exponents", list(COMPARE_EXPONENTS)))
+    exponents = sorted(cfg.run_value("compare_step_exponents",
+                                     COMPARE_EXPONENTS))
     grids = {e: _oracle_grid(cfg, "compare_step_exponents", e)
              for e in exponents}
     coarse = grids[exponents[0]]
@@ -169,7 +169,7 @@ def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
 def cmd_verify(cfg: RunConfig, out: str, args) -> dict:
     spec = cfg.problem
     field, t_solve = _solve_field(cfg)
-    n_quad = int(cfg.run_value("verify_quad", 24))
+    n_quad = cfg.run_value("verify_quad", 24)
     t0 = time.perf_counter()
     report = verify_mod.build_report(field, n_quad=n_quad)
     deviations = verify_mod.initial_limit_check(field)
@@ -204,7 +204,7 @@ def cmd_ml_eval(cfg: RunConfig, out: str, args) -> dict:
     beta = float(cfg.run_value("ml_beta", 1.0))
     z_min = float(cfg.run_value("ml_z_min", -100.0))
     z_max = float(cfg.run_value("ml_z_max", 0.0))
-    count = int(cfg.run_value("ml_count", 1000))
+    count = cfg.run_value("ml_count", 1000)
     if z_min > z_max:
         raise ConfigError("ml_z_min exceeds ml_z_max",
                           pointer="/run/ml_z_min")

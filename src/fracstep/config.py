@@ -46,8 +46,10 @@ def schema() -> dict:
 class RunConfig:
     """Validated configuration: the problem plus run parameters.
 
-    ``raw`` keeps the parsed JSON so artifacts can echo the exact input
-    back out for reproduction.
+    ``run`` holds the run values with every number the schema types as
+    integer made an ``int``, as numpy needs: the schema takes ``33.0``
+    for an integer.  ``raw`` keeps the parsed JSON so artifacts can echo
+    the exact input back out for reproduction.
     """
 
     problem: ProblemSpec
@@ -282,4 +284,15 @@ def build_run_config(raw: dict) -> RunConfig:
             regularity_margins=None if margins is None else tuple(margins))
     except DomainError as exc:
         raise ConfigError(str(exc), pointer="/problem") from exc
-    return RunConfig(problem=problem, run=dict(raw.get("run", {})), raw=raw)
+    run_schema = schema()["properties"]["run"]["properties"]
+    run = {key: _as_ints(value, run_schema[key])
+           for key, value in raw.get("run", {}).items()}
+    return RunConfig(problem=problem, run=run, raw=raw)
+
+
+def _as_ints(value, sub: dict):
+    """``value`` with every number ``sub`` types as integer an ``int``."""
+    if isinstance(value, list):
+        return [_as_ints(item, sub["items"]) for item in value]
+    types = [sub.get("type")] + [b.get("type") for b in sub.get("oneOf", ())]
+    return int(value) if "integer" in types else value

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Every failure mode falls into one of four buckets: bad inputs (domain),
-a numerical routine that cannot reach its accuracy target, declared
+a non-finite or failed computation inside the solver (numeric), declared
 regularity of the source data contradicted by its samples, and malformed
 run configuration.  Callers that need to distinguish them can catch the
 specific type; ``FracstepError`` catches them all.
@@ -18,9 +18,11 @@ class DomainError(FracstepError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class _LocatedError(FracstepError):
-    """Carries the mode index and segment index where a failure occurred
-    so batch drivers can report the offending subproblem.
+class NumericError(FracstepError, ArithmeticError):
+    """Overflow, non-finite intermediate, or failed solve inside the solver.
+
+    Carries the mode and segment indices of the failure, where known, so
+    batch drivers can report the offending subproblem.
     """
 
     def __init__(self, message: str, *, mode: int | None = None,
@@ -30,21 +32,6 @@ class _LocatedError(FracstepError):
         super().__init__(message)
         self.mode = mode
         self.segment = segment
-
-
-class AccuracyError(_LocatedError, ArithmeticError):
-    """A numerical routine could not reach its accuracy target.
-
-    Raised instead of silently returning a degraded value, with the mode
-    and segment where that is known.
-    """
-
-
-class NumericError(_LocatedError, ArithmeticError):
-    """Overflow, non-finite intermediate, or failed solve inside the solver.
-
-    Carries the mode and segment indices like :class:`AccuracyError`.
-    """
 
 
 class RegularityError(FracstepError, ValueError):

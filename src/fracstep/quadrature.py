@@ -5,7 +5,7 @@ gets a dedicated rule here:
 
 * ``int_a^b (s-a)**p * (t-s)**(-kappa) * g(s) ds`` with ``t >= b``: the
   memory integral of a past segment's impulse part, for an array of
-  times at once.
+  times at once, each with the same ``b`` or with its own.
   When ``t`` is well clear of ``b`` the kernel factor is smooth and
   composite Gauss in a scaled variable suffices; when ``t`` approaches
   ``b`` the interval is split and the nearly singular right part is
@@ -187,13 +187,13 @@ def _cell_nodes(edges: np.ndarray, x: np.ndarray):
     return mid[..., None] + half[..., None] * x, half
 
 
-def scaled_power_history(profile, a: float, b: float, times,
+def scaled_power_history(profile, a: float, b, times,
                          kernel_exponent: float, power: float,
                          n: int = 24, n_cells: int = 8):
     """Memory integral of a fractional impulse response shape.
 
     Computes ``int_a^b (t-s)**(-kappa) * (s-a)**(power-1)
-    * profile((s-a)**power) ds`` for every ``t >= b`` in ``times``, with
+    * profile((s-a)**power) ds`` for every ``t`` in ``times``, with
     analytic ``profile`` (typically a Mittag-Leffler factor).  The
     profile's argument scales like ``(s-a)**power``, so after peeling the
     algebraic weight the remaining factor still has a branch point at
@@ -213,31 +213,38 @@ def scaled_power_history(profile, a: float, b: float, times,
     reaching down to ``u = t - b`` or with an exact Jacobi weight
     ``u**(-kappa)`` when ``t == b``.
 
+    ``b`` is one upper limit for every time or an array of limits that
+    broadcasts against ``times``, ``a < b <= t``.  Times that share a
+    limit share its far-field and left-half node sets, so a scalar ``b``
+    builds one of each for all times.
+
     ``profile`` must act elementwise.  It may return one row per
     integrand, for example one per eigenvalue in a Mittag-Leffler
     argument; the result then has shape ``rows + times.shape``, and a
     1-d profile with a scalar ``times`` gives a float.  ``profile`` is
-    called once, on the far-field nodes, the left-half nodes and every
-    near time's right-half nodes together.  Each part is reduced by an
-    elementwise product and one numpy sum along the nodes of each cell,
-    then one along the cells, in an order fixed by the node and cell
-    counts, so each row and each time equals a call with that row and
-    that time alone, bit for bit.
+    called once, on every limit's far-field and left-half nodes and
+    every near time's right-half nodes together.  Each part is reduced
+    by an elementwise product and one numpy sum along the nodes of each
+    cell, then one along the cells, in an order fixed by the node and
+    cell counts, so each row and each time equals a call with that row,
+    that time and its limit alone, bit for bit.
     """
-    a, b = float(a), float(b)
+    a = float(a)
     kappa = float(kernel_exponent)
     power = float(power)
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    if b <= a:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    early = flat < b
+    b = np.asarray(b, dtype=float)
+    if np.any(b <= a):
+        raise DomainError(f"need a < b, got [{a}, {np.min(b)}]")
+    limits = np.broadcast_to(b, times.shape).reshape(-1)
+    early = flat < limits
     if early.any():
-        raise DomainError(
-            f"evaluation time {flat[early][0]} precedes segment end {b}")
+        raise DomainError(f"evaluation time {flat[early][0]} precedes its "
+                          f"upper limit {limits[early][0]}")
     if not 0.0 < kappa < 2.0:
         raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and np.any(flat == b):
+    if kappa >= 1.0 and np.any(flat == limits):
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == b")
     if not 0.0 < power < 1.0:
@@ -245,24 +252,25 @@ def scaled_power_history(profile, a: float, b: float, times,
 
     inv = 1.0 / power
     x, w = _legendre_rule(int(n))
-    width = b - a
-    mid = 0.5 * (a + b)
-    near = flat - b < FAR_FIELD_FRACTION * width
+    mid = 0.5 * (a + limits)
+    near = flat - limits < FAR_FIELD_FRACTION * (limits - a)
 
     # parts (times, profile nodes, kernel factor with the Gauss weights
     # folded in, cell half-widths, final factor): the left parts in the
-    # scaled variable share one node set, [a, b] for far times and
-    # [a, mid] for near ones
+    # scaled variable share one node set per limit b, [a, b] for far
+    # times and [a, mid] for near ones
     parts = []
-    for s_hi, here in ((b, ~near), (mid, near)):
-        index = np.flatnonzero(here)
-        if index.size:
-            edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells), 3.0)
-            xi, half = _cell_nodes(edges, x)
-            kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)
-            parts.append((index, xi[None], w * kern,
-                          np.broadcast_to(half, (index.size, half.size)),
-                          inv))
+    for lim in np.unique(limits).tolist():
+        for s_hi, here in ((lim, ~near), (0.5 * (a + lim), near)):
+            index = np.flatnonzero(here & (limits == lim))
+            if index.size:
+                edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
+                                    3.0)
+                xi, half = _cell_nodes(edges, x)
+                kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)
+                parts.append((index, xi[None], w * kern,
+                              np.broadcast_to(half, (index.size, half.size)),
+                              inv))
 
     def right(index, u, kern, weights, scale):
         # the near times' right halves in u = t - s, the peeled weight
@@ -271,15 +279,15 @@ def scaled_power_history(profile, a: float, b: float, times,
         parts.append((index, ds ** power,
                       weights * kern * ds ** (power - 1.0), scale, 1.0))
 
-    index = np.flatnonzero(near & (flat == b))
+    index = np.flatnonzero(near & (flat == limits))
     if index.size:  # one cell with the exact Jacobi weight u**(-kappa)
         xj, wj = _jacobi_rule(int(n), -kappa, 0.0)
-        half = 0.5 * (flat[index] - mid)
+        half = 0.5 * (flat[index] - mid[index])
         right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
               half[:, None] ** (1.0 - kappa))
-    index = np.flatnonzero(near & (flat > b))
-    for group, edges in _stretched_cells(flat[index] - b,
-                                         flat[index] - mid):
+    index = np.flatnonzero(near & (flat > limits))
+    for group, edges in _stretched_cells(flat[index] - limits[index],
+                                         flat[index] - mid[index]):
         u, scale = _cell_nodes(edges, x)
         right(index[group], u, u ** (-kappa), w, scale)
 

@@ -102,8 +102,5 @@ class OrderSchedule:
         """Order in effect at time ``t in [0, T)``."""
         return self.orders[self.segment_index(t)]
 
-    def min_order(self) -> float:
-        return min(self.orders)
-
     def widths(self) -> np.ndarray:
         return np.diff(self._grid)

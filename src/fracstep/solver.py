@@ -452,14 +452,10 @@ class SolutionField:
             out = np.zeros(t.shape)
         return float(out) if out.ndim == 0 else out
 
-    def evaluate(self, x, t: float):
-        """Field value ``u(x, t)``; ``x`` may be a scalar or an array."""
-        return self.basis.synthesize(self.mode_values(float(t)), x)
-
     def evaluate_grid(self, xs, ts) -> np.ndarray:
         """Matrix ``u[i, k] = u(xs[i], ts[k])``."""
         values = self.mode_values(np.ravel(ts))
-        # synthesize per time, as evaluate does; one matmul rounds differently
+        # synthesize per time; one matmul over all times rounds differently
         return np.column_stack([self.basis.synthesize(c, np.ravel(xs))
                                 for c in values.T])
 

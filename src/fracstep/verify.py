@@ -309,19 +309,17 @@ def _history(field: SolutionField, rows: list[int], k: int, times,
     """Kernel integrals of modes' derivatives over segment ``k``.
 
     ``rows`` are zero-based mode indices; the result has one row per
-    mode, then the shape of ``times``.  The segment is cut at the
-    earliest of ``times``, so a scalar time inside segment ``k``
-    integrates its part up to that time, and times past the segment end
-    share one call.  Independent of the solver's internal tabulations:
+    mode, then the shape of ``times``.  Each time, which must lie beyond
+    the segment's start, integrates up to the earlier of the segment's
+    end and itself.  Independent of the solver's internal tabulations:
     the derivatives are re-evaluated through the public
     ``mode_derivatives``, with the segment's own power scaled out so the
-    transformed profile is smooth.  All rows share one
-    ``scaled_power_history`` call, and each equals a call for its mode
-    alone, bit for bit.
+    transformed profile is smooth.  All rows and times share one
+    ``scaled_power_history`` call, and each row equals a call for its
+    mode alone, bit for bit.
     """
     schedule = field.problem.schedule
     a, b = schedule.segment(k)
-    b = min(b, float(np.min(times)))
     order = schedule.orders[k]
     inv = 1.0 / order
 
@@ -332,8 +330,8 @@ def _history(field: SolutionField, rows: list[int], k: int, times,
 
     # profile(w) = order * w**(1/order - 1) * u'(a + w**(1/order)) makes
     # (s-a)**(order-1) * profile((s-a)**order) equal u'(s) exactly
-    return scaled_power_history(profile, a, b, times, kernel_exponent, order,
-                                n=n_quad) / order
+    return scaled_power_history(profile, a, np.minimum(b, times), times,
+                                kernel_exponent, order, n=n_quad) / order
 
 
 def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
@@ -382,10 +380,10 @@ def vo_caputo_derivative(field: SolutionField, n: int, t,
     Quadrature of the defining integral with the exponent frozen at the
     current time's order, using only the public derivative evaluator;
     this is the independent path the residual check relies on.  ``t``
-    may be an array: times on the same segment share one call per past
-    segment.  A scalar gives a float.  The one-row case of the residual
-    check's evaluation of all modes at once, and equal to its row bit
-    for bit.
+    may be an array: times on the same segment share one call per
+    segment up to theirs.  A scalar gives a float.  The one-row case of
+    the residual check's evaluation of all modes at once, and equal to
+    its row bit for bit.
     """
     num_modes = field.problem.num_modes
     if not 1 <= n <= num_modes:
@@ -399,9 +397,9 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
                     n_quad: int) -> np.ndarray:
     """:func:`vo_caputo_derivative` of the zero-based modes ``rows``.
 
-    Every history integral is one call for all rows: one per past
-    segment for the times on each segment, and one per time for the
-    current segment, which is cut at each time separately.  The result
+    The times on each segment share one history call for all rows per
+    segment up to theirs, the current one integrated up to each time; a
+    time on its segment's start has no current-segment part.  The result
     has shape ``(len(rows),) + t.shape``.
     """
     schedule = field.problem.schedule
@@ -419,12 +417,11 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
         here = np.flatnonzero(current == j)
         kappa = schedule.orders[j]
         total = np.zeros((len(rows), here.size))
-        for k in range(j):
-            total += _history(field, rows, k, flat[here], kappa, n_quad)
-        a, _ = schedule.segment(j)
-        for i, s in enumerate(flat[here].tolist()):
-            if s > a:
-                total[:, i] += _history(field, rows, j, s, kappa, n_quad)
+        for k in range(j + 1):
+            past = flat[here] > schedule.breakpoints[k]
+            if past.any():
+                total[:, past] += _history(field, rows, k, flat[here][past],
+                                           kappa, n_quad)
         out[:, here] = total / gamma_fn(1.0 - kappa)
     return out.reshape((len(rows),) + t.shape)
 
@@ -437,8 +434,9 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     ``probes`` holds ``(x, t)`` rows; times must keep the configured
     fraction of the shortest segment away from every breakpoint, where
     the derivative's blow-up would poison the quadrature.  The memory
-    derivatives of all modes are evaluated together, one history call
-    per segment and group of times.
+    derivatives of all live modes are evaluated together, one history
+    call per segment and group of times; a mode that is not live has a
+    zero defect, because ``solve`` makes every forced mode live.
     """
     schedule = spec.schedule
     probes = np.asarray(probes, dtype=float)
@@ -455,8 +453,7 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
 
     # rows are times, so each row is one contiguous modal vector
     defect = np.zeros((times.size, spec.num_modes))
-    rows = np.flatnonzero(np.isin(np.arange(spec.num_modes), field.live)
-                          | spec.source.forced).tolist()
+    rows = list(field.live)
     if rows:
         defect[:, rows] = (_vo_caputo_rows(field, rows, times, n_quad)
                            + field.basis.eigenvalues[rows, None] * values[rows]

@@ -392,6 +392,38 @@ class TestConfigSources:
         assert modes[:, 1].tolist() == [1.0, 2.0] * 3
         assert np.all(modes[:, 2] == 0.0)
 
+    def test_integer_valued_float_run_values(self, tmp_path):
+        # the schema takes 7.0 as an integer, and the run holds it as the
+        # int 7, so every reader of the run values can hand them to numpy
+        from fracstep.config import build_run_config
+        ints = {"cells": 48, "quad": 16, "space_points": 5,
+                "time_points": 7, "verify_quad": 12,
+                "oracle_step_exponent": 6, "oracle_spatial_points": 16,
+                "ml_count": 10, "compare_step_exponents": [6, 8]}
+        floats = {key: [float(e) for e in value]
+                  if isinstance(value, list) else float(value)
+                  for key, value in ints.items()}
+        run = build_run_config(two_segment_config(**floats,
+                                                  ml_alpha=0.5)).run
+        assert run == {**ints, "ml_alpha": 0.5}
+        assert all(type(run[key]) is int for key in ints
+                   if key != "compare_step_exponents")
+        assert all(type(e) is int for e in run["compare_step_exponents"])
+        assert type(run["ml_alpha"]) is float
+
+        for name, values in (("ints", ints), ("floats", floats)):
+            payload = two_segment_config(**values)
+            cfg = write_config(tmp_path / f"{name}.json", payload)
+            assert cli.main(["solve", "--config", cfg,
+                             "--out", str(tmp_path / name)]) == 0
+            meta = json.loads((tmp_path / name / "meta.json").read_text())
+            # the echo keeps the floats: 7.0, not 7
+            assert json.dumps(meta["config"], sort_keys=True) == \
+                json.dumps(payload, sort_keys=True)
+        for name in ("solution.csv", "modes.csv"):
+            assert (tmp_path / "ints" / name).read_bytes() == \
+                (tmp_path / "floats" / name).read_bytes()
+
 
 class TestNumericExit:
     def test_runtime_failure_exits_3(self, tmp_path, capsys, monkeypatch):

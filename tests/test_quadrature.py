@@ -204,6 +204,43 @@ class TestScaledPowerHistory:
                 scaled_power_history(one(m), 0.0, b, b, 0.45, SCALED_ORDER)
                 for m in range(4)])
 
+    def test_per_time_limits_match_scalar_limit_calls(self, monkeypatch):
+        # each time with its own limit equals a call with that limit as
+        # a scalar and that time alone: limits equal to t (the Jacobi
+        # cell), near and far limits below t, shared and distinct limits
+        # in one call, three profile rows, and budgets small enough to
+        # split the times into many blocks
+        lams = np.array([9.0, 0.0, 2.5])
+
+        def rows(xi):
+            return ml_values(SCALED_ORDER, SCALED_ORDER, -lams[:, None] * xi)
+
+        times = np.array([[0.3, 0.9, 0.41, 0.41, 2.0],
+                          [0.4, 0.4 + 1e-9, 0.5, 0.2, 0.41]])
+        on_time = np.array([[0.3, 0.4, 0.4, 0.405, 0.47],
+                            [0.4, 0.4, 0.47, 0.2, 0.4]])
+        for budget in (quadrature._BLOCK_NODES, 700, 50):
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+            for kappa in (0.45, 1.45):
+                limits = on_time if kappa < 1.0 else \
+                    np.where(on_time == times, 0.9 * on_time, on_time)
+                got = scaled_power_history(rows, 0.0, limits, times, kappa,
+                                           SCALED_ORDER)
+                assert got.shape == (3,) + times.shape
+                for i in np.ndindex(times.shape):
+                    np.testing.assert_array_equal(
+                        got[(slice(None),) + i],
+                        scaled_power_history(rows, 0.0, limits[i], times[i],
+                                             kappa, SCALED_ORDER))
+                # one limit given per time is the scalar limit's call
+                above = times[times > 0.4]
+                shared = np.full(above.shape, 0.4)
+                np.testing.assert_array_equal(
+                    scaled_power_history(rows, 0.0, shared, above, kappa,
+                                         SCALED_ORDER),
+                    scaled_power_history(rows, 0.0, 0.4, above, kappa,
+                                         SCALED_ORDER))
+
     def test_validation(self):
         one = lambda xi: np.ones_like(xi)
         for a, b, t, kappa, power in [
@@ -218,6 +255,19 @@ class TestScaledPowerHistory:
             with pytest.raises(DomainError):
                 scaled_power_history(one, a, b, np.array([0.9, t, 0.6]),
                                      kappa, power)
+        times = np.array([0.5, 0.9])
+        for limits, kappa in [
+                ([0.4, 0.0], 0.5),    # a limit at a
+                ([0.4, -0.1], 0.5),   # a limit below a
+                ([0.4, 0.95], 0.5),   # a time below its limit
+                ([0.5, 0.6], 1.5)]:   # t == its limit with kappa >= 1
+            with pytest.raises(DomainError):
+                scaled_power_history(one, 0.0, np.array(limits), times,
+                                     kappa, 0.5)
+        # t == its limit is integrable for kappa < 1
+        got = scaled_power_history(one, 0.0, np.array([0.5, 0.6]), times,
+                                   0.5, 0.5)
+        assert np.all(np.isfinite(got))
 
 
 class TestPowerKernelConvolve:

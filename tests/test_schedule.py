@@ -21,7 +21,6 @@ class TestConstruction:
         s = three_segment
         assert s.num_segments == 3
         assert s.horizon == 1.0
-        assert s.min_order() == 0.3
         np.testing.assert_allclose(s.widths(), [0.25, 0.25, 0.5])
         assert s.segment(0) == (0.0, 0.25)
         assert s.segment(2) == (0.5, 1.0)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import ml_oracle
 
-from fracstep import solver as solver_module
+from fracstep import quadrature, solver as solver_module
 from fracstep.errors import DomainError, NumericError
 from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
@@ -501,10 +501,76 @@ class TestZeroModes:
         assert np.all(field.evaluate_grid(xs, TIMES[:5]) == 0.0)
 
 
+def _scalar_limit_nodes(a, b, times, kappa, power, n, n_cells):
+    """Profile nodes of a history call with one scalar limit ``b``, in the
+    order it evaluates them: the far-field and left-half node sets in
+    the scaled variable, then each near time's right half in ``u = t - s``
+    (one Jacobi cell at ``t == b``, stretched cells above it)."""
+    x = quadrature._legendre_rule(n)[0]
+    flat = np.ravel(times)
+    mid = 0.5 * (a + b)
+    near = flat - b < quadrature.FAR_FIELD_FRACTION * (b - a)
+    parts = []
+    for s_hi, here in ((b, ~near), (mid, near)):
+        if here.any():
+            edges = quadrature.graded_mesh(0.0, (s_hi - a) ** power,
+                                           n_cells, 3.0)
+            parts.append(quadrature._cell_nodes(edges, x)[0])
+    on = flat[near & (flat == b)]
+    if on.size:
+        xj = quadrature._jacobi_rule(n, -kappa, 0.0)[0]
+        u = 0.5 * (on - mid)[:, None] * (xj + 1.0)
+        parts.append((on[:, None] - u - a) ** power)
+    index = np.flatnonzero(near & (flat > b))
+    for group, edges in quadrature._stretched_cells(flat[index] - b,
+                                                    flat[index] - mid):
+        u = quadrature._cell_nodes(edges, x)[0]
+        parts.append((flat[index[group], None, None] - u - a) ** power)
+    return np.concatenate([part.ravel() for part in parts])
+
+
+class TestHistoryNodes:
+    def test_solver_history_calls_use_scalar_limit_node_sets(
+            self, monkeypatch):
+        # the solver integrates every past segment up to its end, one
+        # scalar limit per call, so per-time limits leave the nodes its
+        # profiles are evaluated on as they were
+        real = solver_module.scaled_power_history
+        calls = []
+
+        def recording(profile, a, b, times, kappa, power, n, n_cells=8):
+            def spy(w):
+                calls.append(((a, b, times, kappa, power, n, n_cells), w))
+                return profile(w)
+            return real(spy, a, b, times, kappa, power, n=n,
+                        n_cells=n_cells)
+
+        monkeypatch.setattr(solver_module, "scaled_power_history",
+                            recording)
+        sched = OrderSchedule(breakpoints=(0.0, 0.25, 0.625, 1.0),
+                              orders=(0.3, 0.8, 0.5))
+        prob = ProblemSpec(
+            schedule=sched, operator=OP, initial_coefficients=(1.0, 0.5),
+            source=SeparableSource((1.0, 1.0), lambda t: 1.0 + 0.5 * t,
+                                   lambda t: np.full_like(t, 0.5)))
+        solve(prob, n_cells=8, n_quad=8)
+        assert len(calls) == 6
+        for (a, b, times, *rest), w in calls:
+            assert np.ndim(b) == 0
+            np.testing.assert_array_equal(
+                w, _scalar_limit_nodes(a, b, times, *rest))
+        # the calls hold t == b, near times above b and far times
+        gaps = np.concatenate([(np.ravel(times) - b) / (b - a)
+                               for (a, b, times, *_), _ in calls])
+        far = quadrature.FAR_FIELD_FRACTION
+        assert (gaps == 0.0).any() and (gaps >= far).any()
+        assert ((0.0 < gaps) & (gaps < far)).any()
+
+
 class TestSolutionField:
     def test_evaluate_vanishes_on_boundary(self, single_run):
-        for x in (0.0, 1.0):
-            assert abs(single_run.evaluate(x, 0.5)) < 1e-12
+        out = single_run.evaluate_grid([0.0, 1.0], [0.5])
+        assert np.all(np.abs(out) < 1e-12)
 
     def test_evaluate_grid_shape(self, single_run):
         xs = np.linspace(0.0, 1.0, 7)
@@ -513,7 +579,7 @@ class TestSolutionField:
 
     def test_evaluate_matches_mode_synthesis(self, single_run):
         x = 0.37
-        got = single_run.evaluate(x, 0.6)
+        got = single_run.evaluate_grid(x, 0.6)[0, 0]
         want = single_run.mode_trajectory(1, 0.6) \
             * math.sqrt(2.0) * math.sin(math.pi * x)
         assert got == pytest.approx(want, rel=1e-12)

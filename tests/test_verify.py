@@ -364,13 +364,12 @@ class TestModeBatchedHistory:
             spec = forced_problem(num_modes)
             field = solve(spec, n_cells=8, n_quad=8)
             V.build_report(field, n_quad=8)
-        probes = V.default_space_time_probes(forced_problem(3))
         segments = 3
         past = sum(range(segments))
         # the report: the source fits and the residual's past segments
         # once per (segment, past segment), and the residual's current
-        # segment once per probe time
-        report = 2 * past + np.unique(probes[:, 1]).size
+        # segment once per segment for all of its probe times
+        report = 2 * past + segments
         assert counts == [{S.__name__: 2 * past, V.__name__: report}] * 2
 
 
