@@ -95,7 +95,7 @@ def _mode_l1(cfg: RunConfig, grid: L1Grid) -> np.ndarray:
                          spec.initial_coefficients, grid)
 
 
-def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
+def cmd_solve(cfg: RunConfig, out: str) -> dict:
     spec = cfg.problem
     field, t_solve = _solve_field(cfg)
     xs = np.linspace(0.0, spec.operator.length,
@@ -113,7 +113,7 @@ def cmd_solve(cfg: RunConfig, out: str, args) -> dict:
     return {"solve_seconds": t_solve}
 
 
-def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
+def cmd_oracle(cfg: RunConfig, out: str) -> dict:
     spec = cfg.problem
     exponent = cfg.run_value("oracle_step_exponent", 10)
     grid = _oracle_grid(cfg, "oracle_step_exponent", exponent)
@@ -141,7 +141,7 @@ def cmd_oracle(cfg: RunConfig, out: str, args) -> dict:
     return {"oracle_seconds": timing}
 
 
-def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
+def cmd_compare(cfg: RunConfig, out: str) -> dict:
     exponents = sorted(cfg.run_value("compare_step_exponents",
                                      COMPARE_EXPONENTS))
     grids = {e: _oracle_grid(cfg, "compare_step_exponents", e)
@@ -166,7 +166,7 @@ def cmd_compare(cfg: RunConfig, out: str, args) -> dict:
             "finest_max_discrepancy": table[-1][1]}
 
 
-def cmd_verify(cfg: RunConfig, out: str, args) -> dict:
+def cmd_verify(cfg: RunConfig, out: str) -> dict:
     spec = cfg.problem
     field, t_solve = _solve_field(cfg)
     n_quad = cfg.run_value("verify_quad", 24)
@@ -199,7 +199,7 @@ def cmd_verify(cfg: RunConfig, out: str, args) -> dict:
     return {"solve_seconds": t_solve, "verify_seconds": timing}
 
 
-def cmd_ml_eval(cfg: RunConfig, out: str, args) -> dict:
+def cmd_ml_eval(cfg: RunConfig, out: str) -> dict:
     alpha = float(cfg.run_value("ml_alpha", 0.5))
     beta = float(cfg.run_value("ml_beta", 1.0))
     z_min = float(cfg.run_value("ml_z_min", -100.0))
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         cfg = build_run_config(raw)
         log.info("running %s on %s", args.command, args.config)
         os.makedirs(args.out, exist_ok=True)
-        timings = _COMMANDS[args.command](cfg, args.out, args)
+        timings = _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(json.dumps(exc.to_json()), file=sys.stderr)
         return 2

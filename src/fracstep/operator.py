@@ -50,20 +50,15 @@ class OperatorSpec:
                 f"diffusion must be positive, got {self.diffusion}")
         if self.length <= 0.0:
             raise DomainError(f"length must be positive, got {self.length}")
-        if self.eigenvalue(1) <= 0.0:
+        if self.eigenvalues(1)[0] <= 0.0:
             raise DomainError(
                 "operator is not coercive: reaction "
                 f"{self.reaction} cancels the principal eigenvalue "
                 f"{self.diffusion * (math.pi / self.length) ** 2:.6g}")
 
-    def eigenvalue(self, n: int) -> float:
-        """Eigenvalue of the ``n``-th sine mode, ``n >= 1``."""
-        if n < 1:
-            raise DomainError(f"mode index must be >= 1, got {n}")
-        return (self.diffusion * (n * math.pi / self.length) ** 2
-                + self.reaction)
-
     def eigenvalues(self, count: int) -> np.ndarray:
+        """Eigenvalues ``a (n pi / L)**2 + c`` of the first ``count`` sine
+        modes, ``n = 1 .. count``."""
         if count < 1:
             raise DomainError(f"need at least one mode, got {count}")
         n = np.arange(1, count + 1)

@@ -221,7 +221,8 @@ def scaled_power_history(profile, a: float, b, times,
     ``profile`` must act elementwise.  It may return one row per
     integrand, for example one per eigenvalue in a Mittag-Leffler
     argument; the result then has shape ``rows + times.shape``, and a
-    1-d profile with a scalar ``times`` gives a float.  ``profile`` is
+    1-d profile with a scalar ``times`` gives a float, and an empty
+    ``times`` gives an empty ``rows + (0,)`` result.  ``profile`` is
     called once, on every limit's far-field and left-half nodes and
     every near time's right-half nodes together.  Each part is reduced
     by an elementwise product and one numpy sum along the nodes of each
@@ -294,7 +295,7 @@ def scaled_power_history(profile, a: float, b, times,
     values = np.asarray(profile(np.concatenate(
         [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
     rows = values.shape[:-1]
-    values = values.reshape(-1, values.shape[-1])
+    values = values.reshape(math.prod(rows), -1)
     out = np.zeros((values.shape[0], flat.size))
     start = 0
     for index, nodes, factor, scale, post in parts:

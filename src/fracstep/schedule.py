@@ -3,16 +3,16 @@
 The fractional order is a step function: the horizon ``[0, T]`` is split by
 strictly increasing breakpoints ``0 = t_0 < t_1 < ... < t_M = T`` and the
 order takes the constant value ``orders[j]`` on the half-open segment
-``[t_j, t_{j+1})``.  Lookups are right-continuous, so a query exactly at an
-interior breakpoint returns the order of the segment that starts there.
-The value at ``t = T`` is deliberately left undefined: the last segment is
-half-open and callers that need an order at the final time must decide
-their own limit convention.
+``[t_j, t_{j+1})``.  Lookups are right-continuous by default, so a query
+exactly at an interior breakpoint returns the segment that starts there;
+callers that need the left limit, such as a derivative's, ask for the
+segment that ends there.  The final time ``T`` belongs to the last
+segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class OrderSchedule:
 
     breakpoints: tuple[float, ...]
     orders: tuple[float, ...]
-    _grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp = tuple(float(t) for t in self.breakpoints)
@@ -68,8 +67,6 @@ class OrderSchedule:
                 raise DomainError(
                     f"order on segment {j} must lie in (0, 1), got {b}")
 
-        object.__setattr__(self, "_grid", np.asarray(bp))
-
     @property
     def num_segments(self) -> int:
         return len(self.orders)
@@ -85,22 +82,16 @@ class OrderSchedule:
                 f"segment index {j} out of range [0, {self.num_segments})")
         return self.breakpoints[j], self.breakpoints[j + 1]
 
-    def segment_index(self, t: float) -> int:
-        """Index ``j`` of the segment with ``t in [t_j, t_{j+1})``.
+    def segment_of(self, times, side: str = "right") -> np.ndarray:
+        """Index of the segment holding each of ``times``, same shape.
 
-        The domain is ``[0, T)``; the final time is rejected because the
-        order there is undefined.
+        A time's segment is the number of interior breakpoints below it,
+        or at it when ``side`` is ``"right"``: an interior breakpoint
+        then belongs to the segment that starts there, and with
+        ``"left"`` to the one that ends there.  Times at or below 0 fall
+        in the first segment and times at or beyond ``T`` in the last.
         """
-        t = float(t)
-        if not np.isfinite(t) or t < 0.0 or t >= self.horizon:
-            raise DomainError(
-                f"time {t} outside the half-open horizon [0, {self.horizon})")
-        # 'right' makes the lookup right-continuous at interior breakpoints.
-        return int(np.searchsorted(self._grid, t, side="right")) - 1
-
-    def order_at(self, t: float) -> float:
-        """Order in effect at time ``t in [0, T)``."""
-        return self.orders[self.segment_index(t)]
+        return np.searchsorted(self.breakpoints[1:-1], times, side)
 
     def widths(self) -> np.ndarray:
-        return np.diff(self._grid)
+        return np.diff(self.breakpoints)

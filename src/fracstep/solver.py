@@ -382,10 +382,7 @@ def _sample(field: SolutionField, rows, t, side: str,
     one row per selected mode, then the shape of ``t``.
     """
     flat = t.reshape(-1)
-    # a time's segment is the number of interior breakpoints below it
-    # (or at it, on the right side)
-    index = np.searchsorted(field.problem.schedule.breakpoints[1:-1], flat,
-                            side)
+    index = field.problem.schedule.segment_of(flat, side)
     parts = sorted(set(index.tolist()))
     out = np.empty((field.segments[0].eigenvalues[rows].size, flat.size))
     for j in parts:

@@ -50,14 +50,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "MLParams",
     "gamma_fn",
     "ml",
     "ml_values",
@@ -86,39 +84,17 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Parameter pair ``(alpha, beta)`` of the Mittag-Leffler function.
-
-    ``alpha`` must lie in ``(0, 1)``, the range of the solver's orders, and
-    ``beta`` must be positive.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        b = float(self.beta)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        if not (math.isfinite(a) and 0.0 < a < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {a}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise DomainError(f"beta must be positive, got {b}")
-
-
-def ml(params: MLParams, z: float) -> float:
+def ml(params, z: float) -> float:
     """Two-parameter Mittag-Leffler function ``E_{alpha,beta}(z)``, z <= 0.
 
-    The value is :func:`ml_values` at a one-element array, bit for bit.
+    ``params`` is the pair ``(alpha, beta)``.  The value is
+    :func:`ml_values` at a one-element array, bit for bit.
     """
-    if not isinstance(params, MLParams):
-        params = MLParams(*params)
+    alpha, beta = params
     z = float(z)
     if not math.isfinite(z) or z > 0.0:
         raise DomainError(f"ml is restricted to finite z <= 0, got {z}")
-    return float(ml_values(params.alpha, params.beta, np.array([z]))[0])
+    return float(ml_values(alpha, beta, np.array([z]))[0])
 
 
 @functools.lru_cache(maxsize=128)
@@ -146,9 +122,11 @@ def _contour_rule(alpha: float, beta: float) -> tuple:
 def ml_values(alpha: float, beta, z: np.ndarray) -> np.ndarray:
     """``E_{alpha,beta}`` over an array of non-positive arguments.
 
-    One fixed contour rule serves every argument, so each entry depends
-    on ``(alpha, beta)`` and its own argument only, whatever the size or
-    shape of ``z``.  ``z == 0`` gives ``1/Gamma(beta)`` exactly.
+    ``alpha`` must lie in ``(0, 1)``, the range of the solver's orders,
+    and ``beta`` must be positive.  One fixed contour rule serves every
+    argument, so each entry depends on ``(alpha, beta)`` and its own
+    argument only, whatever the size or shape of ``z``.  ``z == 0`` gives
+    ``1/Gamma(beta)`` exactly.
 
     ``beta`` may also be a 1-d sequence of parameters that share
     ``alpha`` and ``z``: the result then has one row per entry, shape
@@ -156,12 +134,16 @@ def ml_values(alpha: float, beta, z: np.ndarray) -> np.ndarray:
     ``beta`` alone, bit for bit.  The poles depend on ``alpha`` only, so
     the shifted poles and the denominators are formed once for all rows.
     """
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     single = np.ndim(beta) == 0
     betas = (float(beta),) if single else tuple(float(b) for b in beta)
     if not betas:
         raise DomainError("ml_values needs at least one beta")
     for b in betas:
-        MLParams(alpha, b)
+        if not (math.isfinite(b) and b > 0.0):
+            raise DomainError(f"beta must be positive, got {b}")
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all() or (z > 0.0).any():
         raise DomainError("ml_values is restricted to finite z <= 0")
@@ -234,17 +216,16 @@ def _node_loop(alpha: float, betas: tuple, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def measured_envelope(params: MLParams, z_max: float = 1e6,
+def measured_envelope(params, z_max: float = 1e6,
                       n_points: int = 200) -> float:
     """Largest value of ``|E_{alpha,beta}(-x)| * (1 + x)`` on a log grid.
 
-    The theoretical bound guarantees this is finite for any admissible
-    parameter pair; the measured constant is what the verification suite
-    compares against.
+    ``params`` is the pair ``(alpha, beta)``.  The theoretical bound
+    guarantees this is finite for any admissible pair; the measured
+    constant is what the verification suite compares against.
     """
-    if not isinstance(params, MLParams):
-        params = MLParams(*params)
+    alpha, beta = params
     grid = np.concatenate([[0.0], np.logspace(-6, math.log10(z_max),
                                               n_points - 1)])
-    values = ml_values(params.alpha, params.beta, -grid)
+    values = ml_values(alpha, beta, -grid)
     return float(np.max(np.abs(values) * (1.0 + grid)))

@@ -36,7 +36,6 @@ __all__ = [
     "segment_load_norm",
     "source_fit_samples",
     "source_rate_fit",
-    "vo_caputo_derivative",
     "w11_norm",
 ]
 
@@ -114,9 +113,9 @@ def _fit_slope(offsets: np.ndarray, values: np.ndarray):
     return float(slope)
 
 
-def _fit_offsets(width: float, count: int = 9) -> np.ndarray:
+def _fit_offsets(width: float) -> np.ndarray:
     lo, hi = FIT_OFFSET_RANGE
-    return width * np.geomspace(lo, hi, count)
+    return width * np.geomspace(lo, hi, 9)
 
 
 def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
@@ -137,29 +136,34 @@ def _load_value_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(spec.source.values(times)), axis=0))
 
 
-def data_functional(spec: ProblemSpec, j: int, n_cells: int = 48,
-                    n_gauss: int = 16) -> float:
+def data_functional(spec: ProblemSpec, j: int) -> float:
     """Cumulative data size controlling the solution up to segment ``j``.
 
     Sums the graph norm of the initial data with, per segment through
     ``j``, the load's W11-in-time norm and the sup of its derivative
     weighted by the declared blow-up power of the distance to the
     segment start.  A load whose derivative grows steeper near a segment
-    start than the declared power structure admits is rejected.
+    start than the declared power structure admits is rejected.  Equal
+    bit for bit to the report's ``data_functionals[j]``.
     """
     schedule = spec.schedule
     if not 0 <= j < schedule.num_segments:
         raise DomainError(
             f"segment index {j} out of range [0, {schedule.num_segments})")
+    norms = [segment_load_norm(spec, k) for k in range(j + 1)]
+    return _data_functionals(spec, norms)[j]
+
+
+def _data_functionals(spec: ProblemSpec, load_norms) -> tuple:
+    """The data functional through each segment of ``load_norms``: the
+    initial data's graph norm plus the running sum of the load norms."""
     basis = ModalBasis(spec.operator, spec.num_modes)
-    total = basis.fractional_norm(np.asarray(spec.initial_coefficients), 1.0)
-    for k in range(j + 1):
-        total += segment_load_norm(spec, k, n_cells=n_cells, n_gauss=n_gauss)
-    return float(total)
+    initial = basis.fractional_norm(np.asarray(spec.initial_coefficients),
+                                    1.0)
+    return tuple(float(initial + r) for r in np.cumsum(load_norms))
 
 
-def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
-                      n_gauss: int = 16) -> float:
+def segment_load_norm(spec: ProblemSpec, k: int) -> float:
     """One segment's summand of the data functional.
 
     W11 time integrals use graded quadrature pre-whitened by the fitted
@@ -185,7 +189,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
 
     value_part = composite_graded_integral(
         lambda s: _load_value_norms(spec, s), a, b,
-        left_exponent=0.0, n_cells=n_cells, grading=2.0, n_gauss=n_gauss)
+        left_exponent=0.0, n_cells=48, grading=2.0, n_gauss=16)
     if sigma is None:
         rate_part = 0.0
         weighted_sup = 0.0
@@ -193,8 +197,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
         whiten = min(max(sigma, -0.95), 4.0)
         rate_part = composite_graded_integral(
             lambda s: rate_norm(s) * (s - a) ** (-whiten), a, b,
-            left_exponent=whiten, n_cells=n_cells, grading=3.0,
-            n_gauss=n_gauss)
+            left_exponent=whiten, n_cells=48, grading=3.0, n_gauss=16)
         sample = graded_mesh(a, b, 512, 4.0)[1:]
         weighted_sup = float(np.max(
             (sample - a) ** (order + margin) * rate_norm(sample)))
@@ -205,8 +208,7 @@ def segment_load_norm(spec: ProblemSpec, k: int, n_cells: int = 48,
 # solution-side norms
 
 
-def default_probe_times(schedule: OrderSchedule,
-                        per_segment: int = 24) -> np.ndarray:
+def default_probe_times(schedule: OrderSchedule) -> np.ndarray:
     """Time probes: breakpoints plus graded clusters flanking each one."""
     probes = [np.asarray(schedule.breakpoints)]
     for j in range(schedule.num_segments):
@@ -215,25 +217,20 @@ def default_probe_times(schedule: OrderSchedule,
         cluster = width * np.geomspace(1e-6, 0.5, 8)
         probes.append(a + cluster)
         probes.append(b - cluster)
-        probes.append(np.linspace(a, b, per_segment))
+        probes.append(np.linspace(a, b, 24))
     times = np.unique(np.concatenate(probes))
     return times[(times >= 0.0) & (times <= schedule.horizon)]
 
 
-def c0_dL_norm(field: SolutionField, probes=None) -> float:
-    """Sup over probe times of the graph norm of the mode vector."""
-    if probes is None:
-        probes = default_probe_times(field.problem.schedule)
-    probes = np.asarray(probes, dtype=float)
-    if probes.size == 0:
-        raise DomainError("need at least one probe time")
-    values = field.mode_values(probes)
+def c0_dL_norm(field: SolutionField) -> float:
+    """Sup over the default probe times of the graph norm of the mode
+    vector."""
+    values = field.mode_values(default_probe_times(field.problem.schedule))
     return max(field.basis.fractional_norm(column, 1.0)
                for column in values.T)
 
 
-def w11_norm(field: SolutionField, n_cells: int = 48,
-             n_gauss: int = 16) -> float:
+def w11_norm(field: SolutionField) -> float:
     """Time integral of the mode-vector norm of the derivative.
 
     Direct graded quadrature stalls on the mixed endpoint powers the
@@ -274,7 +271,7 @@ def w11_norm(field: SolutionField, n_cells: int = 48,
 
         part += composite_graded_integral(
             correction, a, b, left_exponent=0.0,
-            n_cells=n_cells, grading=3.0, n_gauss=n_gauss)
+            n_cells=48, grading=3.0, n_gauss=16)
         total += part
     if not np.isfinite(total):
         raise NumericError("derivative norm quadrature produced "
@@ -373,34 +370,17 @@ def source_rate_fit(spec: ProblemSpec, field: SolutionField, j: int,
 # equation residual and initial limit
 
 
-def vo_caputo_derivative(field: SolutionField, n: int, t,
-                         n_quad: int = 24):
-    """Variable-order memory derivative of mode ``n`` at time ``t``.
-
-    Quadrature of the defining integral with the exponent frozen at the
-    current time's order, using only the public derivative evaluator;
-    this is the independent path the residual check relies on.  ``t``
-    may be an array: times on the same segment share one call per
-    segment up to theirs.  A scalar gives a float.  The one-row case of
-    the residual check's evaluation of all modes at once, and equal to
-    its row bit for bit.
-    """
-    num_modes = field.problem.num_modes
-    if not 1 <= n <= num_modes:
-        raise DomainError(f"mode index {n} outside [1, {num_modes}]")
-    t = np.asarray(t, dtype=float)
-    out = _vo_caputo_rows(field, [n - 1], t, n_quad)[0]
-    return float(out) if out.ndim == 0 else out
-
-
 def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
                     n_quad: int) -> np.ndarray:
-    """:func:`vo_caputo_derivative` of the zero-based modes ``rows``.
+    """Variable-order memory derivatives of the zero-based modes ``rows``.
 
-    The times on each segment share one history call for all rows per
-    segment up to theirs, the current one integrated up to each time; a
-    time on its segment's start has no current-segment part.  The result
-    has shape ``(len(rows),) + t.shape``.
+    Quadrature of the defining integral with the exponent frozen at each
+    time's order, using only the public derivative evaluator; this is
+    the independent path the residual check relies on.  The times on
+    each segment share one history call for all rows per segment up to
+    theirs, the current one integrated up to each time; a time on its
+    segment's start has no current-segment part.  Times must lie in
+    ``(0, T]``; the result has shape ``(len(rows),) + t.shape``.
     """
     schedule = field.problem.schedule
     flat = t.reshape(-1)
@@ -409,9 +389,7 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
         raise DomainError(
             f"time {flat[outside][0]} outside the half-open horizon "
             f"(0, {schedule.horizon}]")
-    # a time's segment is the number of interior breakpoints at or below
-    # it, so the final time falls in the last segment
-    current = np.searchsorted(schedule.breakpoints[1:-1], flat, "right")
+    current = schedule.segment_of(flat)
     out = np.empty((len(rows), flat.size))
     for j in np.unique(current).tolist():
         here = np.flatnonzero(current == j)
@@ -419,21 +397,19 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
         total = np.zeros((len(rows), here.size))
         for k in range(j + 1):
             past = flat[here] > schedule.breakpoints[k]
-            if past.any():
-                total[:, past] += _history(field, rows, k, flat[here][past],
-                                           kappa, n_quad)
+            total[:, past] += _history(field, rows, k, flat[here][past],
+                                       kappa, n_quad)
         out[:, here] = total / gamma_fn(1.0 - kappa)
     return out.reshape((len(rows),) + t.shape)
 
 
 def residual_check(field: SolutionField, spec: ProblemSpec, probes,
-                   floor_fraction: float = 1e-3,
                    n_quad: int = 24) -> float:
     """Max absolute equation defect over space-time probe points.
 
-    ``probes`` holds ``(x, t)`` rows; times must keep the configured
-    fraction of the shortest segment away from every breakpoint, where
-    the derivative's blow-up would poison the quadrature.  The memory
+    ``probes`` holds ``(x, t)`` rows; times must keep 1e-3 of the
+    shortest segment away from every breakpoint, where the derivative's
+    blow-up would poison the quadrature.  The memory
     derivatives of all live modes are evaluated together, one history
     call per segment and group of times; a mode that is not live has a
     zero defect, because ``solve`` makes every forced mode live.
@@ -442,7 +418,7 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2 or probes.shape[0] == 0:
         raise DomainError("probes must be a nonempty array of (x, t) rows")
-    floor = floor_fraction * float(np.min(schedule.widths()))
+    floor = 1e-3 * float(np.min(schedule.widths()))
     marks = np.asarray(schedule.breakpoints)
     for t in probes[:, 1]:
         if np.min(np.abs(marks - t)) < floor:
@@ -467,17 +443,14 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     return worst
 
 
-def initial_limit_check(field: SolutionField, u0=None) -> np.ndarray:
+def initial_limit_check(field: SolutionField) -> np.ndarray:
     """Distance to the initial data at a shrinking sequence of times.
 
     Returns the mode-vector norms of ``u(t) - u0`` at ``10**-3`` through
     ``10**-6`` of the horizon; the caller judges whether the sequence
     decreases and lands small enough.
     """
-    if u0 is None:
-        u0 = np.asarray(field.problem.initial_coefficients, dtype=float)
-    else:
-        u0 = np.asarray(u0, dtype=float)
+    u0 = np.asarray(field.problem.initial_coefficients, dtype=float)
     horizon = field.problem.schedule.horizon
     times = horizon * np.array([1e-3, 1e-4, 1e-5, 1e-6])
     values = field.mode_values(times)
@@ -489,30 +462,23 @@ def initial_limit_check(field: SolutionField, u0=None) -> np.ndarray:
 # assembled report
 
 
-def default_space_time_probes(spec: ProblemSpec, n_space: int = 5,
-                              n_time: int = 4) -> np.ndarray:
-    """Interior (x, t) probe grid respecting the breakpoint offset floor."""
-    xs = np.linspace(0.0, 1.0, n_space + 2)[1:-1]
+def default_space_time_probes(spec: ProblemSpec) -> np.ndarray:
+    """Interior (x, t) probe grid respecting the breakpoint offset floor:
+    five points in space at each of four times per segment."""
+    xs = np.linspace(0.0, 1.0, 7)[1:-1]
     rows = []
     for j in range(spec.schedule.num_segments):
         a, b = spec.schedule.segment(j)
-        for t in np.linspace(a, b, n_time + 2)[1:-1]:
+        for t in np.linspace(a, b, 6)[1:-1]:
             rows.extend((x, t) for x in xs)
     return np.asarray(rows)
 
 
-def build_report(field: SolutionField, probes=None,
-                 n_quad: int = 24) -> RegularityReport:
+def build_report(field: SolutionField, n_quad: int = 24) -> RegularityReport:
     """Run every check against one solved field and collect the results."""
     spec = field.problem
-    schedule = spec.schedule
-    if probes is None:
-        probes = default_space_time_probes(spec)
-    segs = range(schedule.num_segments)
+    segs = range(spec.schedule.num_segments)
     load_norms = tuple(segment_load_norm(spec, k) for k in segs)
-    basis_norm = field.basis.fractional_norm(
-        np.asarray(spec.initial_coefficients), 1.0)
-    running = np.cumsum((0.0,) + load_norms)[1:]
     return RegularityReport(
         derivative_rates=tuple(blowup_rate_fit(field, j) for j in segs),
         source_rates=tuple(source_rate_fit(spec, field, j, n_quad)
@@ -520,7 +486,9 @@ def build_report(field: SolutionField, probes=None,
         c0_dL=c0_dL_norm(field),
         w11=w11_norm(field),
         segment_load_norms=load_norms,
-        data_functionals=tuple(float(basis_norm + r) for r in running),
-        residual_max=residual_check(field, spec, probes, n_quad=n_quad),
+        data_functionals=_data_functionals(spec, load_norms),
+        residual_max=residual_check(field, spec,
+                                    default_space_time_probes(spec),
+                                    n_quad=n_quad),
         junction_gaps=tuple(field.junction_gaps()),
     )

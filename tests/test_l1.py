@@ -135,8 +135,7 @@ class TestSingleModeMarch:
             t = np.asarray(times, dtype=float)
             out = np.empty_like(t)
             for i, ti in enumerate(t):
-                b = (sched.orders[-1] if ti >= sched.horizon
-                     else sched.order_at(ti))
+                b = sched.orders[sched.segment_of(ti)]
                 drift = 0.0 if ti == 0.0 else ti ** (1.0 - b) / gamma_fn(2.0 - b)
                 out[i] = drift + lam * ti
             return out
@@ -507,8 +506,7 @@ class TestFullFiniteDifference:
             t = np.asarray(times, dtype=float)
             out = np.empty_like(t)
             for i, ti in enumerate(t):
-                b = (sched.orders[-1] if ti >= sched.horizon
-                     else sched.order_at(ti))
+                b = sched.orders[sched.segment_of(ti)]
                 drift = 0.0 if ti == 0.0 else ti ** (1.0 - b) / gamma_fn(2.0 - b)
                 out[i] = drift + lam_h * (1.0 + ti)
             return out
@@ -517,8 +515,7 @@ class TestFullFiniteDifference:
             t = np.asarray(times, dtype=float)
             out = np.empty_like(t)
             for i, ti in enumerate(t):
-                b = (sched.orders[-1] if ti >= sched.horizon
-                     else sched.order_at(ti))
+                b = sched.orders[sched.segment_of(ti)]
                 drift = np.inf if ti == 0.0 else (
                     (1.0 - b) * ti ** (-b) / gamma_fn(2.0 - b))
                 out[i] = drift + lam_h

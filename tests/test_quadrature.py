@@ -241,6 +241,23 @@ class TestScaledPowerHistory:
                     scaled_power_history(rows, 0.0, 0.4, above, kappa,
                                          SCALED_ORDER))
 
+    def test_empty_times(self):
+        # no times give an empty result with the profile's rows, shaped
+        # as the times are, and no error
+        lams = np.array([9.0, 2.5])
+
+        def rows(xi):
+            return ml_values(SCALED_ORDER, SCALED_ORDER, -lams[:, None] * xi)
+
+        for times in (np.empty(0), np.empty((0, 3))):
+            for kappa in (0.45, 1.45):
+                one = scaled_power_history(self._profile, 0.0, 0.4, times,
+                                           kappa, SCALED_ORDER)
+                assert one.shape == times.shape
+                two = scaled_power_history(rows, 0.0, 0.4, times, kappa,
+                                           SCALED_ORDER)
+                assert two.shape == (2,) + times.shape
+
     def test_validation(self):
         one = lambda xi: np.ones_like(xi)
         for a, b, t, kappa, power in [

@@ -33,7 +33,7 @@ class TestConstruction:
     def test_single_segment(self):
         s = OrderSchedule(breakpoints=(0.0, 2.0), orders=(0.9,))
         assert s.num_segments == 1
-        assert s.order_at(1.999) == 0.9
+        assert s.orders[s.segment_of(1.999)] == 0.9
 
     def test_immutable(self, three_segment):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -64,21 +64,30 @@ class TestConstruction:
 class TestLookup:
     def test_right_continuous_at_breakpoints(self, three_segment):
         s = three_segment
-        assert s.segment_index(0.0) == 0
-        assert s.segment_index(0.25 - 1e-12) == 0
-        assert s.segment_index(0.25) == 1
-        assert s.segment_index(0.5) == 2
-        assert s.segment_index(1.0 - 1e-12) == 2
+        for j, t in enumerate(s.breakpoints[1:-1]):
+            assert s.segment_of(t) == j + 1
+            assert s.segment_of(t, side="left") == j
+        assert s.segment_of(0.25 - 1e-12) == 0
+        assert s.segment_of(1.0 - 1e-12) == 2
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_horizon_ends(self, side, three_segment):
+        assert three_segment.segment_of(0.0, side) == 0
+        assert three_segment.segment_of(1.0, side) == 2
 
     def test_order_at(self, three_segment):
-        assert three_segment.order_at(0.1) == 0.3
-        assert three_segment.order_at(0.25) == 0.8
-        assert three_segment.order_at(0.75) == 0.5
+        s = three_segment
+        times = np.array([0.1, 0.25, 0.75])
+        np.testing.assert_array_equal(
+            np.asarray(s.orders)[s.segment_of(times)], [0.3, 0.8, 0.5])
 
-    @pytest.mark.parametrize("t", [-1e-9, 1.0, 1.5, math.nan, math.inf])
-    def test_rejects_outside_half_open_horizon(self, t, three_segment):
-        with pytest.raises(DomainError):
-            three_segment.segment_index(t)
+    def test_array_keeps_shape(self, three_segment):
+        times = np.array([[0.0, 0.1, 0.25], [0.5, 0.75, 1.0]])
+        np.testing.assert_array_equal(three_segment.segment_of(times),
+                                      [[0, 0, 1], [2, 2, 2]])
+        np.testing.assert_array_equal(
+            three_segment.segment_of(times, side="left"),
+            [[0, 0, 0], [1, 2, 2]])
 
     def test_segment_rejects_bad_index(self, three_segment):
         with pytest.raises(DomainError):

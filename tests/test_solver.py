@@ -22,7 +22,6 @@ from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource, solve
 from fracstep.special import (
-    MLParams,
     gamma_fn,
     ml,
     ml_values,
@@ -186,7 +185,7 @@ class TestConstantOrder:
 
     def test_derivative_closed_form(self, single_run):
         lam = single_run.basis.eigenvalues[0]
-        par = MLParams(BETA, BETA)
+        par = (BETA, BETA)
         for t in (0.01, 0.2, 0.7, 1.0):
             want = -lam * t ** (BETA - 1.0) * ml(par, -lam * t ** BETA)
             got = single_run.mode_derivatives(t)[0]
@@ -236,7 +235,7 @@ class TestEqualOrderSplit:
         # equal orders leave the true derivative smooth across the
         # junction; the representation reproduces it to mesh accuracy
         lam = split_run.basis.eigenvalues[0]
-        par = MLParams(BETA, BETA)
+        par = (BETA, BETA)
         for t in (0.45, 0.6, 0.9):
             want = -lam * t ** (BETA - 1.0) * ml(par, -lam * t ** BETA)
             got = split_run.mode_derivatives(t)[0]
@@ -414,7 +413,7 @@ class TestForcedProblems:
                            initial_coefficients=(1.0,), source=src)
         field = solve(prob, n_cells=128, n_quad=24)
         lam = field.basis.eigenvalues[0]
-        p1, p2 = MLParams(BETA, 1.0), MLParams(BETA, BETA + 1.0)
+        p1, p2 = (BETA, 1.0), (BETA, BETA + 1.0)
         for t in (0.25, 0.5, 1.0):
             want = ml(p1, -lam * t ** BETA) \
                 + q * t ** BETA * ml(p2, -lam * t ** BETA)

@@ -18,7 +18,6 @@ from oracles import ml_oracle
 from fracstep import special
 from fracstep.errors import DomainError
 from fracstep.special import (
-    MLParams,
     gamma_fn,
     measured_envelope,
     ml,
@@ -51,13 +50,12 @@ def assert_same_bits(got, want):
 
 def duhamel_kernel(alpha, lam, s):
     """Convolution kernel ``s**(alpha-1) * E_{alpha,alpha}(-lam s**alpha)``."""
-    return s ** (alpha - 1.0) * ml(MLParams(alpha, alpha), -lam * s ** alpha)
+    return s ** (alpha - 1.0) * ml((alpha, alpha), -lam * s ** alpha)
 
 
 def integrated_kernel(alpha, lam, tau):
     """Its primitive ``tau**alpha * E_{alpha,alpha+1}(-lam tau**alpha)``."""
-    return tau ** alpha * ml(MLParams(alpha, alpha + 1.0),
-                             -lam * tau ** alpha)
+    return tau ** alpha * ml((alpha, alpha + 1.0), -lam * tau ** alpha)
 
 
 class TestGammaBeta:
@@ -78,34 +76,39 @@ class TestGammaBeta:
 
 
 class TestMLParams:
+    """``ml_values`` rejects an ``(alpha, beta)`` pair outside its range."""
+
     @pytest.mark.parametrize("alpha,beta", [
         (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (-0.3, 1.0), (0.5, 0.0),
-        (0.5, -2.0), (math.nan, 1.0), (0.5, math.inf),
+        (0.5, -2.0), (math.nan, 1.0), (0.5, math.inf), (0.5, math.nan),
+        (math.inf, 1.0), (-math.inf, 1.0), (0.5, -math.inf),
     ])
     def test_rejects_bad_parameters(self, alpha, beta):
         with pytest.raises(DomainError):
-            MLParams(alpha, beta)
+            ml_values(alpha, beta, np.array([-1.0]))
+        with pytest.raises(DomainError):
+            ml_values(alpha, (1.0, beta), np.array([-1.0]))
 
     def test_accepts_open_ranges(self):
-        MLParams(1e-3, 1e-3)
-        MLParams(0.999, 10.0)
+        ml_values(1e-3, 1e-3, np.array([-1.0]))
+        ml_values(0.999, 10.0, np.array([-1.0]))
 
 
 class TestMLPointValues:
     @pytest.mark.parametrize("key", sorted(ML_REFERENCE))
     def test_frozen_references(self, key):
         alpha, beta, z = key
-        assert ml(MLParams(alpha, beta), z) == pytest.approx(
+        assert ml((alpha, beta), z) == pytest.approx(
             ML_REFERENCE[key], abs=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.7, 0.7)])
     def test_value_at_origin(self, alpha, beta):
-        assert ml(MLParams(alpha, beta), 0.0) == 1.0 / gamma_fn(beta)
+        assert ml((alpha, beta), 0.0) == 1.0 / gamma_fn(beta)
 
     @pytest.mark.parametrize("z", [1e-8, 1.0, math.nan])
     def test_rejects_positive_or_nonfinite(self, z):
         with pytest.raises(DomainError):
-            ml(MLParams(0.5, 1.0), z)
+            ml((0.5, 1.0), z)
 
 
 class TestMLAccuracy:
@@ -117,7 +120,7 @@ class TestMLAccuracy:
         for alpha in (0.05, 0.2, 0.6, 0.95, 0.99):
             for beta in (alpha, 1.0, alpha + 1.0, alpha + 2.0):
                 for z in -10.0 ** rng.uniform(-2, 7, size=12):
-                    err = abs(ml(MLParams(alpha, beta), float(z))
+                    err = abs(ml((alpha, beta), float(z))
                               - float(ml_oracle(alpha, beta, float(z))))
                     worst = max(worst, err)
         assert worst < 1e-13
@@ -126,7 +129,7 @@ class TestMLAccuracy:
 class TestMLShapeProperties:
     def test_completely_monotone_profile(self):
         # E_{alpha,1}(-x) must decrease from 1 and stay positive
-        params = MLParams(0.4, 1.0)
+        params = (0.4, 1.0)
         xs = np.logspace(-3, 5, 60)
         vals = [ml(params, -float(x)) for x in xs]
         assert vals[0] < 1.0
@@ -136,7 +139,7 @@ class TestMLShapeProperties:
     @pytest.mark.parametrize("alpha,beta", [(0.4, 1.0), (0.7, 0.7),
                                             (0.95, 1.95)])
     def test_uniform_envelope(self, alpha, beta):
-        assert measured_envelope(MLParams(alpha, beta)) <= 5.0
+        assert measured_envelope((alpha, beta)) <= 5.0
 
 
 class TestMLArray:
@@ -144,7 +147,7 @@ class TestMLArray:
         rng = np.random.default_rng(7)
         for alpha, beta in [(0.25, 1.0), (0.6, 0.6), (0.95, 1.95)]:
             z = -np.concatenate([[0.0], 10.0 ** rng.uniform(-3, 5.5, 48)])
-            params = MLParams(alpha, beta)
+            params = (alpha, beta)
             vals = ml_values(alpha, beta, z)
             scalars = np.array([ml(params, float(zi)) for zi in z])
             np.testing.assert_array_equal(vals, scalars)
