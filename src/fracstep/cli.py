@@ -103,7 +103,7 @@ def cmd_solve(cfg: RunConfig, out: str) -> dict:
     ts = np.linspace(0.0, spec.schedule.horizon,
                      cfg.run_value("time_points", 33))
     values = field.mode_values(ts)
-    grid = np.column_stack([field.basis.synthesize(c, xs) for c in values.T])
+    grid = field.basis.synthesize(values, xs)
     mode_rows = ((t, float(n + 1), values[n, k])
                  for k, t in enumerate(ts) for n in range(spec.num_modes))
     sol_rows = ((x, t, grid[i, k])
@@ -189,8 +189,8 @@ def cmd_verify(cfg: RunConfig, out: str) -> dict:
         "initial_limit": {
             "times": [horizon * s for s in (1e-3, 1e-4, 1e-5, 1e-6)],
             "deviations": list(deviations),
-            "initial_norm": float(np.linalg.norm(
-                spec.initial_coefficients)),
+            "initial_norm": field.basis.fractional_norm(
+                spec.initial_coefficients),
         },
     }
     _write_json(os.path.join(out, "verify.json"), payload)

@@ -348,8 +348,9 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     orthonormal eigenvectors are the discrete sine vectors.  The L1
     equations of the whole field are therefore, exactly, one scalar L1
     equation per discrete sine mode at the stencil eigenvalue: the
-    sampled initial data and loads are sine-transformed, all modes are
-    solved in one ``solve_mode_l1`` call, and the result is transformed
+    initial data and the loads at all grid times are synthesized on the
+    grid (one ``ModalBasis.synthesize`` call each), sine-transformed,
+    solved in one ``solve_mode_l1`` call for all modes, and transformed
     back.  No step is marched and no matrix is factored.
     """
     if not isinstance(spec, ProblemSpec):
@@ -366,18 +367,10 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
     times = grid.times
 
     # data synthesized from the analytic eigenfunctions: this is input
-    # data, not solver output, so no spectral machinery is borrowed.
-    # Elementwise products summed mode by mode, never a BLAS product, so
-    # the field cannot depend on the BLAS build or its thread count.
-    shapes = ModalBasis(spec.operator, spec.num_modes).evaluation_matrix(
-        op.x).T  # (N, P)
-    initial = np.zeros(spatial_points)
-    loads = np.zeros((times.size, spatial_points))
-    for shape, c, load in zip(shapes, spec.initial_coefficients,
-                              spec.source.values(times)):
-        initial += c * shape
-        loads += load[:, None] * shape
-
+    # data, not solver output, so no spectral machinery is borrowed
+    basis = ModalBasis(spec.operator, spec.num_modes)
+    initial = basis.synthesize(spec.initial_coefficients, op.x)
+    loads = basis.synthesize(spec.source.values(times), op.x).T
     modal = solve_mode_l1(op.eigenvalues(), lambda t: _dst(loads).T,
                           spec.schedule, _dst(initial), grid)
     out = np.zeros((spatial_points + 2, times.size))

@@ -85,28 +85,41 @@ class ModalBasis:
         n = np.arange(1, self.size + 1)
         return math.sqrt(2.0 / L) * np.sin(np.outer(x, n) * math.pi / L)
 
-    def synthesize(self, coefficients, x) -> np.ndarray:
-        """Evaluate ``sum_n coefficients[n-1] X_n(x)``."""
+    def _modal(self, coefficients) -> np.ndarray:
         c = np.asarray(coefficients, dtype=float)
-        if c.shape != (self.size,):
-            raise DomainError(
-                f"expected {self.size} coefficients, got shape {c.shape}")
-        shape = np.shape(x)
-        out = self.evaluation_matrix(x) @ c
-        return out.reshape(shape) if shape else float(out[0])
+        if c.shape[:1] != (self.size,):
+            raise DomainError(f"expected {self.size} coefficients on axis "
+                              f"0, got shape {c.shape}")
+        return c
 
-    def fractional_norm(self, coefficients, power: float = 0.0) -> float:
-        """Norm ``(sum_n lam_n**(2 p) c_n**2)**0.5`` of a modal vector.
+    def synthesize(self, coefficients, x) -> np.ndarray:
+        """Evaluate ``sum_n coefficients[n-1] X_n(x)``.
+
+        The modes are on axis 0 of ``coefficients``, and each trailing
+        column (one per time, say) is one field; the result has the shape
+        of ``x``, then the trailing shape, or is a float for a scalar
+        ``x`` and one modal vector.  The modes are summed in order, one
+        elementwise outer product each and no BLAS product, so each
+        column equals its one-column call bit for bit, on any BLAS build.
+        """
+        c = self._modal(coefficients)
+        out = sum(map(np.multiply.outer, self.evaluation_matrix(x).T, c))
+        out = np.reshape(out, np.shape(x) + c.shape[1:])
+        return float(out) if out.ndim == 0 else out
+
+    def fractional_norm(self, coefficients, power: float = 0.0):
+        """Norm ``(sum_n lam_n**(2 p) c_n**2)**0.5`` of modal vectors.
 
         ``power = 0`` is the plain L2 norm, ``power = 0.5`` the energy
-        norm, ``power = 1`` the graph norm of the operator.
+        norm, ``power = 1`` the graph norm of the operator.  The modes are
+        on axis 0, as for :meth:`synthesize`: one modal vector gives a
+        float, more give one norm per trailing column, each summed over
+        the modes in order and equal to its one-column call bit for bit.
         """
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != (self.size,):
-            raise DomainError(
-                f"expected {self.size} coefficients, got shape {c.shape}")
-        return float(np.sqrt(np.sum(self.eigenvalues ** (2.0 * power)
-                                    * c ** 2)))
+        c = self._modal(coefficients)
+        weights = self.eigenvalues ** (2.0 * power)
+        norm = np.sqrt(sum(w * column ** 2 for w, column in zip(weights, c)))
+        return float(norm) if norm.ndim == 0 else norm
 
 
 class GridOperator:

@@ -66,6 +66,9 @@ MIN_CELL_FRACTION = 1e-14
 
 _EXP_CELL_SPAN = 1.5  # cell length in log coordinates for stretched grids
 
+#: Graded-mesh cells of each ``scaled_power_history`` scaled-variable part.
+HISTORY_CELLS = 8
+
 # power_kernel_convolve and duhamel_convolve evaluate their times in blocks
 # of about this many quadrature or mesh nodes, so their memory stays
 # bounded (a few MB) however many times are asked for
@@ -189,7 +192,7 @@ def _cell_nodes(edges: np.ndarray, x: np.ndarray):
 
 def scaled_power_history(profile, a: float, b, times,
                          kernel_exponent: float, power: float,
-                         n: int = 24, n_cells: int = 8):
+                         n: int = 24):
     """Memory integral of a fractional impulse response shape.
 
     Computes ``int_a^b (t-s)**(-kappa) * (s-a)**(power-1)
@@ -204,8 +207,9 @@ def scaled_power_history(profile, a: float, b, times,
         (1/power) * int_0^{(b-a)**power}
             (t - a - w**(1/power))**(-kappa) * profile(w) dw.
 
-    Composite Gauss on a mildly left-graded mesh (the map ``w**(1/power)``
-    has limited smoothness at zero) integrates this to near machine
+    Composite Gauss on a mildly left-graded mesh of ``HISTORY_CELLS``
+    cells (the map ``w**(1/power)`` has limited smoothness at zero)
+    integrates this to near machine
     accuracy in the far field, ``t - b >= FAR_FIELD_FRACTION * (b - a)``.
     Nearer to ``b`` the integral is split at the midpoint: the left half
     is done the same way, and the right half in the kernel variable
@@ -265,7 +269,7 @@ def scaled_power_history(profile, a: float, b, times,
         for s_hi, here in ((lim, ~near), (0.5 * (a + lim), near)):
             index = np.flatnonzero(here & (limits == lim))
             if index.size:
-                edges = graded_mesh(0.0, (s_hi - a) ** power, int(n_cells),
+                edges = graded_mesh(0.0, (s_hi - a) ** power, HISTORY_CELLS,
                                     3.0)
                 xi, half = _cell_nodes(edges, x)
                 kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)

@@ -450,11 +450,11 @@ class SolutionField:
         return float(out) if out.ndim == 0 else out
 
     def evaluate_grid(self, xs, ts) -> np.ndarray:
-        """Matrix ``u[i, k] = u(xs[i], ts[k])``."""
-        values = self.mode_values(np.ravel(ts))
-        # synthesize per time; one matmul over all times rounds differently
-        return np.column_stack([self.basis.synthesize(c, np.ravel(xs))
-                                for c in values.T])
+        """Matrix ``u[i, k] = u(xs[i], ts[k])``: one ``synthesize`` call
+        for all times, whose column ``k`` equals the synthesis of
+        ``mode_values(ts[k])`` bit for bit."""
+        return self.basis.synthesize(self.mode_values(np.ravel(ts)),
+                                     np.ravel(xs))
 
     def junction_gaps(self) -> np.ndarray:
         """Trajectory mismatch at each interior breakpoint, per junction.

@@ -118,22 +118,8 @@ def _fit_offsets(width: float) -> np.ndarray:
     return width * np.geomspace(lo, hi, 9)
 
 
-def _derivative_norms(field: SolutionField, times: np.ndarray) -> np.ndarray:
-    """l2 norm across modes of the time derivative at each of ``times``."""
-    rows = field.mode_derivatives(times)
-    return np.sqrt(np.sum(np.square(rows), axis=0))
-
-
 # ---------------------------------------------------------------------------
 # data-side functional
-
-
-def _load_derivative_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(spec.source.derivatives(times)), axis=0))
-
-
-def _load_value_norms(spec: ProblemSpec, times: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.square(spec.source.values(times)), axis=0))
 
 
 def data_functional(spec: ProblemSpec, j: int) -> float:
@@ -178,7 +164,9 @@ def segment_load_norm(spec: ProblemSpec, k: int) -> float:
     if not spec.source.forced.any():
         return 0.0
 
-    rate_norm = lambda t: _load_derivative_norms(spec, np.atleast_1d(t))
+    basis = ModalBasis(spec.operator, spec.num_modes)
+    rate_norm = lambda t: basis.fractional_norm(
+        spec.source.derivatives(np.atleast_1d(t)))
     offsets = _fit_offsets(width)
     sigma = _fit_slope(offsets, rate_norm(a + offsets))
     if sigma is not None and sigma <= order + margin - 2.0 + 0.05:
@@ -188,7 +176,7 @@ def segment_load_norm(spec: ProblemSpec, k: int) -> float:
             "allows for an integrable derivative")
 
     value_part = composite_graded_integral(
-        lambda s: _load_value_norms(spec, s), a, b,
+        lambda s: basis.fractional_norm(spec.source.values(s)), a, b,
         left_exponent=0.0, n_cells=48, grading=2.0, n_gauss=16)
     if sigma is None:
         rate_part = 0.0
@@ -226,8 +214,7 @@ def c0_dL_norm(field: SolutionField) -> float:
     """Sup over the default probe times of the graph norm of the mode
     vector."""
     values = field.mode_values(default_probe_times(field.problem.schedule))
-    return max(field.basis.fractional_norm(column, 1.0)
-               for column in values.T)
+    return float(np.max(field.basis.fractional_norm(values, 1.0)))
 
 
 def w11_norm(field: SolutionField) -> float:
@@ -267,7 +254,8 @@ def w11_norm(field: SolutionField) -> float:
             s = np.atleast_1d(s)
             dt = s - a
             base = dt ** (order - 1.0) * impulse_norm_y(dt ** order)
-            return _derivative_norms(field, s) - base
+            return field.basis.fractional_norm(
+                field.mode_derivatives(s)) - base
 
         part += composite_graded_integral(
             correction, a, b, left_exponent=0.0,
@@ -288,7 +276,8 @@ def blowup_fit_samples(field: SolutionField, j: int):
     schedule = field.problem.schedule
     a, b = schedule.segment(j)
     offsets = _fit_offsets(b - a)
-    return offsets, _derivative_norms(field, a + offsets)
+    return offsets, field.basis.fractional_norm(
+        field.mode_derivatives(a + offsets))
 
 
 def blowup_rate_fit(field: SolutionField, j: int):
@@ -350,13 +339,12 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     prefac = order / gamma_fn(1.0 - order)
     times = a + offsets
 
-    # rows are offsets, so each norm sums its modes in mode order
-    per_mode = np.ascontiguousarray(spec.source.derivatives(times).T)
+    per_mode = spec.source.derivatives(times)
     live = list(field.live)
     for k in range(j) if live else ():
-        per_mode[:, live] = per_mode[:, live] + prefac * _history(
-            field, live, k, times, order + 1.0, n_quad).T
-    return offsets, np.sqrt(np.sum(per_mode ** 2, axis=1))
+        per_mode[live] += prefac * _history(field, live, k, times,
+                                            order + 1.0, n_quad)
+    return offsets, field.basis.fractional_norm(per_mode)
 
 
 def source_rate_fit(spec: ProblemSpec, field: SolutionField, j: int,
@@ -407,12 +395,14 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
                    n_quad: int = 24) -> float:
     """Max absolute equation defect over space-time probe points.
 
-    ``probes`` holds ``(x, t)`` rows; times must keep 1e-3 of the
-    shortest segment away from every breakpoint, where the derivative's
-    blow-up would poison the quadrature.  The memory
-    derivatives of all live modes are evaluated together, one history
-    call per segment and group of times; a mode that is not live has a
-    zero defect, because ``solve`` makes every forced mode live.
+    ``probes`` holds ``(x, t)`` rows with ``x`` in ``[0, length]``;
+    times must keep 1e-3 of the shortest segment away from every
+    breakpoint, where the derivative's blow-up would poison the
+    quadrature.  The memory derivatives of all live modes are evaluated
+    together, one history call per segment and group of times; a mode
+    that is not live has a zero defect, because ``solve`` makes every
+    forced mode live.  Each probe sums its ``evaluation_matrix`` row
+    against its time's modal defect, all probes at once.
     """
     schedule = spec.schedule
     probes = np.asarray(probes, dtype=float)
@@ -420,27 +410,27 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
         raise DomainError("probes must be a nonempty array of (x, t) rows")
     floor = 1e-3 * float(np.min(schedule.widths()))
     marks = np.asarray(schedule.breakpoints)
-    for t in probes[:, 1]:
-        if np.min(np.abs(marks - t)) < floor:
-            raise DomainError(
-                f"probe time {t} closer than {floor} to a breakpoint")
-    times = np.unique(probes[:, 1])
+    close = np.min(np.abs(marks[:, None] - probes[:, 1]), axis=0) < floor
+    if close.any():
+        raise DomainError(f"probe time {probes[close, 1][0]} closer than "
+                          f"{floor} to a breakpoint")
+    xs, length = probes[:, 0], spec.operator.length
+    outside = ~((0.0 <= xs) & (xs <= length))
+    if outside.any():
+        raise DomainError(f"probe x {xs[outside][0]} outside [0, {length}]")
+    times, which = np.unique(probes[:, 1], return_inverse=True)
     values = field.mode_values(times)
 
-    # rows are times, so each row is one contiguous modal vector
+    # rows are times, so each probe takes its time's modal vector as a row
     defect = np.zeros((times.size, spec.num_modes))
     rows = list(field.live)
     if rows:
         defect[:, rows] = (_vo_caputo_rows(field, rows, times, n_quad)
                            + field.basis.eigenvalues[rows, None] * values[rows]
                            - spec.source.values(times)[rows]).T
-
-    worst = 0.0
-    for t, row in zip(times, defect):
-        xs = probes[probes[:, 1] == t, 0]
-        vals = np.atleast_1d(field.basis.synthesize(row, xs))
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    synthesized = np.sum(field.basis.evaluation_matrix(xs) * defect[which],
+                         axis=1)
+    return float(np.max(np.abs(synthesized)))
 
 
 def initial_limit_check(field: SolutionField) -> np.ndarray:
@@ -453,9 +443,7 @@ def initial_limit_check(field: SolutionField) -> np.ndarray:
     u0 = np.asarray(field.problem.initial_coefficients, dtype=float)
     horizon = field.problem.schedule.horizon
     times = horizon * np.array([1e-3, 1e-4, 1e-5, 1e-6])
-    values = field.mode_values(times)
-    return np.array([float(np.linalg.norm(column - u0))
-                     for column in values.T])
+    return field.basis.fractional_norm(field.mode_values(times) - u0[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +452,9 @@ def initial_limit_check(field: SolutionField) -> np.ndarray:
 
 def default_space_time_probes(spec: ProblemSpec) -> np.ndarray:
     """Interior (x, t) probe grid respecting the breakpoint offset floor:
-    five points in space at each of four times per segment."""
-    xs = np.linspace(0.0, 1.0, 7)[1:-1]
+    five points in space, at sixths of the domain length, at each of
+    four times per segment."""
+    xs = spec.operator.length * np.linspace(0.0, 1.0, 7)[1:-1]
     rows = []
     for j in range(spec.schedule.num_segments):
         a, b = spec.schedule.segment(j)

@@ -505,19 +505,23 @@ class TestCompare:
 
     def test_independent_of_blas_threads(self, tmp_path):
         # the README problem down to step 2^-14 in fresh processes: the
-        # L1 ladder must not depend on how BLAS splits its sums
+        # L1 ladder and the synthesized solution grid must not depend on
+        # how BLAS splits its sums
         cfg = write_config(tmp_path / "c.json", two_segment_config(
-            cells=32, quad=32, compare_step_exponents=[8, 10, 12, 14]))
+            cells=32, quad=32, compare_step_exponents=[8, 10, 12, 14],
+            space_points=65))
         tables = []
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "fracstep.cli", "compare",
-                 "--config", cfg, "--out", str(out)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            tables.append((out / "compare.csv").read_bytes())
+            for command in ("compare", "solve"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fracstep.cli", command,
+                     "--config", cfg, "--out", str(out)],
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+            tables.append([(out / name).read_bytes()
+                           for name in ("compare.csv", "solution.csv")])
         assert tables[0] == tables[1]
 
 

@@ -66,9 +66,49 @@ class TestModalBasis:
         # eigenvalues exceed one, so the norm grows with the power
         assert basis.fractional_norm(c, 1.0) > basis.fractional_norm(c, 0.5)
 
+    @pytest.mark.parametrize("size", [1, 8])
+    @pytest.mark.parametrize("x", [0.37, np.linspace(0.0, 1.0, 33),
+                                   np.linspace(0.1, 0.9, 6).reshape(2, 3)])
+    def test_batched_synthesis_equals_column_calls(self, size, x):
+        # each column is summed over the modes in the same order as a
+        # call of its own, bit for bit, at any number of columns
+        small = ModalBasis(OperatorSpec(length=1.5), size)
+        c = np.random.default_rng(size).standard_normal((size, 5))
+        got = small.synthesize(c, x)
+        assert got.shape == np.shape(x) + (5,)
+        for k in range(5):
+            one = small.synthesize(c[:, k], x)
+            assert np.shape(one) == np.shape(x)
+            np.testing.assert_array_equal(got[..., k], one)
+        if np.ndim(x) == 0:
+            assert isinstance(small.synthesize(c[:, 0], x), float)
+        want = np.sum(small.evaluation_matrix(x) * c[:, 0], axis=1)
+        np.testing.assert_allclose(np.ravel(small.synthesize(c[:, 0], x)),
+                                   want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("size", [1, 8])
+    @pytest.mark.parametrize("power", [0.0, 0.5, 1.0])
+    def test_batched_norm_equals_column_calls(self, size, power):
+        small = ModalBasis(OperatorSpec(reaction=-1.0), size)
+        c = np.random.default_rng(size).standard_normal((size, 3, 4))
+        got = small.fractional_norm(c, power)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                one = small.fractional_norm(c[:, i, k], power)
+                assert isinstance(one, float)
+                assert got[i, k] == one
+        want = np.sqrt(np.sum(small.eigenvalues[:, None, None]
+                              ** (2.0 * power) * c ** 2, axis=0))
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
     def test_validation(self, basis):
         with pytest.raises(DomainError):
             basis.synthesize(np.ones(7), 0.5)
+        with pytest.raises(DomainError):
+            basis.synthesize(np.ones((7, 3)), 0.5)
+        with pytest.raises(DomainError):
+            basis.fractional_norm(1.0)
         with pytest.raises(DomainError):
             ModalBasis(OperatorSpec(), 0)
 

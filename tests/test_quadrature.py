@@ -134,12 +134,13 @@ class TestScaledPowerHistory:
                            * x ** (p - 1.0), [0, mp.mpf(b) - mp.mpf(a)])
         assert got == pytest.approx(float(want), rel=1e-12)
 
-    def test_rule_refinement_is_converged(self):
+    def test_rule_refinement_is_converged(self, monkeypatch):
         # defaults must already sit at the refined value
         coarse = scaled_power_history(self._profile, 0.0, 0.4, 0.401,
                                       1.45, SCALED_ORDER)
+        monkeypatch.setattr(quadrature, "HISTORY_CELLS", 24)
         fine = scaled_power_history(self._profile, 0.0, 0.4, 0.401,
-                                    1.45, SCALED_ORDER, n=48, n_cells=24)
+                                    1.45, SCALED_ORDER, n=48)
         assert coarse == pytest.approx(fine, rel=1e-11)
 
     def test_batch_matches_one_time_at_a_time(self):
@@ -525,11 +526,13 @@ class TestCompositeGraded:
         assert got == pytest.approx(2.0, rel=1e-10)
 
 
-_BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot")
+_BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot",
+               "norm")
 
 
 @pytest.mark.parametrize("module", ["quadrature.py", "special.py",
-                                    "solver.py", "l1.py"])
+                                    "solver.py", "l1.py", "operator.py",
+                                    "verify.py", "cli.py"])
 def test_quadrature_module_uses_no_blas_product(module):
     # BLAS fixes no summation order, so a product there could make a
     # batched row differ from a one-row call, or the contour sum of one

@@ -500,7 +500,7 @@ class TestZeroModes:
         assert np.all(field.evaluate_grid(xs, TIMES[:5]) == 0.0)
 
 
-def _scalar_limit_nodes(a, b, times, kappa, power, n, n_cells):
+def _scalar_limit_nodes(a, b, times, kappa, power, n):
     """Profile nodes of a history call with one scalar limit ``b``, in the
     order it evaluates them: the far-field and left-half node sets in
     the scaled variable, then each near time's right half in ``u = t - s``
@@ -513,7 +513,7 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n, n_cells):
     for s_hi, here in ((b, ~near), (mid, near)):
         if here.any():
             edges = quadrature.graded_mesh(0.0, (s_hi - a) ** power,
-                                           n_cells, 3.0)
+                                           quadrature.HISTORY_CELLS, 3.0)
             parts.append(quadrature._cell_nodes(edges, x)[0])
     on = flat[near & (flat == b)]
     if on.size:
@@ -537,12 +537,11 @@ class TestHistoryNodes:
         real = solver_module.scaled_power_history
         calls = []
 
-        def recording(profile, a, b, times, kappa, power, n, n_cells=8):
+        def recording(profile, a, b, times, kappa, power, n):
             def spy(w):
-                calls.append(((a, b, times, kappa, power, n, n_cells), w))
+                calls.append(((a, b, times, kappa, power, n), w))
                 return profile(w)
-            return real(spy, a, b, times, kappa, power, n=n,
-                        n_cells=n_cells)
+            return real(spy, a, b, times, kappa, power, n=n)
 
         monkeypatch.setattr(solver_module, "scaled_power_history",
                             recording)
@@ -582,6 +581,18 @@ class TestSolutionField:
         want = single_run.mode_trajectory(1, 0.6) \
             * math.sqrt(2.0) * math.sin(math.pi * x)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_evaluate_grid_columns_are_time_syntheses(self):
+        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=1.0 / np.arange(1, 9))
+        field = solve(prob, n_cells=16, n_quad=8)
+        xs = np.linspace(0.0, 1.0, 9)
+        ts = TIMES[::10]
+        out = field.evaluate_grid(xs, ts)
+        for k, t in enumerate(ts):
+            np.testing.assert_array_equal(
+                out[:, k], field.basis.synthesize(field.mode_values(t), xs))
 
     def test_mode_index_validation(self, single_run):
         with pytest.raises(DomainError):

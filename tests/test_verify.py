@@ -283,6 +283,26 @@ class TestResidual:
         with pytest.raises(DomainError):
             V.residual_check(field, spec, np.array([[0.5, 1e-7]]))
 
+    @pytest.mark.parametrize("length", [2.0, 0.5])
+    def test_default_probes_span_the_domain(self, length):
+        # the x grid sits at sixths of the domain, whatever its length
+        sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(0.5,))
+        spec = ProblemSpec(schedule=sched,
+                           operator=OperatorSpec(length=length),
+                           initial_coefficients=(1.0,))
+        probes = V.default_space_time_probes(spec)
+        np.testing.assert_allclose(np.unique(probes[:, 0]),
+                                   length * np.arange(1, 6) / 6.0,
+                                   rtol=1e-15)
+        field = solve(spec, n_cells=64)
+        assert V.residual_check(field, spec, probes) <= 1e-5
+
+    @pytest.mark.parametrize("x", [-0.1, 1.0 + 1e-9, np.nan])
+    def test_rejects_probe_outside_domain(self, relax_run, x):
+        spec, field = relax_run
+        with pytest.raises(DomainError):
+            V.residual_check(field, spec, np.array([[0.5, 0.3], [x, 0.3]]))
+
     def test_rejects_malformed_probes(self, relax_run):
         spec, field = relax_run
         with pytest.raises(DomainError):
