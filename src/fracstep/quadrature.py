@@ -209,8 +209,8 @@ def scaled_power_history(profile, a: float, b, times,
 
     Composite Gauss on a mildly left-graded mesh of ``HISTORY_CELLS``
     cells (the map ``w**(1/power)`` has limited smoothness at zero)
-    integrates this to near machine
-    accuracy in the far field, ``t - b >= FAR_FIELD_FRACTION * (b - a)``.
+    integrates this to near machine accuracy in the far field,
+    ``t - b >= FAR_FIELD_FRACTION * (b - a)``.
     Nearer to ``b`` the integral is split at the midpoint: the left half
     is done the same way, and the right half in the kernel variable
     ``u = t - s``, where the peeled weight is smooth, on a stretched grid
