@@ -83,7 +83,9 @@ class ModalBasis:
         L = self.spec.length
         x = np.asarray(x, dtype=float).reshape(-1)
         n = np.arange(1, self.size + 1)
-        return math.sqrt(2.0 / L) * np.sin(np.outer(x, n) * math.pi / L)
+        out = math.sqrt(2.0 / L) * np.sin(np.outer(x, n) * math.pi / L)
+        out[x == L] = 0.0   # the Dirichlet value, which sin(n pi) misses
+        return out
 
     def _modal(self, coefficients) -> np.ndarray:
         c = np.asarray(coefficients, dtype=float)

@@ -1,40 +1,25 @@
 """Quadrature rules for integrands with endpoint power singularities.
 
-Every integral in the segment recursion has one of three shapes and each
-gets a dedicated rule here:
+Every integral in the segment recursion has one of two shapes:
 
-* ``int_a^b (s-a)**p * (t-s)**(-kappa) * g(s) ds`` with ``t >= b``: the
-  memory integral of a past segment's impulse part, for an array of
-  times at once, each with the same ``b`` or with its own.
-  When ``t`` is well clear of ``b`` the kernel factor is smooth and
-  composite Gauss in a scaled variable suffices; when ``t`` approaches
-  ``b`` the interval is split and the nearly singular right part is
-  integrated on an exponentially stretched grid (or with a Gauss-Jacobi
-  rule for the endpoint weight when ``t == b``).
-* ``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``: the memory of a
-  past segment's forced tail, exact for the piecewise-linear interpolant
-  and computed as one (times x cells) array per block of times.
-  The first two rules take one row per mode: the rows share every node
-  set and kernel factor, and differ only in the profile's values or the
-  tabulated samples.
-* ``int_a^t K(t-s) * g(s) ds`` with the subdiffusive impulse response
-  ``K``: product integration against samples of ``g`` on a mesh, using
-  exact cell masses of ``K`` obtained from its closed-form antiderivative.
-  The kernel is never evaluated pointwise, so its blow-up at ``s = t``
-  costs nothing.  One call serves every eigenvalue that shares the order
-  and the mesh, one row each.
+* ``int_a^b (s-a)**p * (t-s)**(-kappa) * g(s) ds`` with ``t >= b`` and
+  analytic ``g``: the memory of a past segment's impulse part, for many
+  times at once.  Composite Gauss in a scaled variable where ``t`` is
+  well clear of ``b``; nearer, the right part of a split interval goes
+  on an exponentially stretched grid (Gauss-Jacobi when ``t == b``).
+* ``int (t-s)**(-kappa) * g(s) ds`` and ``int_a^t K(t-s) * g(s) ds``,
+  ``K`` the subdiffusive impulse response, for tabulated ``g``: the
+  memory of a past segment's forced tail and the Duhamel convolution.
+  Both are product integration of the piecewise-linear interpolant
+  against exact cell moments of the kernel (Diethelm, The Analysis of
+  Fractional Differential Equations, 2010), in one shared layout.
 
-Every rule evaluates the integrand's smooth factor once, on the nodes
-of every cell, every time and every row, forms each node's contribution
-elementwise and reduces each time's own nodes and cells with numpy sums
-along the last axis, whose summation order depends on the node and cell
-counts alone.  So a batched result equals the one-row, one-time result
-bit for bit.  No BLAS product is used: BLAS fixes no summation order, so
-its last bits may depend on the batch's shape or the data's memory
-layout.
-
-Graded meshes concentrate nodes near an endpoint with algebraic rate and
-guard against node collapse in double precision.
+Each rule takes one row per mode, sharing every node set and kernel
+factor.  Contributions are formed elementwise and reduced by numpy sums
+whose order depends on the node and cell counts alone, so a batched
+result equals the one-row, one-time result bit for bit.  No BLAS
+product is used: BLAS fixes no summation order.  Graded meshes
+concentrate nodes near an endpoint and guard against node collapse.
 """
 
 from __future__ import annotations
@@ -69,10 +54,12 @@ _EXP_CELL_SPAN = 1.5  # cell length in log coordinates for stretched grids
 #: Graded-mesh cells of each ``scaled_power_history`` scaled-variable part.
 HISTORY_CELLS = 8
 
-# power_kernel_convolve and duhamel_convolve evaluate their times in blocks
-# of about this many quadrature or mesh nodes, so their memory stays
-# bounded (a few MB) however many times are asked for
+# blocks of times hold about this many mesh or quadrature nodes over all
+# rows, so memory stays bounded (a few MB) however many times are asked for
 _BLOCK_NODES = 1 << 16
+
+# terms of each far-cell moment series of power_kernel_convolve
+_FAR_TERMS = 10
 
 
 @functools.lru_cache(maxsize=256)
@@ -197,42 +184,31 @@ def scaled_power_history(profile, a: float, b, times,
 
     Computes ``int_a^b (t-s)**(-kappa) * (s-a)**(power-1)
     * profile((s-a)**power) ds`` for every ``t`` in ``times``, with
-    analytic ``profile`` (typically a Mittag-Leffler factor).  The
-    profile's argument scales like ``(s-a)**power``, so after peeling the
-    algebraic weight the remaining factor still has a branch point at
-    ``s = a`` and a plain Jacobi rule stalls at low accuracy.
-    Substituting ``w = (s-a)**power`` absorbs the weight exactly and
-    removes the branch:
-
-        (1/power) * int_0^{(b-a)**power}
-            (t - a - w**(1/power))**(-kappa) * profile(w) dw.
-
-    Composite Gauss on a mildly left-graded mesh of ``HISTORY_CELLS``
-    cells (the map ``w**(1/power)`` has limited smoothness at zero)
-    integrates this to near machine accuracy in the far field,
-    ``t - b >= FAR_FIELD_FRACTION * (b - a)``.
-    Nearer to ``b`` the integral is split at the midpoint: the left half
-    is done the same way, and the right half in the kernel variable
-    ``u = t - s``, where the peeled weight is smooth, on a stretched grid
-    reaching down to ``u = t - b`` or with an exact Jacobi weight
-    ``u**(-kappa)`` when ``t == b``.
+    analytic ``profile`` (typically a Mittag-Leffler factor), whose
+    argument gives the integrand a branch point at ``s = a`` that stalls
+    a plain Jacobi rule.  Substituting ``w = (s-a)**power`` absorbs the
+    weight and the branch: ``(1/power) int_0^{(b-a)**power} (t - a -
+    w**(1/power))**(-kappa) profile(w) dw``.  Composite Gauss on a mildly
+    left-graded mesh of ``HISTORY_CELLS`` cells (``w**(1/power)`` has
+    limited smoothness at zero) integrates this to near machine accuracy
+    for ``t - b >= FAR_FIELD_FRACTION * (b - a)``.  Nearer to ``b`` the
+    integral is split at the midpoint: the left half is done the same
+    way, the right half in ``u = t - s``, where the peeled weight is
+    smooth, on a stretched grid down to ``u = t - b`` or with an exact
+    Jacobi weight ``u**(-kappa)`` when ``t == b``.
 
     ``b`` is one upper limit for every time or an array of limits that
     broadcasts against ``times``, ``a < b <= t``.  Times that share a
     limit share its far-field and left-half node sets, so a scalar ``b``
     builds one of each for all times.
 
-    ``profile`` must act elementwise.  It may return one row per
-    integrand, for example one per eigenvalue in a Mittag-Leffler
-    argument; the result then has shape ``rows + times.shape``, and a
-    1-d profile with a scalar ``times`` gives a float, and an empty
-    ``times`` gives an empty ``rows + (0,)`` result.  ``profile`` is
-    called once, on every limit's far-field and left-half nodes and
-    every near time's right-half nodes together.  Each part is reduced
-    by an elementwise product and one numpy sum along the nodes of each
-    cell, then one along the cells, in an order fixed by the node and
-    cell counts, so each row and each time equals a call with that row,
-    that time and its limit alone, bit for bit.
+    ``profile`` must act elementwise; it is called once, on every node
+    set together.  It may return one row per integrand, for example one
+    per eigenvalue; the result then has shape ``rows + times.shape`` (a
+    float for a 1-d profile and a scalar ``times``, empty for an empty
+    ``times``).  Each part is summed along the nodes of each cell, then
+    along the cells, so each row and time equals its call alone, bit for
+    bit.
     """
     a = float(a)
     kappa = float(kernel_exponent)
@@ -318,6 +294,97 @@ def scaled_power_history(profile, a: float, b, times,
     return float(out) if out.ndim == 0 else out
 
 
+def _product_integrate(moments, nodes: np.ndarray, samples: np.ndarray,
+                       flat: np.ndarray, below: np.ndarray, last=None,
+                       last_samples=None) -> np.ndarray:
+    """Product integration of piecewise-linear densities, every time at once.
+
+    Time ``flat[k]``'s mesh is ``nodes[:below[k] + 1]``, with the last
+    node and its ``samples`` (rows, nodes) replaced by ``last[k]`` and
+    ``last_samples[:, k]`` if given.  ``moments(u, h)`` maps ``u = t - s``
+    at the nodes and the widths ``h`` to each cell's mass ``int K(u) du``
+    and right weight ``(1/h) int (u[i] - u) K(u) du`` over ``[u[i+1],
+    u[i]]``, shared by every row or one row each.  Cell ``i`` adds ``g_i
+    mass_i + (g_{i+1} - g_i) right_weight_i``.  Returns (rows, times).
+
+    The meshes lie end to end in blocks of about ``_BLOCK_NODES`` nodes
+    over all rows, one ``moments`` call each.  One ``np.add.reduceat``
+    per block sums each mesh's cells, and apart from them the cell that
+    bridges two meshes, in an order fixed by the cell count: each result
+    depends on its own row and ``t`` alone, bit for bit.
+    """
+    rows = samples.shape[0]
+    if not flat.size:
+        return np.empty((rows, 0))
+    counts = below + 1
+    if int(counts.sum()) * rows <= _BLOCK_NODES:
+        cuts = [0, flat.size]   # the common case: one block
+    else:
+        # a block's meshes, over all rows, end in one multiple of the
+        # budget, which it exceeds by at most one mesh per row
+        block = (np.cumsum(counts) * rows - 1) // _BLOCK_NODES
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(),
+                flat.size]
+    out = np.empty((rows, flat.size))
+    for lo, hi in zip(cuts, cuts[1:]):
+        ends = np.cumsum(counts[lo:hi])
+        starts = ends - counts[lo:hi]
+        ends -= 1
+        pos = np.arange(ends[-1] + 1) - np.repeat(starts, counts[lo:hi])
+        mesh = nodes[pos]
+        density = samples[:, pos]
+        if last is not None:
+            mesh[ends] = last[lo:hi]
+            density[:, ends] = last_samples[:, lo:hi]
+        mass, right_weight = moments(np.repeat(flat[lo:hi], counts[lo:hi])
+                                     - mesh, mesh[1:] - mesh[:-1])
+        # density is F-ordered, as is a product of it formed without
+        # out=, and reduceat along the rows of an F-ordered array sums in
+        # an order that changes with the row count: contrib is C-ordered
+        contrib = np.subtract(density[:, 1:], density[:, :-1],
+                              out=np.empty((rows, pos.size - 1)))
+        contrib *= right_weight
+        contrib += density[:, :-1] * mass
+        bounds = np.empty(2 * starts.size - 1, dtype=int)
+        bounds[0::2], bounds[1::2] = starts, ends[:-1]  # odd sums: bridges
+        out[:, lo:hi] = np.add.reduceat(contrib, bounds, axis=1)[:, ::2]
+    return out
+
+
+def _tabulation(nodes, samples: np.ndarray, rows: tuple):
+    """Float ``nodes``, and ``samples`` (``rows + nodes.shape``) 2-d."""
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise DomainError("need at least two mesh nodes")
+    if samples.shape != rows + nodes.shape:
+        raise DomainError("samples must align with nodes, one row per "
+                          "density")
+    if (nodes[1:] - nodes[:-1] <= 0.0).any():
+        raise DomainError("mesh nodes must be strictly increasing")
+    return nodes, samples.reshape(-1, nodes.size)
+
+
+@functools.lru_cache(maxsize=64)
+def _far_series(kappa: float) -> np.ndarray:
+    """Moment series of ``u**(-kappa)`` about a cell midpoint ``m``.
+
+    ``(m (1+y))**(-kappa) = m**(-kappa) sum_j C(-kappa, j) y**j``; over
+    ``|y| <= rho`` the even terms give ``A = sum_i C(-kappa, 2i) x**i /
+    (2i+1)`` and the odd ones ``B = sum_i C(-kappa, 2i+1) x**i / (2i+3)``,
+    ``x = rho**2``.  ``|C(-kappa, j)| <= j + 1`` for ``kappa < 2``, so at
+    ``rho < 1/7`` the truncation is below ``49**-_FAR_TERMS``.  Pair ``k``
+    of the result holds the ``x**(2k)``, ``x**(2k+1)`` terms of A and B.
+    """
+    binomial = [1.0]
+    for j in range(2 * _FAR_TERMS - 1):
+        binomial.append(binomial[-1] * (-kappa - j) / (j + 1))
+    i = np.arange(_FAR_TERMS)
+    coef = np.array([binomial[0::2] / (2 * i + 1),
+                     binomial[1::2] / (2 * i + 3)]).T.reshape(-1, 2, 2, 1)
+    coef.setflags(write=False)   # one cached array serves every call
+    return coef
+
+
 def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
                           kernel_exponent: float):
     """``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``, every ``t``.
@@ -325,35 +392,22 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
     ``g`` is the piecewise-linear interpolant of ``samples`` on ``nodes``
     and the integral runs over the full node range, which must end at or
     before every ``t`` in ``times`` (strictly before for ``kappa >= 1``).
-    Cells close to the kernel singularity use the closed-form kernel
-    moments, which are stable there; cells far from it use a short Gauss
-    rule, which is exact to machine accuracy at that separation and
-    avoids the subtractive cancellation the moment differences would
-    suffer.  The result is exact for the interpolant, so the only error
-    is the interpolation error of the tabulation itself.
+    The result is exact for the interpolant.  Cells within three widths
+    of the singularity take the closed-form moments; on farther cells
+    those differences cancel, so they sum the series of ``_far_series``,
+    whose terms all add.  The moments are shared by every row.
 
-    ``samples`` may hold one row per density on the same nodes; the
-    result then has shape ``rows + times.shape``, and 1-d ``samples``
-    with a scalar ``times`` give a float.  The kernel moments and Gauss
-    kernel values are formed once per block of times, holding about
-    ``_BLOCK_NODES`` Gauss nodes over all rows, as (times x cells)
-    arrays shared by every row.  Each cell is reduced elementwise and
-    each row and time sums its own cells with one numpy sum, so a
-    batched result equals the one-row, one-time result bit for bit.
+    ``samples`` may hold one row per density; the result then has shape
+    ``rows + times.shape``, and 1-d ``samples`` with a scalar ``times``
+    give a float.  Rows and times equal their one-row, one-time calls
+    bit for bit (``_product_integrate``).
     """
-    nodes = np.asarray(nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
+    rows = samples.shape[:-1][:1]   # a 3-d array fails the alignment
+    nodes, samples = _tabulation(nodes, samples, rows)
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     kappa = float(kernel_exponent)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise DomainError("need at least two mesh nodes")
-    if samples.ndim not in (1, 2) or samples.shape[-1] != nodes.size:
-        raise DomainError("samples must align with nodes, one row per "
-                          "density")
-    widths = np.diff(nodes)
-    if np.any(widths <= 0.0):
-        raise DomainError("mesh nodes must be strictly increasing")
     early = flat < nodes[-1]
     if early.any():
         raise DomainError(f"evaluation time {flat[early][0]} precedes "
@@ -363,49 +417,41 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
     if kappa >= 1.0 and np.any(flat == nodes[-1]):
         raise DomainError(
             f"kernel exponent {kappa} is not integrable up to t == end")
+    coef = _far_series(kappa)
 
-    rows = samples.shape[:-1]
-    samples = samples.reshape(-1, nodes.size)
-    g0 = samples[:, None, :-1]
-    slope = (np.diff(samples) / widths)[:, None]
-    x, w = _legendre_rule(8)
-    s, half = _cell_nodes(nodes, x)
-    # the interpolant at the Gauss nodes, weights folded in: (rows, 1,
-    # cells, 8)
-    lin = w * (g0[..., None] + slope[..., None] * (s - nodes[:-1, None]))
-    step = max(1, _BLOCK_NODES // (samples.shape[0] * s.size))
-    out = np.empty((samples.shape[0], flat.size))
-    for lo in range(0, flat.size, step):
-        t = flat[lo:lo + step, None]
-        u0 = t - nodes[:-1]
-        u1 = t - nodes[1:]
-        m0 = (u0 ** (1.0 - kappa) - u1 ** (1.0 - kappa)) / (1.0 - kappa)
-        m1 = u0 * m0 - (u0 ** (2.0 - kappa) - u1 ** (2.0 - kappa)) \
-            / (2.0 - kappa)
-        gauss = half * (lin * (t[:, :, None] - s) ** (-kappa)).sum(axis=-1)
-        out[:, lo:lo + step] = np.where(u1 <= 3.0 * widths,
-                                        g0 * m0 + slope * m1,
-                                        gauss).sum(axis=-1)
+    def moments(u, h):
+        # every cell takes the series first: mass = 2 rho m**(1-kappa) A
+        # and right weight = rho m**(1-kappa) (A - rho B), rho = h / 2m
+        # below 1/7 once u_near > 3h; the bridges (h < 0) stay finite
+        u_far, u_near = u[:-1], u[1:]
+        span = u_far + u_near
+        rho = h / span
+        x = rho * rho
+        pairs = coef[:, 0] + coef[:, 1] * x   # Horner in x**2 over pairs
+        x *= x
+        even, odd = series = pairs[-1]
+        for pair in pairs[-2::-1]:
+            series *= x
+            series += pair
+        scale = (0.5 * span) ** (1.0 - kappa)
+        scale *= rho
+        mass = 2.0 * scale * even
+        odd *= rho
+        right_weight = np.subtract(even, odd, out=even)
+        right_weight *= scale
+        # cells within three widths, u_near == 0 among them: closed forms
+        near = (u_near <= 3.0 * h).nonzero()[0]
+        a, b = u_far[near], u_near[near]
+        pa, pb = a ** (1.0 - kappa), b ** (1.0 - kappa)
+        mass[near] = m0 = (pa - pb) / (1.0 - kappa)
+        right_weight[near] = (a * m0 - (a * pa - b * pb) / (2.0 - kappa)) \
+            / h[near]
+        return mass, right_weight
+
+    out = _product_integrate(moments, nodes, samples, flat,
+                             np.full(flat.size, nodes.size - 1))
     out = out.reshape(rows + times.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _kernel_antiderivatives(alpha: float, lam: np.ndarray,
-                            tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second antiderivatives of the impulse response at ``tau``.
-
-    ``IK(tau) = tau**a * E_{a,a+1}(-lam tau**a)`` integrates the kernel
-    from zero and ``IK2(tau) = tau**(a+1) * E_{a,a+2}(-lam tau**a)``
-    integrates ``IK``; both follow from term-by-term integration of the
-    defining series and both are exactly zero at ``tau == 0``.  ``tau``
-    must be non-negative.  ``lam`` is a column of eigenvalues: row ``m``
-    of each result belongs to ``lam[m]``, and one ``ml_values`` call
-    evaluates both functions for all rows.
-    """
-    power = tau ** alpha
-    e1, e2 = ml_values(alpha, (alpha + 1.0, alpha + 2.0),
-                       -lam[:, None] * power)
-    return power * e1, tau ** (alpha + 1.0) * e2
 
 
 def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
@@ -413,29 +459,18 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     """``int_{nodes[0]}^{t} K(t-s) g(s) ds`` for every ``t`` in ``times``.
 
     ``K(u) = u**(alpha-1) * E_{alpha,alpha}(-lam * u**alpha)`` is the
-    subdiffusive impulse response and ``g`` is known through ``samples``
-    taken at ``nodes``.  Product integration against the piecewise-linear
-    interpolant of the samples: the zeroth and first kernel moments of
-    every cell are exact differences of the closed-form antiderivatives,
-    so affine densities are integrated exactly, the kernel is never
-    evaluated pointwise, and the global error is second order in the mesh
-    width for twice-differentiable densities.
+    subdiffusive impulse response; ``g`` is the piecewise-linear
+    interpolant of ``samples`` on ``nodes``, cut at each ``t`` in
+    ``(nodes[0], nodes[-1]]``.  The cell moments are exact differences of
+    the closed-form antiderivatives, one ``ml_values`` call per block of
+    times, so affine densities are integrated exactly and the error is
+    second order in the mesh width for smooth densities.
 
-    ``lam`` may be a 1-d array of eigenvalues sharing the order and the
-    nodes, with one row of ``samples`` each; the result then has shape
-    ``lam.shape + times.shape``.  A scalar ``lam`` takes 1-d ``samples``
-    and a scalar ``times`` with it gives a float.
-
-    Each ``t`` in ``(nodes[0], nodes[-1]]`` gets the nodes below it and
-    ``t`` itself, with the density interpolated there.  The meshes of
-    consecutive times are laid end to end in blocks of about
-    ``_BLOCK_NODES`` nodes over all rows, so memory stays bounded however
-    many times and rows are asked for; one ``ml_values`` call serves each
-    block.  Every cell's contribution is an elementwise expression of its
-    own mesh, and each time sums its own cells with one numpy reduction
-    along the row, in an order fixed by the number of cells.  So each
-    result depends on its own eigenvalue, samples and ``t`` alone, bit
-    for bit, whatever the other rows, times or blocks.
+    ``lam`` may be a 1-d array of eigenvalues with one row of ``samples``
+    each; the result then has shape ``lam.shape + times.shape``.  A
+    scalar ``lam`` takes 1-d ``samples``, and with a scalar ``times``
+    gives a float.  Rows and times equal their one-row, one-time calls
+    bit for bit (``_product_integrate``).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
@@ -443,77 +478,37 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     if lam.ndim > 1 or (lam < 0.0).any():
         raise DomainError(
             f"modal eigenvalues must be a scalar or 1-d, all >= 0, got {lam}")
-    nodes = np.asarray(nodes, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise DomainError("need at least two mesh nodes")
-    if samples.shape != lam.shape + nodes.shape:
-        raise DomainError("samples must align with nodes, one row per "
-                          "eigenvalue")
-    if (nodes[1:] - nodes[:-1] <= 0.0).any():
-        raise DomainError("mesh nodes must be strictly increasing")
+    nodes, samples = _tabulation(nodes, np.asarray(samples, dtype=float),
+                                 lam.shape)
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     if not ((nodes[0] < flat) & (flat <= nodes[-1])).all():
         raise DomainError(
             f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
+    column = lam.reshape(-1, 1)
 
-    rows = lam.reshape(-1)
-    samples = samples.reshape(rows.size, nodes.size)
-    below = np.searchsorted(nodes, flat)
-    if (int(below.sum()) + flat.size) * rows.size <= _BLOCK_NODES:
-        cuts = [0, flat.size]   # the common case: one block
-    else:
-        # a block holds the times whose meshes, over all rows, end in the
-        # same multiple of the node budget, so it exceeds the budget by
-        # at most one mesh per row
-        block = (np.cumsum(below + 1) * rows.size - 1) // _BLOCK_NODES
-        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(),
-                flat.size]
-    parts = [_duhamel_block(alpha, rows, nodes, samples, flat[lo:hi],
-                            below[lo:hi])
-             for lo, hi in zip(cuts, cuts[1:])]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    def moments(u, h):
+        # IK(u) = u**a E_{a,a+1}(-lam u**a) integrates the kernel from 0
+        # and IK2(u) = u**(a+1) E_{a,a+2}(-lam u**a) integrates IK (term
+        # by term in the series), both 0 at u = 0, from one ml_values
+        # call; formed in place, so fewer (rows x nodes) arrays are alive
+        power = u ** alpha
+        ik, ik2 = ml_values(alpha, (alpha + 1.0, alpha + 2.0),
+                            -column * power)
+        ik *= power
+        ik2 *= u ** (alpha + 1.0)
+        mass = ik[:, :-1] - ik[:, 1:]
+        right_weight = ik2[:, :-1] - ik2[:, 1:]
+        right_weight /= h
+        right_weight -= ik[:, 1:]
+        return mass, right_weight
+
+    # np.interp returns a node's own sample exactly, as slicing would
+    out = _product_integrate(
+        moments, nodes, samples, flat, np.searchsorted(nodes, flat), flat,
+        np.array([np.interp(flat, nodes, row) for row in samples]))
     out = out.reshape(lam.shape + times.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _duhamel_block(alpha: float, lam: np.ndarray, nodes: np.ndarray,
-                   samples: np.ndarray, flat: np.ndarray,
-                   below: np.ndarray) -> np.ndarray:
-    """``duhamel_convolve`` for validated times, ``below`` nodes under
-    each, one row per eigenvalue; returns (rows, times)."""
-    # mesh k is nodes[:below[k]] then flat[k], from starts[k] to ends[k];
-    # np.interp returns a node's own sample exactly, as slicing would
-    counts = below + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    ends -= 1
-    pos = np.arange(counts.sum()) - np.repeat(starts, counts)
-    mesh = nodes[pos]
-    mesh[ends] = flat
-    u = np.repeat(flat, counts) - mesh  # zero at the end of each mesh
-    ik, ik2 = _kernel_antiderivatives(alpha, lam, u)
-    # cell i spans [u[i+1], u[i]] in the kernel variable, width
-    # h = u[i] - u[i+1]: mass is int K(u) du over it, and the weight of
-    # the density's step across it is (1/h) int (u[i] - u) K(u) du, by
-    # parts (ik2[i] - ik2[i+1]) / h - ik[i+1].  These and contrib are
-    # formed in place, and the density only after the antiderivatives,
-    # so fewer (rows x nodes) arrays are alive at once
-    mass = ik[:, :-1] - ik[:, 1:]
-    right_weight = ik2[:, :-1] - ik2[:, 1:]
-    right_weight /= mesh[1:] - mesh[:-1]
-    right_weight -= ik[:, 1:]
-    density = samples[:, pos]
-    density[:, ends] = [np.interp(flat, nodes, row) for row in samples]
-    contrib = np.multiply(density[:, :-1], mass, out=mass)
-    step = density[:, 1:] - density[:, :-1]
-    step *= right_weight
-    contrib += step
-    out = np.empty((lam.size, flat.size))
-    for k, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
-        out[:, k] = contrib[:, lo:hi].sum(axis=-1)
-    return out
 
 
 def composite_graded_integral(smooth, a: float, b: float,

@@ -255,7 +255,9 @@ def _derivatives(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
     dt = flat - seg.start
     impulse = seg.impulse_strengths[rows, None] * dt ** (seg.order - 1.0) \
         * ml_values(seg.order, seg.order, -lam[:, None] * dt ** seg.order)
-    tail = [np.interp(flat, seg.nodes, row) for row in seg.tails[rows]]
+    tails = seg.tails[rows]   # all zero on an unforced first segment
+    tail = [np.interp(flat, seg.nodes, row) for row in tails] \
+        if tails.any() else 0.0   # the 0.0 that np.interp would add
     return (impulse + tail).reshape(lam.shape + t.shape)
 
 

@@ -277,3 +277,69 @@ def fd_march_oracle(spec, grid, spatial_points: int) -> np.ndarray:
         u_now = u_next
         out[1:-1, m] = u_now
     return out
+
+
+class CubicTrajectory:
+    """Exact mode trajectory ``u(t) = 1 + t + c2 t**2 + c3 t**3`` across
+    one order breakpoint, with the load that produces it.
+
+    On segment ``j`` the whole-history Caputo derivative of ``t**k`` of
+    order ``beta_j`` is ``Gamma(k+1)/Gamma(k+1-beta_j) * t**(k-beta_j)``
+    (Podlubny 1999, ch. 2), so ``f = D^{beta(t)} u + lam u`` is known in
+    closed form.  ``c2`` and ``c3`` solve, in mpmath, the two linear
+    conditions that make ``f`` and ``f'`` continuous at the breakpoint:
+    the solver reads one load profile on both sides of it.  ``value``,
+    ``slope``, ``load`` and ``load_slope`` map a time array to an array
+    of its shape; ``load_slope`` is infinite at ``t = 0``.
+    """
+
+    def __init__(self, orders, breakpoint: float, lam: float,
+                 dps: int = 40):
+        self.orders = tuple(float(b) for b in orders)
+        self.breakpoint = float(breakpoint)
+        self.lam = float(lam)
+        with mp.workdps(dps):
+            t = mp.mpf(repr(self.breakpoint))
+
+            def jump(k, d):
+                # the d-th derivative of D^{beta} t**k at the breakpoint,
+                # right order minus left order
+                left, right = (mp.gamma(k + 1) / mp.gamma(e + 1)
+                               * (e if d else 1) * t ** (e - d)
+                               for e in (k - mp.mpf(repr(b))
+                                         for b in self.orders))
+                return right - left
+
+            matrix = mp.matrix([[jump(2, d), jump(3, d)] for d in (0, 1)])
+            rhs = mp.matrix([-jump(1, d) for d in (0, 1)])
+            c2, c3 = mp.lu_solve(matrix, rhs)
+        self.coefficients = (1.0, float(c2), float(c3))
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        c1, c2, c3 = self.coefficients
+        return 1.0 + t * (c1 + t * (c2 + t * c3))
+
+    def slope(self, t):
+        t = np.asarray(t, dtype=float)
+        c1, c2, c3 = self.coefficients
+        return c1 + t * (2.0 * c2 + 3.0 * t * c3)
+
+    def _caputo(self, t, d):
+        # the d-th time derivative (d = 0 or 1) of D^{beta(t)} u
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        sides = (t < self.breakpoint, t >= self.breakpoint)
+        for beta, here in zip(self.orders, sides):
+            for k, c in enumerate(self.coefficients, start=1):
+                e = k - beta
+                g = math.gamma(k + 1) / math.gamma(e + 1) * (e if d else 1)
+                with np.errstate(divide="ignore"):
+                    out[here] += c * g * t[here] ** (e - d)
+        return out
+
+    def load(self, t):
+        return self._caputo(t, 0) + self.lam * self.value(t)
+
+    def load_slope(self, t):
+        return self._caputo(t, 1) + self.lam * self.slope(t)

@@ -105,6 +105,8 @@ class TestSolve:
         assert np.allclose(sol[:4, 1], 0.0)
         assert np.allclose(sol[:4, 0], np.linspace(0.0, 1.0, 4))
         assert np.allclose(sol[-4:, 1], 1.0)
+        # the Dirichlet boundary rows read exactly 0, at x = 1 as at 0
+        assert not sol[(sol[:, 0] == 0.0) | (sol[:, 0] == 1.0), 2].any()
 
     def test_csv_17_digits_lf_endings(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",

@@ -86,6 +86,21 @@ class TestModalBasis:
         np.testing.assert_allclose(np.ravel(small.synthesize(c[:, 0], x)),
                                    want, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("length", [1.0, 1.5])
+    def test_dirichlet_boundary_is_exactly_zero(self, length):
+        # sin(n pi) is about 1.2e-16 n in doubles: the boundary rows are
+        # set to the Dirichlet value, and no interior entry moves
+        small = ModalBasis(OperatorSpec(length=length), 24)
+        c = np.random.default_rng(3).standard_normal((24, 5))
+        assert not small.synthesize(c, length).any()
+        assert small.synthesize(c[:, 0], 0.0) == 0.0
+        x = np.linspace(0.0, length, 9)
+        matrix = small.evaluation_matrix(x)
+        assert not matrix[[0, -1]].any()
+        np.testing.assert_array_equal(matrix[1:-1], math.sqrt(2.0 / length)
+                                      * np.sin(np.outer(x[1:-1], np.arange(
+                                          1, 25)) * math.pi / length))
+
     @pytest.mark.parametrize("size", [1, 8])
     @pytest.mark.parametrize("power", [0.0, 0.5, 1.0])
     def test_batched_norm_equals_column_calls(self, size, power):

@@ -341,8 +341,8 @@ class TestPowerKernelConvolve:
                      for t in row] for row in times]
             np.testing.assert_array_equal(got, want)
             assert isinstance(want[0][0], float)
-        # a budget of 600 Gauss nodes holds two times, so 51 times make
-        # many blocks, the last one short
+        # a budget of 600 mesh nodes holds 15 or 16 meshes of 38 nodes,
+        # so 51 times make four blocks, the last one short
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 600)
         times = np.concatenate([[self.B], np.geomspace(1e-9, 2.0, 50)
                                 + self.B])
@@ -354,7 +354,8 @@ class TestPowerKernelConvolve:
     @pytest.mark.parametrize("kappa", [0.45, 1.45])
     def test_rows_match_one_row_calls(self, kappa, monkeypatch):
         # (M, N) samples, a zero row among them; near and far times, and
-        # a budget that splits the times into blocks of two
+        # a budget that splits the six times, four rows of 38-node
+        # meshes each, into two blocks of three
         nodes = graded_mesh(self.A, self.B, 37, 3.0)
         samples = np.vstack([np.cos(3.0 * nodes), np.zeros_like(nodes),
                              0.4 - 1.3 * nodes, np.exp(-nodes)])
@@ -375,6 +376,27 @@ class TestPowerKernelConvolve:
             np.testing.assert_array_equal(at, [
                 power_kernel_convolve(nodes, row, 0.9, kappa)
                 for row in samples])
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95, 1.05, 1.3, 1.8,
+                                       1.95])
+    def test_far_cell_moments_match_mpmath(self, kappa):
+        # one cell at h = r * u_near from t, r up to the near threshold
+        # 1/3: samples (1, 1) give its mass and (0, 1) its right weight
+        # alone.  Far from t the closed-form differences cancel, and near
+        # kappa = 1 they also divide by 1 - kappa
+        t, u_near = 1.0, 0.6
+        for r in np.geomspace(1e-12, 0.333, 12):
+            nodes = np.array([t - u_near - r * u_near, t - u_near])
+            with mp.workdps(30):
+                uf, un = mp.mpf(t) - nodes[0], mp.mpf(t) - nodes[1]
+                h = uf - un
+                mass = mp.quad(lambda u: u ** -kappa, [un, uf])
+                weight = mp.quad(lambda u: (uf - u) / h * u ** -kappa,
+                                 [un, uf])
+            for samples, want in (([1.0, 1.0], mass), ([0.0, 1.0], weight)):
+                got = power_kernel_convolve(nodes, np.array(samples), t,
+                                            kappa)
+                assert abs(got - want) <= 1e-14 * abs(want), (r, samples)
 
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 9)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import ml_oracle
+from oracles import CubicTrajectory, ml_oracle
 
 from fracstep import quadrature, solver as solver_module
 from fracstep.errors import DomainError, NumericError
@@ -449,6 +449,31 @@ class TestForcedProblems:
         assert "mode=2, segment=0" in str(info.value)
 
 
+class TestExactVariableOrder:
+    """A manufactured trajectory across a breakpoint, against its exact
+    load: the solver's own error, not a self-difference."""
+
+    def test_cubic_trajectory_error_falls_with_cells(self):
+        # u = 1 + t + c2 t**2 + c3 t**3 on orders 0.3/0.8, one mode with
+        # lam = pi**2; the bounds are the measured 64-512 cell errors
+        # (3.0e-4, 6.9e-5, 1.8e-5, 4.5e-6), 5% above their two digits
+        u = CubicTrajectory((0.3, 0.8), 0.5, LAM1)
+        sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0), orders=(0.3, 0.8))
+        prob = ProblemSpec(schedule=sched, operator=OP,
+                           initial_coefficients=(1.0,),
+                           source=SeparableSource((1.0,), u.load,
+                                                  u.load_slope))
+        ts = np.linspace(0.01, 1.0, 100)
+        errors = []
+        for cells, bound in ((64, 3.0e-4), (128, 6.9e-5), (256, 1.8e-5),
+                             (512, 4.5e-6)):
+            field = solve(prob, n_cells=cells, n_quad=32)
+            errors.append(np.abs(field.mode_values(ts)[0]
+                                 - u.value(ts)).max())
+            assert errors[-1] <= 1.05 * bound, cells
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
 class TestZeroModes:
     def test_unforced_zero_mode_short_circuits(self):
         sched = OrderSchedule(breakpoints=(0.0, 0.5, 1.0),
@@ -597,6 +622,24 @@ class TestSolutionField:
     def test_mode_index_validation(self, single_run):
         with pytest.raises(DomainError):
             single_run.mode_trajectory(2, TIMES)
+
+    def test_zero_tails_are_not_interpolated(self, single_run, mixed_run,
+                                             monkeypatch):
+        # an unforced first segment's tails are all zero, so its
+        # derivatives add 0.0 with no np.interp call; a later segment's
+        # tails hold the earlier one's memory: one call per row
+        interp, calls = np.interp, []
+
+        def spy(*args):
+            calls.append(args)
+            return interp(*args)
+
+        ts = np.linspace(0.05, 1.0, 9)
+        monkeypatch.setattr(np, "interp", spy)
+        single_run.mode_derivatives(ts)
+        assert calls == []
+        mixed_run.mode_derivatives(ts)
+        assert len(calls) == 1
 
 
 class TestJunctionGapsAfterSampling:
