@@ -173,21 +173,18 @@ def cmd_verify(cfg: RunConfig, out: str) -> dict:
     t0 = time.perf_counter()
     report = verify_mod.build_report(field, n_quad=n_quad)
     deviations = verify_mod.initial_limit_check(field)
-    rows = []
-    for j in range(spec.schedule.num_segments):
-        offsets, deriv = verify_mod.blowup_fit_samples(field, j)
-        _, rate = verify_mod.source_fit_samples(spec, field, j, n_quad)
-        rows.extend(("derivative", float(j), offsets[i], deriv[i])
-                    for i in range(offsets.size))
-        rows.extend(("source_rate", float(j), offsets[i], rate[i])
-                    for i in range(offsets.size))
     timing = time.perf_counter() - t0
+    rows = [(kind, float(j), offset, norm)
+            for j, (offsets, *norms) in enumerate(report.fit_samples)
+            for kind, values in zip(("derivative", "source_rate"), norms)
+            for offset, norm in zip(offsets, values)]
 
     horizon = spec.schedule.horizon
     payload = {
         "report": report.as_dict(),
         "initial_limit": {
-            "times": [horizon * s for s in (1e-3, 1e-4, 1e-5, 1e-6)],
+            "times": [horizon * s
+                      for s in verify_mod.INITIAL_LIMIT_FRACTIONS],
             "deviations": list(deviations),
             "initial_norm": field.basis.fractional_norm(
                 spec.initial_coefficients),

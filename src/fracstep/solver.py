@@ -206,6 +206,12 @@ class Segment:
         blow-up: the density at the segment start."""
         return self.density[:, 0]
 
+    def impulse_profile(self, rows, xi):
+        """The impulse part of the derivative of ``rows`` over ``(t -
+        start)**(order - 1)``, at ``xi = (t - start)**order``."""
+        return self.impulse_strengths[rows, None] * ml_values(
+            self.order, self.order, -self.eigenvalues[rows, None] * xi)
+
 
 def _values(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
     """Values of the modes in ``rows`` of one schedule segment.
@@ -280,18 +286,11 @@ def _memory(seg: Segment, times: np.ndarray, kernel_exponent: float,
     if forced.any():
         out[forced] = power_kernel_convolve(seg.nodes, seg.tails[forced],
                                             times, kernel_exponent)
-    strength = seg.impulse_strengths
-    hit = strength != 0.0
+    hit = seg.impulse_strengths != 0.0
     if hit.any():
-        lam = seg.eigenvalues[hit, None]
-
-        def profile(xi):
-            return strength[hit, None] * ml_values(seg.order, seg.order,
-                                                   -lam * xi)
-
-        out[hit] += scaled_power_history(profile, seg.start, seg.end,
-                                         times, kernel_exponent, seg.order,
-                                         n=n_quad)
+        out[hit] += scaled_power_history(
+            lambda xi: seg.impulse_profile(hit, xi), seg.start, seg.end,
+            times, kernel_exponent, seg.order, n=n_quad)
     return out
 
 

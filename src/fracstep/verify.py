@@ -10,7 +10,7 @@ ratios, never as fixed-constant assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .quadrature import composite_graded_integral, graded_mesh, \
     scaled_power_history
 from .schedule import OrderSchedule
 from .solver import ProblemSpec, SolutionField
-from .special import gamma_fn, ml_values
+from .special import gamma_fn
 
 __all__ = [
     "RegularityReport",
@@ -35,7 +35,6 @@ __all__ = [
     "residual_check",
     "segment_load_norm",
     "source_fit_samples",
-    "source_rate_fit",
     "w11_norm",
 ]
 
@@ -51,14 +50,18 @@ FIT_OFFSET_RANGE = (1e-6, 1e-2)
 #: would otherwise try to take its logarithm.
 UNDERFLOW_FLOOR = 1e-13
 
+#: Fractions of the horizon at which the initial limit is probed.
+INITIAL_LIMIT_FRACTIONS = (1e-3, 1e-4, 1e-5, 1e-6)
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class RegularityReport:
     """Measured regularity summary of one solved problem.
 
     Rate entries are fitted exponents, ``None`` standing for "nothing to
     fit" (equilibrium or unforced data); every other entry must be
-    finite.
+    finite.  ``fit_samples`` holds each segment's probe offsets and the
+    derivative and load-rate norms fitted there.
     """
 
     derivative_rates: tuple
@@ -69,6 +72,7 @@ class RegularityReport:
     data_functionals: tuple
     residual_max: float
     junction_gaps: tuple
+    fit_samples: tuple = dataclasses.field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         for name in ("c0_dL", "w11", "residual_max"):
@@ -235,14 +239,9 @@ def w11_norm(field: SolutionField) -> float:
         order = schedule.orders[j]
         seg = field.segments[j]
         hit = seg.impulse_strengths != 0.0
-        amps = seg.impulse_strengths[hit, None]
-        lams = seg.eigenvalues[hit, None]
 
         def impulse_norm_y(y):
-            y = np.atleast_1d(y)
-            if not amps.size:
-                return np.zeros(y.size)
-            rows = amps * ml_values(order, order, -lams * y)
+            rows = seg.impulse_profile(hit, y)
             return np.sqrt(np.sum(np.square(rows), axis=0))
 
         span = (b - a) ** order
@@ -320,6 +319,16 @@ def _history(field: SolutionField, rows: list[int], k: int, times,
                                 kernel_exponent, order, n=n_quad) / order
 
 
+def _with_memory(out, field, rows, segments, times, kernel_exponent,
+                 n_quad, scale=1.0):
+    # one segment at a time, so every caller adds in the same order
+    for k in segments:
+        past = times > field.problem.schedule.breakpoints[k]
+        out[:, past] += scale * _history(field, rows, k, times[past],
+                                         kernel_exponent, n_quad)
+    return out
+
+
 def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
                        n_quad: int = 24):
     """Probe offsets and assembled-load derivative norms for segment ``j``.
@@ -341,17 +350,10 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
 
     per_mode = spec.source.derivatives(times)
     live = list(field.live)
-    for k in range(j) if live else ():
-        per_mode[live] += prefac * _history(field, live, k, times,
-                                            order + 1.0, n_quad)
+    if live:
+        per_mode[live] = _with_memory(per_mode[live], field, live, range(j),
+                                      times, order + 1.0, n_quad, prefac)
     return offsets, field.basis.fractional_norm(per_mode)
-
-
-def source_rate_fit(spec: ProblemSpec, field: SolutionField, j: int,
-                    n_quad: int = 24):
-    """Fitted power of the assembled segment load's derivative."""
-    offsets, values = source_fit_samples(spec, field, j, n_quad)
-    return _fit_slope(offsets, values)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +384,8 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
     for j in np.unique(current).tolist():
         here = np.flatnonzero(current == j)
         kappa = schedule.orders[j]
-        total = np.zeros((len(rows), here.size))
-        for k in range(j + 1):
-            past = flat[here] > schedule.breakpoints[k]
-            total[:, past] += _history(field, rows, k, flat[here][past],
-                                       kappa, n_quad)
+        total = _with_memory(np.zeros((len(rows), here.size)), field, rows,
+                             range(j + 1), flat[here], kappa, n_quad)
         out[:, here] = total / gamma_fn(1.0 - kappa)
     return out.reshape((len(rows),) + t.shape)
 
@@ -436,13 +435,13 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
 def initial_limit_check(field: SolutionField) -> np.ndarray:
     """Distance to the initial data at a shrinking sequence of times.
 
-    Returns the mode-vector norms of ``u(t) - u0`` at ``10**-3`` through
-    ``10**-6`` of the horizon; the caller judges whether the sequence
-    decreases and lands small enough.
+    Returns the mode-vector norms of ``u(t) - u0`` at the
+    ``INITIAL_LIMIT_FRACTIONS`` of the horizon; the caller judges whether
+    the sequence decreases and lands small enough.
     """
     u0 = np.asarray(field.problem.initial_coefficients, dtype=float)
     horizon = field.problem.schedule.horizon
-    times = horizon * np.array([1e-3, 1e-4, 1e-5, 1e-6])
+    times = horizon * np.array(INITIAL_LIMIT_FRACTIONS)
     return field.basis.fractional_norm(field.mode_values(times) - u0[:, None])
 
 
@@ -468,10 +467,12 @@ def build_report(field: SolutionField, n_quad: int = 24) -> RegularityReport:
     spec = field.problem
     segs = range(spec.schedule.num_segments)
     load_norms = tuple(segment_load_norm(spec, k) for k in segs)
+    samples = tuple((*blowup_fit_samples(field, j),
+                     source_fit_samples(spec, field, j, n_quad)[1])
+                    for j in segs)
     return RegularityReport(
-        derivative_rates=tuple(blowup_rate_fit(field, j) for j in segs),
-        source_rates=tuple(source_rate_fit(spec, field, j, n_quad)
-                           for j in segs),
+        derivative_rates=tuple(_fit_slope(t, d) for t, d, _ in samples),
+        source_rates=tuple(_fit_slope(t, r) for t, _, r in samples),
         c0_dL=c0_dL_norm(field),
         w11=w11_norm(field),
         segment_load_norms=load_norms,
@@ -480,4 +481,5 @@ def build_report(field: SolutionField, n_quad: int = 24) -> RegularityReport:
                                     default_space_time_probes(spec),
                                     n_quad=n_quad),
         junction_gaps=tuple(field.junction_gaps()),
+        fit_samples=samples,
     )

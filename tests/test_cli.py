@@ -552,6 +552,29 @@ class TestVerify:
         norms = [float(row[3]) for row in rows[1:] if row[0] == "derivative"]
         assert all(v > 0.0 for v in norms)
 
+    def test_fit_samples_are_taken_once(self, tmp_path, monkeypatch):
+        # rate_samples.csv holds the samples the report fitted, so each
+        # segment's samples are taken once, not again for the CSV
+        from fracstep import verify
+        calls = {}
+        for name, where in (("blowup_fit_samples", 1),
+                            ("source_fit_samples", 2)):
+            def counting(*args, real=getattr(verify, name), name=name,
+                         where=where, **kwargs):
+                calls.setdefault(name, []).append(args[where])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counting)
+        payload = two_segment_config(verify_quad=12, cells=16)
+        payload["problem"]["source"] = {
+            "kind": "separable", "coefficients": [1.0, 0.5],
+            "time_profile": {"kind": "polynomial",
+                             "coefficients": [1.0, 0.5]}}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["verify", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"blowup_fit_samples": [0, 1],
+                         "source_fit_samples": [0, 1]}
+
 
 class TestMlEval:
     def test_table_matches_library(self, tmp_path):

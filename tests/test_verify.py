@@ -206,6 +206,10 @@ class TestW11Norm:
         assert V.w11_norm(field) == pytest.approx(classical, rel=0.02)
 
 
+def source_rate(spec, field, j):
+    return V._fit_slope(*V.source_fit_samples(spec, field, j))
+
+
 class TestRateFits:
     def test_first_segment_blowup_rate(self, rate_run):
         _, field = rate_run
@@ -223,7 +227,7 @@ class TestRateFits:
         spec, field = equilibrium_run
         assert V.blowup_rate_fit(field, 0) is None
         assert V.blowup_rate_fit(field, 1) is None
-        assert V.source_rate_fit(spec, field, 1) is None
+        assert source_rate(spec, field, 1) is None
 
     def test_smooth_source_first_segment_rate_flat(self):
         sched = OrderSchedule(breakpoints=(0.0, 1.0), orders=(0.5,))
@@ -233,11 +237,11 @@ class TestRateFits:
             source=SeparableSource((1.0,), lambda t: 1.0 + np.sin(t),
                                    np.cos))
         field = solve(spec, n_cells=64)
-        assert abs(V.source_rate_fit(spec, field, 0)) < 0.05
+        assert abs(source_rate(spec, field, 0)) < 0.05
 
     def test_memory_rate_respects_one_sided_bound(self, mixed_run):
         spec, field = mixed_run
-        fit = V.source_rate_fit(spec, field, 1)
+        fit = source_rate(spec, field, 1)
         order, margin = 0.8, spec.regularity_margins[1]
         assert fit is not None
         assert fit >= -order - margin - 0.05
@@ -245,12 +249,12 @@ class TestRateFits:
 
     def test_unforced_first_segment_source_sentinel(self, mixed_run):
         spec, field = mixed_run
-        assert V.source_rate_fit(spec, field, 0) is None
+        assert source_rate(spec, field, 0) is None
 
     def test_rejects_bad_segment_index(self, mixed_run):
         spec, field = mixed_run
         with pytest.raises(DomainError):
-            V.source_rate_fit(spec, field, 2)
+            V.source_fit_samples(spec, field, 2)
 
 
 class TestResidual:
