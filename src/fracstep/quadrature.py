@@ -314,8 +314,8 @@ def _product_integrate(moments, nodes: np.ndarray, samples: np.ndarray,
     depends on its own row and ``t`` alone, bit for bit.
     """
     rows = samples.shape[0]
-    if not flat.size:
-        return np.empty((rows, 0))
+    if not flat.size or not rows:
+        return np.empty((rows, flat.size))
     counts = below + 1
     if int(counts.sum()) * rows <= _BLOCK_NODES:
         cuts = [0, flat.size]   # the common case: one block
@@ -439,11 +439,19 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
         odd *= rho
         right_weight = np.subtract(even, odd, out=even)
         right_weight *= scale
-        # cells within three widths, u_near == 0 among them: closed forms
+        # cells within three widths, u_near == 0 among them: closed forms.
+        # (pa - pb) / (1 - kappa) cancels near kappa = 1, so where b > 0
+        # the mass is pb L exprel((1 - kappa) L), L = log(a / b)
         near = (u_near <= 3.0 * h).nonzero()[0]
         a, b = u_far[near], u_near[near]
         pa, pb = a ** (1.0 - kappa), b ** (1.0 - kappa)
-        mass[near] = m0 = (pa - pb) / (1.0 - kappa)
+        inner = b > 0.0
+        m0 = np.divide(pa, 1.0 - kappa, out=np.empty_like(a), where=~inner)
+        log_ratio = np.log(a[inner] / b[inner])
+        x = (1.0 - kappa) * log_ratio
+        m0[inner] = pb[inner] * log_ratio * np.divide(
+            np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        mass[near] = m0
         right_weight[near] = (a * m0 - (a * pa - b * pb) / (2.0 - kappa)) \
             / h[near]
         return mass, right_weight

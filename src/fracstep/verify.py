@@ -136,10 +136,7 @@ def data_functional(spec: ProblemSpec, j: int) -> float:
     start than the declared power structure admits is rejected.  Equal
     bit for bit to the report's ``data_functionals[j]``.
     """
-    schedule = spec.schedule
-    if not 0 <= j < schedule.num_segments:
-        raise DomainError(
-            f"segment index {j} out of range [0, {schedule.num_segments})")
+    spec.schedule.segment(j)   # rejects an index out of range
     norms = [segment_load_norm(spec, k) for k in range(j + 1)]
     return _data_functionals(spec, norms)[j]
 
@@ -338,12 +335,8 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     which is what carries the blow-up for ``j >= 1``.  Each earlier
     segment's memory is one history call for all nonzero modes.
     """
-    schedule = spec.schedule
-    if not 0 <= j < schedule.num_segments:
-        raise DomainError(
-            f"segment index {j} out of range [0, {schedule.num_segments})")
-    a, b = schedule.segment(j)
-    order = schedule.orders[j]
+    a, b = spec.schedule.segment(j)
+    order = spec.schedule.orders[j]
     offsets = _fit_offsets(b - a)
     prefac = order / gamma_fn(1.0 - order)
     times = a + offsets

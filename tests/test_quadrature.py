@@ -8,6 +8,7 @@ scipy integral of the independently verified kernel to ~1e-12.
 import ast
 import math
 import os
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -377,15 +378,12 @@ class TestPowerKernelConvolve:
                 power_kernel_convolve(nodes, row, 0.9, kappa)
                 for row in samples])
 
-    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95, 1.05, 1.3, 1.8,
-                                       1.95])
-    def test_far_cell_moments_match_mpmath(self, kappa):
-        # one cell at h = r * u_near from t, r up to the near threshold
-        # 1/3: samples (1, 1) give its mass and (0, 1) its right weight
-        # alone.  Far from t the closed-form differences cancel, and near
-        # kappa = 1 they also divide by 1 - kappa
+    @staticmethod
+    def _check_cell_moments(kappa, ratios):
+        # one cell at h = r * u_near from t: samples (1, 1) give its mass
+        # and (0, 1) its right weight alone, each to 1e-14 of mpmath
         t, u_near = 1.0, 0.6
-        for r in np.geomspace(1e-12, 0.333, 12):
+        for r in ratios:
             nodes = np.array([t - u_near - r * u_near, t - u_near])
             with mp.workdps(30):
                 uf, un = mp.mpf(t) - nodes[0], mp.mpf(t) - nodes[1]
@@ -394,9 +392,25 @@ class TestPowerKernelConvolve:
                 weight = mp.quad(lambda u: (uf - u) / h * u ** -kappa,
                                  [un, uf])
             for samples, want in (([1.0, 1.0], mass), ([0.0, 1.0], weight)):
-                got = power_kernel_convolve(nodes, np.array(samples), t,
-                                            kappa)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = power_kernel_convolve(nodes, np.array(samples), t,
+                                                kappa)
                 assert abs(got - want) <= 1e-14 * abs(want), (r, samples)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.8, 0.95, 1.05, 1.3, 1.8,
+                                       1.95])
+    def test_far_cell_moments_match_mpmath(self, kappa):
+        # r up to the near threshold 1/3: far from t the closed-form
+        # differences cancel, and near kappa = 1 they also divide by
+        # 1 - kappa
+        self._check_cell_moments(kappa, np.geomspace(1e-12, 0.333, 12))
+
+    @pytest.mark.parametrize("kappa", [0.95, 0.999, 1.0, 1.001, 1.05])
+    def test_near_cell_moments_match_mpmath(self, kappa):
+        # r from just past the near threshold out: (pa - pb) / (1 - kappa)
+        # would cancel here, and at kappa = 1 be 0 / 0
+        self._check_cell_moments(kappa, (0.34, 1.0, 10.0, 1e3))
 
     def test_validation(self):
         nodes = np.linspace(0.0, 1.0, 9)
@@ -523,6 +537,18 @@ class TestDuhamelConvolve:
         for times in (0.0, -0.5, 1.0 + 1e-12, np.array([0.5, 2.0])):
             with pytest.raises(DomainError):
                 duhamel_convolve(0.5, 1.0, nodes, np.ones(5), times)
+
+    def test_no_rows_give_an_empty_result(self):
+        # no eigenvalues, or no densities, give (0, times) as any row
+        # count does, from both tabulated convolutions
+        nodes = np.linspace(0.0, 1.0, 5)
+        times = np.array([0.3, 0.7, 1.0])
+        got = duhamel_convolve(0.5, np.array([]), nodes, np.zeros((0, 5)),
+                               times)
+        assert got.shape == (0, 3)
+        got = power_kernel_convolve(nodes, np.zeros((0, 5)), times + 1.0,
+                                    0.5)
+        assert got.shape == (0, 3)
 
 
 class TestCompositeGraded:

@@ -473,6 +473,33 @@ class TestExactVariableOrder:
             assert errors[-1] <= 1.05 * bound, cells
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
+    def test_linear_trajectory_order_08_error_falls_with_cells(self):
+        # u = 1 + t on one order-0.8 segment: D^0.8 t = t**0.2 / Gamma(1.2),
+        # so the load rate blows up like t**-0.8 at the start.  The bounds
+        # are the measured 64-512 cell errors; mode_derivatives is not
+        # bounded, because it grows with the cells past 128
+        c = 1.0 / math.gamma(1.2)
+
+        def load(t):
+            t = np.asarray(t, dtype=float)
+            return c * t ** 0.2 + LAM1 * (1.0 + t)
+
+        def slope(t):
+            with np.errstate(divide="ignore"):
+                return 0.2 * c * np.asarray(t, dtype=float) ** -0.8 + LAM1
+
+        prob = ProblemSpec(schedule=OrderSchedule((0.0, 1.0), (0.8,)),
+                           operator=OP, initial_coefficients=(1.0,),
+                           source=SeparableSource((1.0,), load, slope))
+        ts = np.linspace(0.01, 1.0, 100)
+        errors = []
+        for cells, bound in ((64, 1.07e-5), (128, 2.64e-6), (256, 6.57e-7),
+                             (512, 1.63e-7)):
+            field = solve(prob, n_cells=cells, n_quad=32)
+            errors.append(np.abs(field.mode_values(ts)[0] - (1.0 + ts)).max())
+            assert errors[-1] <= 1.05 * bound, cells
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+
 
 class TestZeroModes:
     def test_unforced_zero_mode_short_circuits(self):
