@@ -13,15 +13,18 @@ operator the segment recursion solves.  While the order is constant the
 implicit steps of one scalar equation form a lower-triangular Toeplitz
 system, so ``solve_mode_l1`` solves each run of equal order with a few
 FFT convolutions (Hairer, Lubich and Schlichte 1985), for a whole column
-of eigenvalues at once.  The series reciprocal of each distinct order's
-Toeplitz column is computed once per call, by Newton's iteration (Kung
-1974), and the orders of a schedule share one stacked chain as long as
-its transforms stay small.  It is the module's one L1 engine.  The
-finite-difference field solve ``solve_full_l1_fd`` reduces to it
-exactly: the discrete sine vectors diagonalize the three-point stencil,
-so the sine-transformed field obeys one scalar L1 equation per discrete
-mode.  The oracle uses no Mittag-Leffler value and no quadrature, so it
-stays independent of the spectral construction it cross-checks.
+of eigenvalues at once.  A run that passes a power of two by a small
+overhang is solved as the overhang and then the power of two, so its
+transforms are sized by the power of two, not the next one.  The series
+reciprocal of each distinct order's Toeplitz column is computed once per
+call, by Newton's iteration (Kung 1974), and the orders of a schedule
+share one stacked chain as long as its transforms stay small.  It is the
+module's one L1 engine.  The finite-difference field solve
+``solve_full_l1_fd`` reduces to it exactly: the discrete sine vectors
+diagonalize the three-point stencil, so the sine-transformed field obeys
+one scalar L1 equation per discrete mode.  The oracle uses no
+Mittag-Leffler value and no quadrature, so it stays independent of the
+spectral construction it cross-checks.
 """
 
 from __future__ import annotations
@@ -48,10 +51,20 @@ __all__ = [
 ALIGNMENT_TOLERANCE = 1e-12
 
 #: Most elements one stacked reciprocal chain holds: the orders times
-#: the rows times the longest run.  On a 2-core Xeon one chain for three
-#: orders of 1,536 steps was 2.5x faster than three chains, but stacking
-#: two orders of 8,192 steps made that one-row call 10% slower.
+#: the rows times the longest piece.  On a 2-core Xeon one chain for
+#: three orders of 1,536 steps was 2.5x faster than three chains.
+#: Stacking two orders whose pieces are 8,191 and 8,192 steps took a
+#: one-row call from 6.4 to 6.1 ms, but moved the benchmark's L1 phase
+#: by less than its spread (7 of 10 alternated runs faster).
 STACK_ELEMENTS = 8192
+
+#: A run whose steps pass a power of two by at most this share of it is
+#: solved as the overhang and the power of two (``_run_pieces``).  On a
+#: 2-core Xeon, one-row calls on a later run of 2**p + 2**p / 8 steps
+#: were 18% (p = 11) and 42% (p = 13) faster split, and 5-14% slower at
+#: p = 9 and 7; with a one-step overhang, 14% and 26% faster at p = 10
+#: and 11, and 2-7% slower at p = 5 to 7.
+OVERHANG_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -226,6 +239,22 @@ def _stack_blocks(lengths: list[int], rows: int) -> list[list[int]]:
     return [[o] for o in range(len(lengths))]
 
 
+def _run_pieces(start: int, stop: int) -> list[tuple[int, int]]:
+    """The step ranges one run of equal order is solved in.
+
+    A run of ``2**p + r`` steps with ``0 < r <= 2**p / OVERHANG_SHARE``
+    is a leading ``r``-step piece and a ``2**p``-step piece, which
+    subtracts the first piece's history like that of any earlier run;
+    its chain then runs to ``2**p``, not ``2**(p+1)``, and no solve
+    transform is larger than ``2**(p+1)``.  Any other run is one piece.
+    """
+    body = 1 << ((stop - start).bit_length() - 1)
+    overhang = stop - start - body
+    if 0 < overhang * OVERHANG_SHARE <= body:
+        return [(start, start + overhang), (start + overhang, stop)]
+    return [(start, stop)]
+
+
 def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
                   grid: L1Grid) -> np.ndarray:
     """Solve mode equations with the L1 scheme; values at grid times.
@@ -242,11 +271,16 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     per order where the stack would be large (``_stack_blocks``); each
     chain runs to a power of two, so an order's coefficients do not
     depend on whether it is stacked.  Each maximal run of equal order is
-    then solved at once: the earlier steps' history is subtracted in one
-    FFT convolution, and the run's system is solved with its order's
-    reciprocal cut to the run's length.  The values are ``u0`` plus the
-    running sum of the increments, so a zero right-hand side gives
-    exactly ``u0``.
+    solved in one piece, or, when it passes a power of two ``2**p`` by a
+    small overhang, as the overhang and then ``2**p`` steps
+    (``_run_pieces``), so the order's chain and the run's transforms are
+    sized by ``2**p``.  For each piece the earlier steps' history is
+    subtracted in one FFT convolution, and the piece's system is solved
+    with its order's reciprocal cut to the piece's length.  The values
+    are ``u0`` plus the running sum of the increments, so a zero
+    right-hand side gives exactly ``u0``.  A non-finite value raises a
+    ``NumericError`` that names the first such row, its eigenvalue and
+    the first time at which it is not finite.
 
     ``lam`` is one eigenvalue or a 1-d column of them; ``u0_n`` has its
     shape, and ``f_n(times)`` returns ``lam.shape + times.shape`` loads.
@@ -278,14 +312,17 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     seg = _segment_of_step(grid, schedule)
     step_orders = np.asarray(schedule.orders)[seg[1:]]
 
-    # maximal runs of equal order, as step ranges with stop exclusive
+    # maximal runs of equal order, as step ranges with stop exclusive,
+    # each cut into the pieces it is solved in
     cuts = np.flatnonzero(step_orders[1:] != step_orders[:-1]) + 1
     edges = [0, *cuts.tolist(), grid.num_steps]
-    runs = list(zip(edges[:-1], edges[1:]))
-    first_orders = step_orders[edges[:-1]].tolist()
+    pieces = [piece for run in zip(edges[:-1], edges[1:])
+              for piece in _run_pieces(*run)]
+    first_orders = step_orders[[start for start, _ in pieces]].tolist()
     orders = sorted(set(first_orders))
-    run_order = [orders.index(b) for b in first_orders]
-    lengths = [max(stop - start for (start, stop), o in zip(runs, run_order)
+    piece_order = [orders.index(b) for b in first_orders]
+    lengths = [max(stop - start
+                   for (start, stop), o in zip(pieces, piece_order)
                    if o == row) for row in range(len(orders))]
     blocks = _stack_blocks(lengths, max(lam.size, 1))
     chain = {o: (block, _fft_size(max(lengths[m] for m in block)))
@@ -293,33 +330,37 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     longest = max(size for _, size in chain.values())
     moments = _moments(orders, max(grid.num_steps, longest), grid.step)
 
-    # w[..., k] = u_{k+1} - u_k, filled run by run.  A block's reciprocal
-    # columns come from one chain at the first run that needs one, and
-    # each is dropped after its order's last run, so a large call holds
-    # few of them at a time.
+    # w[..., k] = u_{k+1} - u_k, filled piece by piece.  A block's
+    # reciprocal columns come from one chain at the first piece that
+    # needs one, and each is dropped after its order's last piece, so a
+    # large call holds few of them at a time.
     lam_col, u0_col = lam[..., None], u0[..., None]
     rhs = loads[..., 1:] - lam_col * u0_col
     del loads   # a large call keeps one copy of the loads
     w = np.zeros(lam.shape + (grid.num_steps,))
     recips = {}
-    last_run = {o: k for k, o in enumerate(run_order)}
-    for k, ((start, stop), o) in enumerate(zip(runs, run_order)):
+    last_piece = {o: k for k, o in enumerate(piece_order)}
+    for k, ((start, stop), o) in enumerate(zip(pieces, piece_order)):
         if o not in recips:
             block, size = chain[o]
             cols = moments[block, :size].reshape(
                 (len(block),) + (1,) * lam.ndim + (size,))
             recips.update(zip(block, _series_reciprocal(cols + lam_col)))
-        run = rhs[..., start:stop]
+        part = rhs[..., start:stop]
         if start > 0:
-            run = run - _series_product(moments[o, :stop] + lam_col,
-                                        w[..., :start], stop, skip=start)
+            part = part - _series_product(moments[o, :stop] + lam_col,
+                                          w[..., :start], stop, skip=start)
         w[..., start:stop] = _toeplitz_solve(
-            moments[o, :stop - start] + lam_col, recips[o], run)
-        if last_run[o] == k:
+            moments[o, :stop - start] + lam_col, recips[o], part)
+        if last_piece[o] == k:
             del recips[o]
     u = np.concatenate([u0_col, u0_col + np.cumsum(w, axis=-1)], axis=-1)
-    if not np.all(np.isfinite(u)):
-        raise NumericError("non-finite L1 trajectory")
+    bad = ~np.isfinite(u.reshape(-1, times.size))
+    if bad.any():
+        row, m = np.argwhere(bad)[0]
+        eigenvalue, t = float(lam.reshape(-1)[row]), float(times[m])
+        raise NumericError(f"non-finite L1 trajectory in row {row} "
+                           f"(eigenvalue {eigenvalue!r}) from t = {t!r}")
     return u
 
 

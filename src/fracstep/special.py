@@ -29,9 +29,9 @@ The sum is evaluated in real arithmetic in one of two ways, chosen by
 the number of points.  Calls of at most ``_BROADCAST_POINTS`` points,
 the many small calls of sampling, form all 21 terms as one (nodes x
 points) array expression, so their cost is a handful of numpy calls
-rather than seven per node; larger calls loop over the nodes with
-point-sized work arrays, which is faster once the (nodes x points)
-arrays grow large.  Both add the terms one after
+rather than seven per node; larger calls loop over the nodes with work
+arrays of at most ``_LOOP_POINTS`` points, which is faster once the
+(nodes x points) arrays grow large.  Both add the terms one after
 another in node order, the array form through a running sum along the
 node axis, because a numpy reduction would sum a one-point call's
 contiguous node axis pairwise.  So every value is the same bit for bit
@@ -70,6 +70,12 @@ _CONTOUR_NODES = 20
 # 2-core Xeon: the array form was faster up to about 450 points with
 # one beta and about 400 with two
 _BROADCAST_POINTS = 512
+
+# Points the node loop works through at a time, so that its work arrays
+# stay in cache.  On a 2-core Xeon a 250k-point, two-beta call took 102
+# ns per point in 32,768-point slices, against 105 ns in 16,384, 117 ns
+# in 65,536 and 157 ns in one pass (medians of 9 alternated calls)
+_LOOP_POINTS = 32768
 
 # Arguments beyond this are evaluated here, so that the squares in the
 # rule cannot overflow; every value past it is below 1e-149 in size.
@@ -196,23 +202,26 @@ def _node_loop(alpha: float, betas: tuple, x: np.ndarray) -> np.ndarray:
     """``Re sum_k c_k / (d_k + x)`` with one pass over the nodes, in
     place, for calls large enough that the work per point sets the time:
     there the (nodes x points) arrays of :func:`_nodes_at_once` would
-    cost more in memory traffic than the loop does in numpy calls."""
+    cost more in memory traffic than the loop does in numpy calls.  The
+    points are taken ``_LOOP_POINTS`` at a time, so the work arrays stay
+    in cache; each point still adds its nodes in node order."""
     out = np.zeros((len(betas), x.size))
-    rows = list(out)
-    re = np.empty_like(x)
-    num = np.empty_like(x)
-    den = np.empty_like(x)
+    work = np.empty((3, min(x.size, _LOOP_POINTS)))
     rules = [_contour_rule(alpha, b) for b in betas]
-    for nodes in zip(*rules):
-        _, _, dr, di = nodes[0]
-        np.add(x, dr, out=re)
-        np.multiply(re, re, out=den)
-        den += di * di
-        for row, (cr, ci, _, _) in zip(rows, nodes):
-            np.multiply(re, cr, out=num)
-            num += ci * di
-            num /= den
-            row += num
+    for lo in range(0, x.size, _LOOP_POINTS):
+        part = x[lo:lo + _LOOP_POINTS]
+        re, num, den = work[:, :part.size]
+        rows = list(out[:, lo:lo + part.size])
+        for nodes in zip(*rules):
+            _, _, dr, di = nodes[0]
+            np.add(part, dr, out=re)
+            np.multiply(re, re, out=den)
+            den += di * di
+            for row, (cr, ci, _, _) in zip(rows, nodes):
+                np.multiply(re, cr, out=num)
+                num += ci * di
+                num /= den
+                row += num
     return out
 
 

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracstep.errors import DomainError
-from fracstep.l1 import (STACK_ELEMENTS, L1Grid, _moments, _series_reciprocal,
-                         _stack_blocks, solve_full_l1_fd, solve_mode_l1)
+from fracstep import l1
+from fracstep.errors import DomainError, NumericError
+from fracstep.l1 import (STACK_ELEMENTS, L1Grid, _moments, _run_pieces,
+                         _series_reciprocal, _stack_blocks, solve_full_l1_fd,
+                         solve_mode_l1)
 from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
@@ -199,6 +201,22 @@ class TestSingleModeMarch:
         assert u[1] == pytest.approx((3.0 + b0 * 0.8) / (b0 + 2.5),
                                      rel=1e-15)
 
+    def test_non_finite_row_is_named(self):
+        # row 1's load is infinite at the breakpoint, t = 0.5, the first
+        # step of the order-0.8 run; row 0 stays finite
+        sched = two_segment_schedule()
+        grid = L1Grid.for_schedule(sched, 2.0 ** -4)
+        loads = np.ones((2, grid.num_steps + 1))
+        loads[1, 8] = np.inf
+        lams = np.array([1.0, float(np.pi ** 2)])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError,
+                match=r"^non-finite L1 trajectory in row 1 \(eigenvalue "
+                      r"9\.869604401089358\) from t = 0\.5$"):
+            solve_mode_l1(lams, lambda t: loads, sched, np.ones(2), grid)
+        u = solve_mode_l1(lams[0], lambda t: loads[0], sched, 1.0, grid)
+        assert np.all(np.isfinite(u))
+
     def test_rejects_bad_inputs(self):
         sched = two_segment_schedule()
         grid = L1Grid.for_schedule(sched, 2.0 ** -4)
@@ -286,6 +304,71 @@ class TestRepeatedAndSplitOrders:
             breakpoints=(0.0, 0.75, 0.8125, 0.875, 0.9375, 1.0),
             orders=(0.5, 0.2, 0.4, 0.6, 0.9))
         self.assert_matches_march(sched, lam, -0.75)
+
+
+class TestOverhangPieces:
+    """The README schedule at 2^-10: runs of 511 and 513 steps."""
+
+    LAMS = (0.0, float(np.pi ** 2), 1e4)
+
+    @staticmethod
+    def grid():
+        return L1Grid.for_schedule(two_segment_schedule(), 2.0 ** -10)
+
+    @staticmethod
+    def load(t):
+        return 1.5 * (1.0 + np.sin(3.0 * t))
+
+    def test_piece_rule(self):
+        assert _run_pieces(511, 1024) == [(511, 512), (512, 1024)]
+        assert _run_pieces(0, 511) == [(0, 511)]
+        assert _run_pieces(0, 512) == [(0, 512)]
+        assert _run_pieces(3, 3 + 512 + 64) == [(3, 67), (67, 579)]
+        assert _run_pieces(3, 3 + 512 + 65) == [(3, 580)]
+        # forced_modes at 2^-12: 1,536 and 1,537 steps stay whole
+        assert _run_pieces(1023, 2559) == [(1023, 2559)]
+        assert _run_pieces(2559, 4096) == [(2559, 4096)]
+
+    def test_chains_and_transforms_stay_at_the_power_of_two(
+            self, monkeypatch):
+        chains, sizes = [], []
+        recip, rfft = l1._series_reciprocal, np.fft.rfft
+
+        def spy_recip(a):
+            chains.append(a.shape[-1])
+            return recip(a)
+
+        def spy_rfft(a, n=None, *args, **kwargs):
+            sizes.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(l1, "_series_reciprocal", spy_recip)
+        monkeypatch.setattr(np.fft, "rfft", spy_rfft)
+        grid = self.grid()
+        solve_mode_l1(np.array(self.LAMS), lambda t: np.vstack(
+            [self.load(t)] * 3), two_segment_schedule(), np.ones(3), grid)
+        assert chains and max(chains) <= 512
+        assert sizes and max(sizes) <= 1024
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_matches_long_double_march(self, lam):
+        sched, grid = two_segment_schedule(), self.grid()
+        u = solve_mode_l1(lam, self.load, sched, -1.25, grid)
+        ref = l1_march_oracle(lam, self.load, sched, -1.25, grid,
+                              np.longdouble)
+        assert float(np.max(np.abs(u - ref))) <= 5e-14 * 1.25
+
+    def test_rows_equal_one_row_calls_bit_for_bit(self):
+        sched, grid = two_segment_schedule(), self.grid()
+        lams = np.array(self.LAMS)
+        u0 = np.array([1.0, -1.25, 0.5])
+        loads = np.vstack([(k + 1) * self.load(grid.times)
+                           for k in range(3)])
+        batch = solve_mode_l1(lams, lambda t: loads, sched, u0, grid)
+        for k in range(3):
+            one = solve_mode_l1(lams[k], lambda t: loads[k], sched, u0[k],
+                                grid)
+            assert np.array_equal(batch[k], one)
 
 
 class TestStackedReciprocal:

@@ -155,16 +155,18 @@ class TestMLArray:
     @pytest.mark.parametrize("alpha", [0.25, 0.6, 0.95])
     def test_every_call_size_and_shape_gives_the_same_bits(self, alpha):
         # calls up to the cutoff sum all contour nodes at once, larger
-        # ones loop over the nodes; a probe must not see the difference
+        # ones loop over the nodes, in slices past _LOOP_POINTS; a probe
+        # must not see the difference
         n = special._BROADCAST_POINTS
+        sliced = special._LOOP_POINTS + 1
         rng = np.random.default_rng(13)
         probes = -np.array([0.0, 1e-300, 1e-9, 0.3, 2.0, 75.0, 4e4, 3e7,
                             special._X_CAP, 1e200, 1.7e308])
-        filler = -10.0 ** rng.uniform(-6.0, 9.0, 4096)
+        filler = -10.0 ** rng.uniform(-6.0, 9.0, sliced)
         for beta in (alpha, alpha + 1.0, alpha + 2.0):
             alone = np.concatenate([ml_values(alpha, beta, probes[i:i + 1])
                                     for i in range(probes.size)])
-            for size in (n, n + 1, 4096):
+            for size in (n, n + 1, 4096, sliced):
                 z = filler[:size].copy()
                 at = rng.choice(size, probes.size, replace=False)
                 z[at] = probes
@@ -180,10 +182,11 @@ class TestMLArray:
     @pytest.mark.parametrize("alpha", [0.25, 0.6, 0.95])
     def test_rows_of_several_betas_match_one_beta_calls(self, alpha):
         betas = (alpha, alpha + 1.0, alpha + 2.0)
+        sliced = special._LOOP_POINTS + 1
         z = -np.concatenate([[0.0, special._X_CAP, 1e300],
-                             10.0 ** np.linspace(-6.0, 9.0, 4093)])
+                             10.0 ** np.linspace(-6.0, 9.0, sliced - 3)])
         for size in (1, 3, special._BROADCAST_POINTS,
-                     special._BROADCAST_POINTS + 1, 4096):
+                     special._BROADCAST_POINTS + 1, 4096, sliced):
             for shape in ((size,), (1, size)):
                 part = z[:size].reshape(shape)
                 rows = ml_values(alpha, betas, part)
