@@ -309,16 +309,6 @@ class TestRepeatedAndSplitOrders:
 class TestOverhangPieces:
     """The README schedule at 2^-10: runs of 511 and 513 steps."""
 
-    LAMS = (0.0, float(np.pi ** 2), 1e4)
-
-    @staticmethod
-    def grid():
-        return L1Grid.for_schedule(two_segment_schedule(), 2.0 ** -10)
-
-    @staticmethod
-    def load(t):
-        return 1.5 * (1.0 + np.sin(3.0 * t))
-
     def test_piece_rule(self):
         assert _run_pieces(511, 1024) == [(511, 512), (512, 1024)]
         assert _run_pieces(0, 511) == [(0, 511)]
@@ -328,6 +318,18 @@ class TestOverhangPieces:
         # forced_modes at 2^-12: 1,536 and 1,537 steps stay whole
         assert _run_pieces(1023, 2559) == [(1023, 2559)]
         assert _run_pieces(2559, 4096) == [(2559, 4096)]
+
+    @staticmethod
+    def solve_rows(rows):
+        """One batched call and the one-row calls of its rows."""
+        sched = two_segment_schedule()
+        grid = L1Grid.for_schedule(sched, 2.0 ** -10)
+        lams = np.array(TestRows.LAMS[:rows])
+        u0 = np.array(TestRows.U0[:rows])
+        loads = TestRows.loads(grid.times, rows)
+        batch = solve_mode_l1(lams, lambda t: loads, sched, u0, grid)
+        return batch, [solve_mode_l1(lams[k], lambda t: loads[k], sched,
+                                     u0[k], grid) for k in range(rows)]
 
     def test_chains_and_transforms_stay_at_the_power_of_two(
             self, monkeypatch):
@@ -344,31 +346,19 @@ class TestOverhangPieces:
 
         monkeypatch.setattr(l1, "_series_reciprocal", spy_recip)
         monkeypatch.setattr(np.fft, "rfft", spy_rfft)
-        grid = self.grid()
-        solve_mode_l1(np.array(self.LAMS), lambda t: np.vstack(
-            [self.load(t)] * 3), two_segment_schedule(), np.ones(3), grid)
+        self.solve_rows(3)
         assert chains and max(chains) <= 512
         assert sizes and max(sizes) <= 1024
 
-    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("lam", [0.0, float(np.pi ** 2), 1e4])
     def test_matches_long_double_march(self, lam):
-        sched, grid = two_segment_schedule(), self.grid()
-        u = solve_mode_l1(lam, self.load, sched, -1.25, grid)
-        ref = l1_march_oracle(lam, self.load, sched, -1.25, grid,
-                              np.longdouble)
-        assert float(np.max(np.abs(u - ref))) <= 5e-14 * 1.25
+        TestRepeatedAndSplitOrders.assert_matches_march(
+            two_segment_schedule(), lam, -1.25)
 
     def test_rows_equal_one_row_calls_bit_for_bit(self):
-        sched, grid = two_segment_schedule(), self.grid()
-        lams = np.array(self.LAMS)
-        u0 = np.array([1.0, -1.25, 0.5])
-        loads = np.vstack([(k + 1) * self.load(grid.times)
-                           for k in range(3)])
-        batch = solve_mode_l1(lams, lambda t: loads, sched, u0, grid)
-        for k in range(3):
-            one = solve_mode_l1(lams[k], lambda t: loads[k], sched, u0[k],
-                                grid)
-            assert np.array_equal(batch[k], one)
+        batch, ones = self.solve_rows(4)
+        for row, one in zip(batch, ones):
+            assert np.array_equal(row, one)
 
 
 class TestStackedReciprocal:

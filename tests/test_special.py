@@ -168,7 +168,9 @@ class TestMLArray:
                                     for i in range(probes.size)])
             for size in (n, n + 1, 4096, sliced):
                 z = filler[:size].copy()
-                at = rng.choice(size, probes.size, replace=False)
+                # the last probe takes the last point, past every slice
+                at = np.append(rng.choice(size - 1, probes.size - 1,
+                                          replace=False), size - 1)
                 z[at] = probes
                 assert_same_bits(ml_values(alpha, beta, z)[at], alone)
                 flat = ml_values(alpha, beta, z)
