@@ -12,10 +12,13 @@ so crossing a breakpoint reweights the entire history - exactly the
 operator the segment recursion solves.  While the order is constant the
 implicit steps of one scalar equation form a lower-triangular Toeplitz
 system, so ``solve_mode_l1`` solves each run of equal order with a few
-FFT convolutions (Hairer, Lubich and Schlichte 1985), for a whole column
-of eigenvalues at once.  A run that passes a power of two by a small
-overhang is solved as the overhang and then the power of two, so its
-transforms are sized by the power of two, not the next one.  The series
+series products (Hairer, Lubich and Schlichte 1985), for a whole column
+of eigenvalues at once.  A product of few outputs times terms is formed
+by direct sums, where the fixed cost of a transform would exceed the
+arithmetic, and a larger one by FFT convolution.  A run that passes a
+power of two by a small overhang is solved as the overhang and then the
+power of two, so its transforms are sized by the power of two, not the
+next one.  The series
 reciprocal of each distinct order's Toeplitz column is computed once per
 call, by Newton's iteration (Kung 1974), and the orders of a schedule
 share one stacked chain as long as its transforms stay small.  It is the
@@ -29,6 +32,7 @@ spectral construction it cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +69,13 @@ STACK_ELEMENTS = 8192
 #: p = 9 and 7; with a one-step overhang, 14% and 26% faster at p = 10
 #: and 11, and 2-7% slower at p = 5 to 7.
 OVERHANG_SHARE = 8
+
+#: Largest outputs times terms of a series product formed by direct sums
+#: rather than FFTs (``_series_product``).  On a 2-core Xeon, one row: a
+#: Newton pass from 45 to 90 coefficients took 45 us direct against 53
+#: us by FFT, and from 64 to 128 took 74 against 56; a Toeplitz solve of
+#: 45 steps 69-76 against 92, of 64 steps 113-117 against 59-92.
+DIRECT_TERMS = 2048
 
 
 @dataclass(frozen=True)
@@ -148,19 +159,46 @@ def _series_product(a: np.ndarray, b: np.ndarray, n: int,
                     skip: int = 0) -> np.ndarray:
     """Coefficients ``skip .. n-1`` of the power-series product ``a * b``.
 
-    One real FFT convolution along the last axis, zero-padded to a power
-    of two just long enough that the wrapped-around tail of the product
-    lands below ``skip``, where no coefficient is returned.  Rows of
-    series multiply row by row.  The product is formed in place in the
-    spectrum of ``a``, which holds one spectrum fewer, so the leading
+    Coefficient ``k`` is ``sum_j a_{k-j} b_j`` over the terms of ``b``.
+    Where the outputs times the terms stay within ``DIRECT_TERMS`` the
+    sums are formed directly: ``a`` is gathered into one row per output,
+    multiplied by ``b``, and the last entry of a running sum taken, so
+    the terms add in a fixed order whatever the leading shape.  Past
+    that, one real FFT convolution along the last axis, zero-padded to a
+    power of two just long enough that the wrapped-around tail of the
+    product lands below ``skip``, where no coefficient is returned; the
+    product is formed in place in the spectrum of ``a``, which holds one
+    spectrum fewer.  Rows of series multiply row by row, and the leading
     axes of ``b`` must broadcast into those of ``a``; numpy raises a
     ``ValueError`` for any other shape.
     """
     a, b = a[..., :n], b[..., :n]
-    size = _fft_size(a.shape[-1] + b.shape[-1] - 1 - skip, n)
+    terms = b.shape[-1]
+    if (n - skip) * terms <= DIRECT_TERMS:
+        index, pad = _product_index(skip, n, a.shape[-1], terms)
+        if pad:
+            a = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+        rows = np.take(a, index, axis=-1)
+        rows *= b[..., None, :]
+        return np.add.accumulate(rows, axis=-1, out=rows)[..., -1]
+    size = _fft_size(a.shape[-1] + terms - 1 - skip, n)
     prod = np.fft.rfft(a, size)
     prod *= np.fft.rfft(b, size)
     return np.fft.irfft(prod, size)[..., skip:n]
+
+
+@functools.lru_cache(maxsize=128)
+def _product_index(skip: int, n: int, length: int,
+                   terms: int) -> tuple[np.ndarray, bool]:
+    """Where coefficient ``k - j`` of a series of ``length`` sits, for
+    outputs ``k`` in ``skip .. n-1`` and terms ``j``; out-of-range
+    entries point one past the end, at a zero the caller appends when
+    the flag says so."""
+    index = np.arange(skip, n)[:, None] - np.arange(terms)
+    outside = (index < 0) | (index >= length)
+    index[outside] = length
+    index.flags.writeable = False   # one cached array serves every call
+    return index, bool(outside.any())
 
 
 def _times_hat(a: np.ndarray, b_hat: np.ndarray, size: int) -> np.ndarray:
@@ -183,25 +221,31 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     Newton's iteration ``g <- g - g (a g - 1)`` doubles the number of
     correct coefficients per pass (Kung 1974) and leaves the earlier
     ones as they are.  A pass from ``n`` to ``k`` coefficients takes the
-    defect ``a g`` at ``n .. k-1`` and its product with ``g``, both at one
-    transform size of at least ``k``: the first product's wrapped tail
-    lands below ``n``, the second has no tail, so the transform of ``g``
-    serves both (five transforms per pass).  When the length of ``a`` is
-    a power of two every pass doubles, so the first ``m`` coefficients
-    are those of a call on ``a[..., :m]`` bit for bit, for every power of
-    two ``m``.  Each row of ``a``, along any number of leading axes, is
-    one series and equals a one-row call bit for bit.
+    defect ``a g`` at ``n .. k-1`` and its product with ``g``.  Early
+    passes form both in ``_series_product``, by direct sums; a later
+    pass forms both at one transform size of at least ``k``: the first
+    product's wrapped tail lands below ``n``, the second has no tail, so
+    the transform of ``g`` serves both (five transforms per pass).  When
+    the length of ``a`` is a power of two every pass doubles, so the
+    first ``m`` coefficients are those of a call on ``a[..., :m]`` bit
+    for bit, for every power of two ``m``.  Each row of ``a``, along any
+    number of leading axes, is one series and equals a one-row call bit
+    for bit.
     """
     g = np.empty(a.shape)
     np.divide(1.0, a[..., :1], out=g[..., :1])
     n = 1
     while n < a.shape[-1]:
         k = min(2 * n, a.shape[-1])
-        size = _fft_size(k)
-        g_hat = np.fft.rfft(g[..., :n], size)
-        defect = _times_hat(a[..., :k], g_hat, size)[..., n:k]
-        step = _times_hat(defect, g_hat, size)
-        np.negative(step[..., :k - n], out=g[..., n:k])
+        if (k - n) * n <= DIRECT_TERMS:   # direct in _series_product
+            defect = _series_product(a, g[..., :n], k, skip=n)
+            step = _series_product(g, defect, k - n)
+        else:
+            size = _fft_size(k)
+            g_hat = np.fft.rfft(g[..., :n], size)
+            defect = _times_hat(a[..., :k], g_hat, size)[..., n:k]
+            step = _times_hat(defect, g_hat, size)[..., :k - n]
+        np.negative(step, out=g[..., n:k])
         n = k
     return g
 
@@ -213,16 +257,25 @@ def _toeplitz_solve(col: np.ndarray, recip: np.ndarray,
     ``recip`` holds at least as many coefficients of ``1 / col(z)`` as
     ``rhs`` has entries.  The product with it solves the lower-triangular
     Toeplitz system; one refinement step with the residual removes most
-    of the FFT rounding, whose size follows the norms of the factors
-    rather than the entries.  Both products with the reciprocal share its
-    transform (eight transforms per solve).  Each row is one system.
+    of the rounding, whose size follows the norms of the factors rather
+    than the entries.  A short system forms the three products by direct
+    sums (``_series_product``); a longer one by FFTs, where both products
+    with the reciprocal share its transform (eight transforms per solve).
+    Each row is one system.
     """
     n = rhs.shape[-1]
-    size = _fft_size(2 * n - 1)
-    g_hat = np.fft.rfft(recip[..., :n], size)
-    x = _times_hat(rhs, g_hat, size)[..., :n]
+    if n * n <= DIRECT_TERMS:
+        def times_recip(b):
+            return _series_product(recip, b, n)
+    else:
+        size = _fft_size(2 * n - 1)
+        g_hat = np.fft.rfft(recip[..., :n], size)
+
+        def times_recip(b):
+            return _times_hat(b, g_hat, size)[..., :n]
+    x = times_recip(rhs)
     residual = rhs - _series_product(col, x, n)
-    return x + _times_hat(residual, g_hat, size)[..., :n]
+    return x + times_recip(residual)
 
 
 def _stack_blocks(lengths: list[int], rows: int) -> list[list[int]]:
@@ -275,12 +328,13 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     small overhang, as the overhang and then ``2**p`` steps
     (``_run_pieces``), so the order's chain and the run's transforms are
     sized by ``2**p``.  For each piece the earlier steps' history is
-    subtracted in one FFT convolution, and the piece's system is solved
+    subtracted in one series product, and the piece's system is solved
     with its order's reciprocal cut to the piece's length.  The values
     are ``u0`` plus the running sum of the increments, so a zero
-    right-hand side gives exactly ``u0``.  A non-finite value raises a
-    ``NumericError`` that names the first such row, its eigenvalue and
-    the first time at which it is not finite.
+    right-hand side gives exactly ``u0``.  A non-finite load or initial
+    value, checked before any product, or a non-finite value after the
+    solve raises a ``NumericError`` that names the first such row, its
+    eigenvalue and the first time at which it is not finite.
 
     ``lam`` is one eigenvalue or a 1-d column of them; ``u0_n`` has its
     shape, and ``f_n(times)`` returns ``lam.shape + times.shape`` loads.
@@ -309,6 +363,11 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     if loads.shape != lam.shape + times.shape:
         raise DomainError("source callable must map times to one row of "
                           "loads per eigenvalue")
+    # a non-finite load would spread over its piece and raise numpy
+    # warnings; name its row and time before any product
+    bad = ~np.isfinite(loads)
+    bad[..., 0] = ~np.isfinite(u0)
+    _check_finite(bad, lam, times)
     seg = _segment_of_step(grid, schedule)
     step_orders = np.asarray(schedule.orders)[seg[1:]]
 
@@ -355,13 +414,20 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
         if last_piece[o] == k:
             del recips[o]
     u = np.concatenate([u0_col, u0_col + np.cumsum(w, axis=-1)], axis=-1)
-    bad = ~np.isfinite(u.reshape(-1, times.size))
+    _check_finite(~np.isfinite(u), lam, times)
+    return u
+
+
+def _check_finite(bad: np.ndarray, lam: np.ndarray,
+                  times: np.ndarray) -> None:
+    """Raise ``NumericError`` for the first row with a ``bad`` entry,
+    naming its eigenvalue and the time of its first bad entry."""
+    bad = bad.reshape(-1, times.size)
     if bad.any():
         row, m = np.argwhere(bad)[0]
         eigenvalue, t = float(lam.reshape(-1)[row]), float(times[m])
         raise NumericError(f"non-finite L1 trajectory in row {row} "
                            f"(eigenvalue {eigenvalue!r}) from t = {t!r}")
-    return u
 
 
 def _dst(x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ the closed-form kernel moments of the piecewise-linear reconstruction,
     b_k = ((m - k)**(1 - b) - (m - k - 1)**(1 - b)) * tau**(-b) / Gamma(2 - b).
 """
 
+import math
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from fracstep import l1
 from fracstep.errors import DomainError, NumericError
-from fracstep.l1 import (STACK_ELEMENTS, L1Grid, _moments, _run_pieces,
-                         _series_reciprocal, _stack_blocks, solve_full_l1_fd,
+from fracstep.l1 import (DIRECT_TERMS, STACK_ELEMENTS, L1Grid, _moments,
+                         _run_pieces, _series_product, _series_reciprocal,
+                         _stack_blocks, _toeplitz_solve, solve_full_l1_fd,
                          solve_mode_l1)
 from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
@@ -217,6 +221,41 @@ class TestSingleModeMarch:
         u = solve_mode_l1(lams[0], lambda t: loads[0], sched, 1.0, grid)
         assert np.all(np.isfinite(u))
 
+    @pytest.mark.parametrize("bad,expected", [
+        ("inf load", 0.75), ("nan load", 0.75), ("inf initial", 0.0)])
+    def test_non_finite_input_is_named_before_any_warning(self, bad,
+                                                          expected):
+        # an inf load at t = 0.75, inside the order-0.8 run: the error
+        # names that time, not the piece's first, and numpy warns of
+        # nothing on the way
+        sched = two_segment_schedule()
+        grid = L1Grid.for_schedule(sched, 2.0 ** -4)
+        loads = np.ones((2, grid.num_steps + 1))
+        u0 = np.ones(2)
+        if bad == "inf initial":
+            u0[1] = np.inf
+        else:
+            loads[1, 12] = np.inf if bad == "inf load" else np.nan
+        lams = np.array([1.0, float(np.pi ** 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                    NumericError,
+                    match=r"^non-finite L1 trajectory in row 1 \(eigenvalue "
+                          rf"9\.869604401089358\) from t = {expected!r}$"):
+                solve_mode_l1(lams, lambda t: loads, sched, u0, grid)
+
+    def test_unused_first_load_is_not_checked(self):
+        # step m balances the load at t_m, m >= 1: the load at t = 0
+        # never enters the solve
+        sched = two_segment_schedule()
+        grid = L1Grid.for_schedule(sched, 2.0 ** -4)
+        loads = np.ones(grid.num_steps + 1)
+        u = solve_mode_l1(2.0, lambda t: loads, sched, 1.0, grid)
+        loads[0] = np.inf
+        assert np.array_equal(
+            solve_mode_l1(2.0, lambda t: loads, sched, 1.0, grid), u)
+
     def test_rejects_bad_inputs(self):
         sched = two_segment_schedule()
         grid = L1Grid.for_schedule(sched, 2.0 ** -4)
@@ -382,7 +421,8 @@ class TestStackedReciprocal:
         # coefficients, so a block's length never shows in a row
         cols = self.columns(512)
         long = _series_reciprocal(cols)
-        for m in (1, 2, 64, 256):
+        # 32, 64 and 128 straddle the passes formed by direct sums
+        for m in (1, 2, 32, 64, 128, 256):
             assert np.array_equal(long[..., :m],
                                   _series_reciprocal(cols[..., :m]))
 
@@ -423,6 +463,87 @@ class TestStackedReciprocal:
         assert np.array_equal(solve(), stacked)
 
 
+# (outputs, terms) of history products, and lengths of full products,
+# on both sides of DIRECT_TERMS = 2,048
+HISTORIES = [(1, 2047), (1, 2049), (32, 64), (33, 64), (200, 300)]
+LENGTHS = [1, 16, 45, 46, 100]
+
+
+def random_factors(rows, length, seed):
+    rng = np.random.default_rng(seed)
+    shape = (length,) if rows is None else (rows, length)
+    return rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+class TestSeriesProduct:
+    """Direct sums and FFT convolutions behind one product."""
+
+    @staticmethod
+    def both_ways(monkeypatch, *args, **kwargs):
+        monkeypatch.setattr("fracstep.l1.DIRECT_TERMS", 10 ** 9)
+        direct = _series_product(*args, **kwargs)
+        monkeypatch.setattr("fracstep.l1.DIRECT_TERMS", -1)
+        fft = _series_product(*args, **kwargs)
+        monkeypatch.setattr("fracstep.l1.DIRECT_TERMS", DIRECT_TERMS)
+        return direct, fft, _series_product(*args, **kwargs)
+
+    def assert_agree(self, monkeypatch, a, b, n, skip):
+        direct, fft, default = self.both_ways(monkeypatch, a, b, n, skip=skip)
+        exact = np.array([[math.fsum(x[k - j] * y[j]
+                                     for j in range(min(k + 1,
+                                                        y.shape[-1])))
+                           for k in range(skip, n)]
+                          for x, y in zip(a.reshape(-1, a.shape[-1]),
+                                          b.reshape(-1, b.shape[-1]))])
+        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+        bound = 1e-14 * scale.reshape(-1, 1)
+        assert np.all(np.abs(direct - fft).reshape(exact.shape) <= bound)
+        assert np.all(np.abs(direct.reshape(exact.shape) - exact) <= bound)
+        assert np.all(np.abs(fft.reshape(exact.shape) - exact) <= bound)
+        # the default takes direct sums exactly up to the cut-off
+        on_direct = (n - skip) * b.shape[-1] <= DIRECT_TERMS
+        assert np.array_equal(default, direct if on_direct else fft)
+
+    @pytest.mark.parametrize("outputs,terms", HISTORIES)
+    def test_history_products_agree(self, monkeypatch, outputs, terms):
+        a, b = random_factors(3, outputs + terms, 7)
+        self.assert_agree(monkeypatch, a, b[:, :terms], outputs + terms,
+                          terms)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_full_products_agree(self, monkeypatch, length):
+        a, b = random_factors(None, length, 11)
+        self.assert_agree(monkeypatch, a, b, length, 0)
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    @pytest.mark.parametrize("outputs,terms", [(32, 64), (33, 64)])
+    def test_rows_equal_one_row_calls_bit_for_bit(self, rows, outputs,
+                                                  terms):
+        n = outputs + terms
+        a, b = random_factors(rows, n, rows)
+        rows_out = _series_product(a, b[:, :terms], n, skip=terms)
+        tri = _series_product(a[:, :outputs], b[:, :outputs], outputs)
+        for k in range(rows):
+            assert np.array_equal(
+                rows_out[k], _series_product(a[k], b[k, :terms], n,
+                                             skip=terms))
+            assert np.array_equal(
+                tri[k], _series_product(a[k, :outputs], b[k, :outputs],
+                                        outputs))
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    @pytest.mark.parametrize("n", [45, 46])
+    def test_solve_rows_equal_one_row_calls_bit_for_bit(self, rows, n):
+        col = _moments([0.4], 64, 2.0 ** -8)[0] + np.arange(rows)[:, None]
+        recip = _series_reciprocal(col)
+        rhs = random_factors(rows, n, 3)[0]
+        x = _toeplitz_solve(col[:, :n], recip, rhs)
+        for k in range(rows):
+            assert np.array_equal(
+                x[k], _toeplitz_solve(col[k, :n], recip[k], rhs[k]))
+            assert np.array_equal(recip[k], _series_reciprocal(col[k]))
+
+
 class TestRows:
     """A column of eigenvalues solves one row per mode in one call."""
 
@@ -450,6 +571,20 @@ class TestRows:
             one = solve_mode_l1(lams[k], lambda t: loads[k], self.SCHEDULE,
                                 u0[k], grid)
             assert one.shape == (grid.num_steps + 1,)
+            assert np.array_equal(batch[k], one)
+
+    @pytest.mark.parametrize("rows", range(1, 9))
+    def test_short_pieces_rows_equal_one_row_calls(self, rows):
+        # at 2^-6 the pieces are 7, 40, 1 and 16 steps: every product
+        # is formed by direct sums
+        grid = L1Grid.for_schedule(self.SCHEDULE, 2.0 ** -6)
+        lams = np.array(self.LAMS + (1.0, 250.0, 3.0, 0.5))[:rows]
+        u0 = np.linspace(-1.0, 2.0, 8)[:rows]
+        loads = self.loads(grid.times, rows)
+        batch = solve_mode_l1(lams, lambda t: loads, self.SCHEDULE, u0, grid)
+        for k in range(rows):
+            one = solve_mode_l1(lams[k], lambda t: loads[k], self.SCHEDULE,
+                                u0[k], grid)
             assert np.array_equal(batch[k], one)
 
     @pytest.mark.parametrize("rows", [2, 3, 4])

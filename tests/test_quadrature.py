@@ -575,7 +575,7 @@ class TestCompositeGraded:
 
 
 _BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot",
-               "norm")
+               "norm", "convolve", "correlate")
 
 
 @pytest.mark.parametrize("module", ["quadrature.py", "special.py",
