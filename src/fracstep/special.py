@@ -25,17 +25,18 @@ weights ``c_k`` and poles ``d_k = s(u_k)**alpha`` that depend on
 ``(alpha, beta)`` only (the poles on ``alpha`` alone, so one pass can
 serve several ``beta`` at the same arguments).
 
-The sum is evaluated in real arithmetic in one of two ways, chosen by
-the number of points.  Calls of at most ``_BROADCAST_POINTS`` points,
-the many small calls of sampling, form all 21 terms as one (nodes x
-points) array expression, so their cost is a handful of numpy calls
-rather than seven per node; larger calls loop over the nodes with work
-arrays of at most ``_LOOP_POINTS`` points, which is faster once the
-(nodes x points) arrays grow large.  Both add the terms one after
-another in node order, the array form through a running sum along the
-node axis, because a numpy reduction would sum a one-point call's
-contiguous node axis pairwise.  So every value is the same bit for bit
-whichever way, and in whatever call, it is evaluated.
+The sum is evaluated in real arithmetic from one cached table of the
+rule, in one of two ways chosen by the number of points.  Calls of at
+most ``_BROADCAST_POINTS`` points, the many small calls of sampling,
+form all 21 terms as one (nodes x points) array expression, so their
+cost is a handful of numpy calls rather than seven per node; larger
+calls loop over the nodes with work arrays of at most ``_LOOP_POINTS``
+points, which is faster once the (nodes x points) arrays grow large.
+Both add the terms one after another in node order: the array form
+reduces over a node axis that is not the innermost, which numpy does a
+whole node row at a time, and takes a lone point as two, since numpy
+would sum a contiguous node axis pairwise.  So every value is the same
+bit for bit whichever way, and in whatever call, it is evaluated.
 
 The accuracy contract is absolute: about 2e-14 or better against a
 big-float reference over ``alpha`` in [0.001, 0.9999], ``beta`` up to
@@ -66,9 +67,9 @@ __all__ = [
 _CONTOUR_NODES = 20
 
 # Calls of at most this many points evaluate every contour node at once;
-# larger ones loop over the nodes.  Near the crossover measured on a
-# 2-core Xeon: the array form was faster up to about 450 points with
-# one beta and about 400 with two
+# larger ones loop over the nodes.  On a 2-core Xeon the array form was
+# faster than the loop up to 832 points and slower from 896, with one
+# beta and with two (alternated best-of timings)
 _BROADCAST_POINTS = 512
 
 # Points the node loop works through at a time, so that its work arrays
@@ -104,25 +105,29 @@ def ml(params, z: float) -> float:
 
 
 @functools.lru_cache(maxsize=128)
-def _contour_rule(alpha: float, beta: float) -> tuple:
-    """Weights and poles ``(Re c, Im c, Re d, Im d)`` of the folded rule.
+def _contour_rule(alpha: float, betas: tuple) -> tuple:
+    """The folded rule of every beta in ``betas``, as one table.
 
     ``E_{alpha,beta}(-x) ~ Re sum_k c_k / (d_k + x)`` over ``k = 0..N``;
     the ``k = 0`` node is on the real axis, the others stand for
-    themselves and their conjugates.
+    themselves and their conjugates.  Returns ``Re d`` and ``(Im d)**2``
+    as (nodes x 1) columns, shared by every beta, and ``Re c`` and
+    ``Im c * Im d`` as (betas x nodes x 1) arrays, one row per beta.
+    Both evaluation forms read these same floats.
     """
     n = _CONTOUR_NODES
     h = 3.0 / n
     mu = math.pi * n / 12.0
-    rule = []
+    poles, weights = [], []
     for k in range(n + 1):
         w = 1.0 + 1j * k * h
         s = mu * w * w
-        c = (1.0 if k == 0 else 2.0) * h * mu / math.pi \
-            * cmath.exp(s) * s ** (alpha - beta) * w
-        d = s ** alpha
-        rule.append((c.real, c.imag, d.real, d.imag))
-    return tuple(rule)
+        scale = (1.0 if k == 0 else 2.0) * h * mu / math.pi * cmath.exp(s)
+        poles.append(s ** alpha)
+        weights.append([scale * s ** (alpha - b) * w for b in betas])
+    d = np.array(poles)[:, None]
+    c = np.array(weights).T[..., None]
+    return d.real, d.imag * d.imag, c.real, c.imag * d.imag
 
 
 def ml_values(alpha: float, beta, z: np.ndarray) -> np.ndarray:
@@ -162,40 +167,26 @@ def ml_values(alpha: float, beta, z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape if single else (len(betas),) + z.shape)
 
 
-@functools.lru_cache(maxsize=128)
-def _rule_columns(alpha: float, betas: tuple) -> tuple:
-    """The folded rules of ``betas`` as columns for :func:`_nodes_at_once`.
-
-    Returns ``Re d`` and ``(Im d)**2`` as (nodes x 1) arrays, shared by
-    every beta, and ``Re c`` and ``Im c * Im d`` as (betas x nodes x 1)
-    arrays, formed from the same floats as :func:`_node_loop` uses.
-    """
-    rules = [_contour_rule(alpha, b) for b in betas]
-    poles = rules[0]
-    dr = np.array([[d] for _, _, d, _ in poles])
-    didi = np.array([[di * di] for _, _, _, di in poles])
-    cr = np.array([[[c] for c, _, _, _ in rule] for rule in rules])
-    cidi = np.array([[[ci * di] for _, ci, _, di in rule]
-                     for rule in rules])
-    return dr, didi, cr, cidi
-
-
 def _nodes_at_once(alpha: float, betas: tuple, x: np.ndarray) -> np.ndarray:
     """``Re sum_k c_k / (d_k + x)`` as one (betas x nodes x points)
     expression, for calls small enough that numpy's per-operation cost,
-    not the work per point, sets the time."""
-    dr, didi, cr, cidi = _rule_columns(alpha, betas)
+    not the work per point, sets the time.
+
+    The node axis is not the innermost, so ``np.add.reduce`` adds whole
+    node rows one after another in node order, as the node loop does.
+    A lone point would leave the node axis innermost, which numpy sums
+    pairwise, so it is evaluated twice and the first column kept."""
+    points = x.size
+    if points == 1:
+        x = x.repeat(2)
+    dr, didi, cr, cidi = _contour_rule(alpha, betas)
     re = x + dr
     den = re * re
     den += didi
     num = re * cr
     num += cidi
     num /= den
-    # a running sum adds the nodes one after another in node order, as
-    # the node loop does; a reduction would sum a one-point call, whose
-    # node axis is contiguous, pairwise and round differently.  The copy
-    # keeps the caller's result from pinning the (nodes x points) sums
-    return np.cumsum(num, axis=1)[:, -1].copy()
+    return np.add.reduce(num, axis=1)[:, :points]
 
 
 def _node_loop(alpha: float, betas: tuple, x: np.ndarray) -> np.ndarray:
@@ -204,22 +195,25 @@ def _node_loop(alpha: float, betas: tuple, x: np.ndarray) -> np.ndarray:
     there the (nodes x points) arrays of :func:`_nodes_at_once` would
     cost more in memory traffic than the loop does in numpy calls.  The
     points are taken ``_LOOP_POINTS`` at a time, so the work arrays stay
-    in cache; each point still adds its nodes in node order."""
+    in cache; each point still adds its nodes in node order, from the
+    same table of floats as :func:`_nodes_at_once`."""
+    dr, didi, cr, cidi = _contour_rule(alpha, betas)
+    # Python floats, which numpy applies faster than one-element arrays
+    nodes = list(zip(dr[:, 0].tolist(), didi[:, 0].tolist(),
+                     cr[..., 0].T.tolist(), cidi[..., 0].T.tolist()))
     out = np.zeros((len(betas), x.size))
     work = np.empty((3, min(x.size, _LOOP_POINTS)))
-    rules = [_contour_rule(alpha, b) for b in betas]
     for lo in range(0, x.size, _LOOP_POINTS):
         part = x[lo:lo + _LOOP_POINTS]
         re, num, den = work[:, :part.size]
         rows = list(out[:, lo:lo + part.size])
-        for nodes in zip(*rules):
-            _, _, dr, di = nodes[0]
-            np.add(part, dr, out=re)
+        for d, dd, cs, cds in nodes:
+            np.add(part, d, out=re)
             np.multiply(re, re, out=den)
-            den += di * di
-            for row, (cr, ci, _, _) in zip(rows, nodes):
-                np.multiply(re, cr, out=num)
-                num += ci * di
+            den += dd
+            for row, c, cd in zip(rows, cs, cds):
+                np.multiply(re, c, out=num)
+                num += cd
                 num /= den
                 row += num
     return out

@@ -387,10 +387,11 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
                    n_quad: int = 24) -> float:
     """Max absolute equation defect over space-time probe points.
 
-    ``probes`` holds ``(x, t)`` rows with ``x`` in ``[0, length]``;
-    times must keep 1e-3 of the shortest segment away from every
-    breakpoint, where the derivative's blow-up would poison the
-    quadrature.  The memory derivatives of all live modes are evaluated
+    ``probes`` holds ``(x, t)`` rows with ``x`` in ``[0, length]`` and
+    ``t`` in ``(0, T]``; times must keep 1e-3 of the shortest segment
+    away from every breakpoint, where the derivative's blow-up would
+    poison the quadrature.  Bad probes are rejected before any
+    evaluation.  The memory derivatives of all live modes are evaluated
     together, one history call per segment and group of times; a mode
     that is not live has a zero defect, because ``solve`` makes every
     forced mode live.  Each probe sums its ``evaluation_matrix`` row
@@ -400,11 +401,17 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2 or probes.shape[0] == 0:
         raise DomainError("probes must be a nonempty array of (x, t) rows")
+    ts, horizon = probes[:, 1], schedule.horizon
+    # NaN fails every comparison, so it is caught here and not below
+    outside = ~((0.0 < ts) & (ts <= horizon))
+    if outside.any():
+        raise DomainError(f"probe time {ts[outside][0]} outside "
+                          f"(0, {horizon}]")
     floor = 1e-3 * float(np.min(schedule.widths()))
     marks = np.asarray(schedule.breakpoints)
-    close = np.min(np.abs(marks[:, None] - probes[:, 1]), axis=0) < floor
+    close = np.min(np.abs(marks[:, None] - ts), axis=0) < floor
     if close.any():
-        raise DomainError(f"probe time {probes[close, 1][0]} closer than "
+        raise DomainError(f"probe time {ts[close][0]} closer than "
                           f"{floor} to a breakpoint")
     xs, length = probes[:, 0], spec.operator.length
     outside = ~((0.0 <= xs) & (xs <= length))

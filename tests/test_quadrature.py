@@ -6,6 +6,7 @@ scipy integral of the independently verified kernel to ~1e-12.
 """
 
 import ast
+import glob
 import math
 import os
 import warnings
@@ -578,14 +579,18 @@ _BLAS_NAMES = ("dot", "matmul", "einsum", "inner", "tensordot", "vdot",
                "norm", "convolve", "correlate")
 
 
-@pytest.mark.parametrize("module", ["quadrature.py", "special.py",
-                                    "solver.py", "l1.py", "operator.py",
-                                    "verify.py", "cli.py"])
+_PACKAGE = os.path.dirname(quadrature.__file__)
+
+
+# every module of the package, so that a new one cannot escape the check
+@pytest.mark.parametrize("module", sorted(
+    os.path.basename(path)
+    for path in glob.glob(os.path.join(_PACKAGE, "*.py"))))
 def test_quadrature_module_uses_no_blas_product(module):
     # BLAS fixes no summation order, so a product there could make a
     # batched row differ from a one-row call, or the contour sum of one
     # call size differ from another's, in its last bits
-    path = os.path.join(os.path.dirname(quadrature.__file__), module)
+    path = os.path.join(_PACKAGE, module)
     with open(path) as handle:
         tree = ast.parse(handle.read())
     found = []

@@ -287,6 +287,21 @@ class TestResidual:
         with pytest.raises(DomainError):
             V.residual_check(field, spec, np.array([[0.5, 1e-7]]))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -0.25, 1.5])
+    def test_rejects_probe_time_outside_horizon(self, mixed_run, monkeypatch,
+                                                t):
+        # NaN passes the breakpoint-distance check, whose comparisons are
+        # false; every such time is named before anything is evaluated
+        spec, field = mixed_run
+
+        def evaluate(*args, **kwargs):
+            raise AssertionError("a bad probe time reached evaluation")
+
+        monkeypatch.setattr(type(field), "mode_values", evaluate)
+        with pytest.raises(DomainError,
+                           match=rf"probe time {t} outside \(0, 1.0\]"):
+            V.residual_check(field, spec, np.array([[0.5, 0.3], [0.5, t]]))
+
     @pytest.mark.parametrize("length", [2.0, 0.5])
     def test_default_probes_span_the_domain(self, length):
         # the x grid sits at sixths of the domain, whatever its length
