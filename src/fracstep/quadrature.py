@@ -177,9 +177,36 @@ def _cell_nodes(edges: np.ndarray, x: np.ndarray):
     return mid[..., None] + half[..., None] * x, half
 
 
-def scaled_power_history(profile, a: float, b, times,
-                         kernel_exponent: float, power: float,
-                         n: int = 24):
+def _times(times):
+    """Float ``times`` and their flat view, each of them finite."""
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise DomainError(f"evaluation time {flat[~finite][0]} is not finite")
+    return times, flat
+
+
+def _exponents(kernel_exponent, times, at_end, end: str):
+    """Kernel exponents, one per time of ``times`` (flat), each in (0, 2)
+    and below 1 where ``at_end`` marks a time on the integral's ``end``;
+    and their distinct values as floats."""
+    kappa = np.asarray(kernel_exponent, dtype=float)
+    bad = ~((0.0 < kappa) & (kappa < 2.0))   # NaN fails both
+    if bad.any():
+        raise DomainError(
+            f"kernel exponent must be in (0, 2), got {kappa[bad][0]}")
+    distinct = np.unique(kappa).tolist() if kappa.ndim else [float(kappa)]
+    kappa = np.broadcast_to(kappa, times.shape).reshape(-1)
+    heavy = at_end & (kappa >= 1.0)
+    if heavy.any():
+        raise DomainError(f"kernel exponent {kappa[heavy][0]} is not "
+                          f"integrable up to t == {end}")
+    return kappa, distinct
+
+
+def scaled_power_history(profile, a: float, b, times, kernel_exponent,
+                         power: float, n: int = 24):
     """Memory integral of a fractional impulse response shape.
 
     Computes ``int_a^b (t-s)**(-kappa) * (s-a)**(power-1)
@@ -197,39 +224,49 @@ def scaled_power_history(profile, a: float, b, times,
     smooth, on a stretched grid down to ``u = t - b`` or with an exact
     Jacobi weight ``u**(-kappa)`` when ``t == b``.
 
-    ``b`` is one upper limit for every time or an array of limits that
-    broadcasts against ``times``, ``a < b <= t``.  Times that share a
-    limit share its far-field and left-half node sets, so a scalar ``b``
-    builds one of each for all times.
+    ``b`` and ``kernel_exponent`` are each one value for every time or
+    an array that broadcasts against ``times``: a limit ``a < b <= t``
+    and an exponent in (0, 2), below 1 where ``t == b``.  Times that
+    share a limit share its far-field and left-half node sets whatever
+    their exponents, so a scalar ``b`` builds one of each for all times.
 
     ``profile`` must act elementwise; it is called once, on every node
     set together.  It may return one row per integrand, for example one
     per eigenvalue; the result then has shape ``rows + times.shape`` (a
     float for a 1-d profile and a scalar ``times``, empty for an empty
     ``times``).  Each part is summed along the nodes of each cell, then
-    along the cells, so each row and time equals its call alone, bit for
-    bit.
+    along the cells, so each row and time equals its call alone, with a
+    scalar limit and exponent, bit for bit.
     """
     a = float(a)
-    kappa = float(kernel_exponent)
     power = float(power)
-    times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
+    times, flat = _times(times)
     b = np.asarray(b, dtype=float)
-    if np.any(b <= a):
-        raise DomainError(f"need a < b, got [{a}, {np.min(b)}]")
+    if not (a < b).all():   # NaN fails too
+        raise DomainError(f"need a < b, got [{a}, {b[~(a < b)][0]}]")
     limits = np.broadcast_to(b, times.shape).reshape(-1)
     early = flat < limits
     if early.any():
         raise DomainError(f"evaluation time {flat[early][0]} precedes its "
                           f"upper limit {limits[early][0]}")
-    if not 0.0 < kappa < 2.0:
-        raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and np.any(flat == limits):
-        raise DomainError(
-            f"kernel exponent {kappa} is not integrable up to t == b")
+    kappa, exponents = _exponents(kernel_exponent, times, flat == limits,
+                                  "b")
     if not 0.0 < power < 1.0:
         raise DomainError(f"power must be in (0, 1), got {power}")
+
+    def kernel(base, index):
+        # base ** -kappa, row i of base at time index[i], one float power
+        # per exponent: numpy takes some float powers as sqrt or
+        # reciprocal, which pow need not equal bit for bit
+        if len(exponents) == 1:
+            return base ** -exponents[0]
+        here = kappa[index]
+        if (here == here[0]).all():
+            return base ** -float(here[0])
+        out = np.empty_like(base)
+        for k in exponents:
+            out[here == k] = base[here == k] ** -k
+        return out
 
     inv = 1.0 / power
     x, w = _legendre_rule(int(n))
@@ -248,7 +285,7 @@ def scaled_power_history(profile, a: float, b, times,
                 edges = graded_mesh(0.0, (s_hi - a) ** power, HISTORY_CELLS,
                                     3.0)
                 xi, half = _cell_nodes(edges, x)
-                kern = (flat[index, None, None] - a - xi ** inv) ** (-kappa)
+                kern = kernel(flat[index, None, None] - a - xi ** inv, index)
                 parts.append((index, xi[None], w * kern,
                               np.broadcast_to(half, (index.size, half.size)),
                               inv))
@@ -260,17 +297,20 @@ def scaled_power_history(profile, a: float, b, times,
         parts.append((index, ds ** power,
                       weights * kern * ds ** (power - 1.0), scale, 1.0))
 
-    index = np.flatnonzero(near & (flat == limits))
-    if index.size:  # one cell with the exact Jacobi weight u**(-kappa)
-        xj, wj = _jacobi_rule(int(n), -kappa, 0.0)
-        half = 0.5 * (flat[index] - mid[index])
-        right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
-              half[:, None] ** (1.0 - kappa))
+    # one cell with the exact Jacobi weight u**(-kappa) per exponent
+    at_b = near & (flat == limits)
+    for k in exponents:
+        index = np.flatnonzero(at_b & (kappa == k))
+        if index.size:
+            xj, wj = _jacobi_rule(int(n), -k, 0.0)
+            half = 0.5 * (flat[index] - mid[index])
+            right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
+                  half[:, None] ** (1.0 - k))
     index = np.flatnonzero(near & (flat > limits))
     for group, edges in _stretched_cells(flat[index] - limits[index],
                                          flat[index] - mid[index]):
         u, scale = _cell_nodes(edges, x)
-        right(index[group], u, u ** (-kappa), w, scale)
+        right(index[group], u, kernel(u, index[group]), w, scale)
 
     values = np.asarray(profile(np.concatenate(
         [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
@@ -386,43 +426,41 @@ def _far_series(kappa: float) -> np.ndarray:
 
 
 def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
-                          kernel_exponent: float):
+                          kernel_exponent):
     """``int (t-s)**(-kappa) * g(s) ds`` for tabulated ``g``, every ``t``.
 
     ``g`` is the piecewise-linear interpolant of ``samples`` on ``nodes``
     and the integral runs over the full node range, which must end at or
     before every ``t`` in ``times`` (strictly before for ``kappa >= 1``).
-    The result is exact for the interpolant.  Cells within three widths
-    of the singularity take the closed-form moments; on farther cells
-    those differences cancel, so they sum the series of ``_far_series``,
-    whose terms all add.  The moments are shared by every row.
+    ``kernel_exponent`` is one exponent in (0, 2) or an array of them
+    that broadcasts against ``times``; the times of each exponent take
+    one product integration with its moments.  The result is exact for
+    the interpolant.  Cells within three widths of the singularity take
+    the closed-form moments; on farther cells those differences cancel,
+    so they sum the series of ``_far_series``, whose terms all add.  The
+    moments are shared by every row.
 
     ``samples`` may hold one row per density; the result then has shape
     ``rows + times.shape``, and 1-d ``samples`` with a scalar ``times``
     give a float.  Rows and times equal their one-row, one-time calls
-    bit for bit (``_product_integrate``).
+    with a scalar exponent bit for bit (``_product_integrate``).
     """
     samples = np.asarray(samples, dtype=float)
     rows = samples.shape[:-1][:1]   # a 3-d array fails the alignment
     nodes, samples = _tabulation(nodes, samples, rows)
-    times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
-    kappa = float(kernel_exponent)
+    times, flat = _times(times)
     early = flat < nodes[-1]
     if early.any():
         raise DomainError(f"evaluation time {flat[early][0]} precedes "
                           f"the last node {nodes[-1]}")
-    if not 0.0 < kappa < 2.0:
-        raise DomainError(f"kernel exponent must be in (0, 2), got {kappa}")
-    if kappa >= 1.0 and np.any(flat == nodes[-1]):
-        raise DomainError(
-            f"kernel exponent {kappa} is not integrable up to t == end")
-    coef = _far_series(kappa)
+    per_time, exponents = _exponents(kernel_exponent, times,
+                                     flat == nodes[-1], "end")
 
-    def moments(u, h):
+    def moments(kappa, u, h):
         # every cell takes the series first: mass = 2 rho m**(1-kappa) A
         # and right weight = rho m**(1-kappa) (A - rho B), rho = h / 2m
         # below 1/7 once u_near > 3h; the bridges (h < 0) stay finite
+        coef = _far_series(kappa)
         u_far, u_near = u[:-1], u[1:]
         span = u_far + u_near
         rho = h / span
@@ -456,8 +494,13 @@ def power_kernel_convolve(nodes: np.ndarray, samples: np.ndarray, times,
             / h[near]
         return mass, right_weight
 
-    out = _product_integrate(moments, nodes, samples, flat,
-                             np.full(flat.size, nodes.size - 1))
+    out = np.empty((samples.shape[0], flat.size))
+    for k in exponents:
+        here = per_time == k if len(exponents) > 1 else slice(None)
+        part = flat[here]
+        out[:, here] = _product_integrate(
+            functools.partial(moments, k), nodes, samples, part,
+            np.full(part.size, nodes.size - 1))
     out = out.reshape(rows + times.shape)
     return float(out) if out.ndim == 0 else out
 

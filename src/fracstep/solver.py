@@ -267,19 +267,21 @@ def _derivatives(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
     return (impulse + tail).reshape(lam.shape + t.shape)
 
 
-def _memory(seg: Segment, times: np.ndarray, kernel_exponent: float,
+def _memory(seg: Segment, times: np.ndarray, kernel_exponent,
             n_quad: int) -> np.ndarray:
     """Memory kernel applied to every mode's derivative on a past segment.
 
-    The result has one row per mode of ``seg`` and one column per time.
-    The impulse part is ``strength * (s - start)**(order - 1)`` times a
+    The result has one row per mode of ``seg`` and one column per time;
+    ``kernel_exponent`` is one exponent or one per time.  The impulse
+    part is ``strength * (s - start)**(order - 1)`` times a
     Mittag-Leffler factor whose argument scales like ``(s - start)**
     order``; the scaled-variable rule resolves that combination exactly,
     with one profile evaluation for all rows and times.  The tabulated
     forced tails go through one ``power_kernel_convolve`` call.  Rows
     with a zero impulse strength skip the impulse part, and unforced
-    rows, whose tails are exactly zero, skip the tail.  Each row equals
-    a call with that mode alone, bit for bit.
+    rows, whose tails are exactly zero, skip the tail.  Each row and
+    time equals a call with that mode, time and exponent alone, bit for
+    bit.
     """
     out = np.zeros((seg.eigenvalues.size, times.size))
     forced = seg.tails.any(axis=1)
@@ -302,9 +304,10 @@ def _segment_load(nodes: np.ndarray, beta: float, past: list[Segment],
     ``values`` and ``rates`` hold the physical load and its derivative at
     ``nodes``, the mesh of the segment starting at ``nodes[0]``, one row
     per mode; ``past`` holds the earlier schedule segments, with rows in
-    the same order.  One array pass serves every mode: each memory
-    integral is one ``_memory`` call per past segment and kernel
-    exponent.
+    the same order.  One array pass serves every mode: each past
+    segment's memory is one ``_memory`` call, with kernel exponent
+    ``beta`` at every node for the load and ``1 + beta`` at ``nodes[1:]``
+    for the memory rate.
     """
     a = nodes[0]
     inv_gamma = 1.0 / gamma_fn(1.0 - beta)
@@ -312,14 +315,16 @@ def _segment_load(nodes: np.ndarray, beta: float, past: list[Segment],
     memory_amplitude = np.zeros(values.shape[0])
     rate_remainder = np.zeros_like(values)
     if past:
-        load -= inv_gamma * sum(_memory(seg, nodes, beta, n_quad)
-                                for seg in past)
+        times = np.concatenate([nodes, nodes[1:]])
+        exponents = np.repeat([beta, 1.0 + beta],
+                              [nodes.size, nodes.size - 1])
+        memory = sum(_memory(seg, times, exponents, n_quad) for seg in past)
+        load -= inv_gamma * memory[:, :nodes.size]
         # memory rate: amplitude of its (s - a)**(-beta) blow-up plus a
         # bounded remainder; the first node gets its neighbor's value,
         # which only the vanishing first cell mass ever weights
         memory_amplitude = past[-1].exit_derivatives * inv_gamma
-        rate = beta * inv_gamma * sum(
-            _memory(seg, nodes[1:], 1.0 + beta, n_quad) for seg in past)
+        rate = beta * inv_gamma * memory[:, nodes.size:]
         rate_remainder[:, 1:] = rate - memory_amplitude[:, None] \
             * (nodes[1:] - a) ** (-beta)
         rate_remainder[:, 0] = rate_remainder[:, 1]
@@ -437,8 +442,10 @@ class SolutionField:
         return self._all_modes(t, "left", _derivatives)
 
     def mode_trajectory(self, n: int, times):
-        """Values of mode ``n``, from its row alone; a scalar time gives a
-        float."""
+        """Values of mode ``n``, an integer, from its row alone; a scalar
+        time gives a float."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise DomainError(f"mode index {n!r} is not an integer")
         if not 1 <= n <= self.problem.num_modes:
             raise DomainError(
                 f"mode index {n} outside [1, {self.problem.num_modes}]")

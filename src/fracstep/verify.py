@@ -287,18 +287,19 @@ def blowup_rate_fit(field: SolutionField, j: int):
 
 
 def _history(field: SolutionField, rows: list[int], k: int, times,
-             kernel_exponent: float, n_quad: int) -> np.ndarray:
+             kernel_exponent, n_quad: int) -> np.ndarray:
     """Kernel integrals of modes' derivatives over segment ``k``.
 
     ``rows`` are zero-based mode indices; the result has one row per
     mode, then the shape of ``times``.  Each time, which must lie beyond
     the segment's start, integrates up to the earlier of the segment's
-    end and itself.  Independent of the solver's internal tabulations:
-    the derivatives are re-evaluated through the public
+    end and itself, with its own exponent where ``kernel_exponent``
+    gives one per time.  Independent of the solver's internal
+    tabulations: the derivatives are re-evaluated through the public
     ``mode_derivatives``, with the segment's own power scaled out so the
     transformed profile is smooth.  All rows and times share one
-    ``scaled_power_history`` call, and each row equals a call for its
-    mode alone, bit for bit.
+    ``scaled_power_history`` call, and each row and time equals a call
+    for its mode and time alone, bit for bit.
     """
     schedule = field.problem.schedule
     a, b = schedule.segment(k)
@@ -319,10 +320,11 @@ def _history(field: SolutionField, rows: list[int], k: int, times,
 def _with_memory(out, field, rows, segments, times, kernel_exponent,
                  n_quad, scale=1.0):
     # one segment at a time, so every caller adds in the same order
+    kappa = np.broadcast_to(kernel_exponent, times.shape)
     for k in segments:
         past = times > field.problem.schedule.breakpoints[k]
         out[:, past] += scale * _history(field, rows, k, times[past],
-                                         kernel_exponent, n_quad)
+                                         kappa[past], n_quad)
     return out
 
 
@@ -359,11 +361,12 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
 
     Quadrature of the defining integral with the exponent frozen at each
     time's order, using only the public derivative evaluator; this is
-    the independent path the residual check relies on.  The times on
-    each segment share one history call for all rows per segment up to
-    theirs, the current one integrated up to each time; a time on its
-    segment's start has no current-segment part.  Times must lie in
-    ``(0, T]``; the result has shape ``(len(rows),) + t.shape``.
+    the independent path the residual check relies on.  Each segment is
+    one history call for all rows and for every time beyond its start,
+    each time with its own segment's order, the time's own segment
+    integrated up to the time; a time on its segment's start has no
+    current-segment part.  Times must lie in ``(0, T]``; the result has
+    shape ``(len(rows),) + t.shape``.
     """
     schedule = field.problem.schedule
     flat = t.reshape(-1)
@@ -373,13 +376,10 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
             f"time {flat[outside][0]} outside the half-open horizon "
             f"(0, {schedule.horizon}]")
     current = schedule.segment_of(flat)
-    out = np.empty((len(rows), flat.size))
-    for j in np.unique(current).tolist():
-        here = np.flatnonzero(current == j)
-        kappa = schedule.orders[j]
-        total = _with_memory(np.zeros((len(rows), here.size)), field, rows,
-                             range(j + 1), flat[here], kappa, n_quad)
-        out[:, here] = total / gamma_fn(1.0 - kappa)
+    out = _with_memory(np.zeros((len(rows), flat.size)), field, rows,
+                       range(current.max(initial=-1) + 1), flat,
+                       np.asarray(schedule.orders)[current], n_quad)
+    out /= np.array([gamma_fn(1.0 - b) for b in schedule.orders])[current]
     return out.reshape((len(rows),) + t.shape)
 
 
@@ -392,7 +392,7 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     away from every breakpoint, where the derivative's blow-up would
     poison the quadrature.  Bad probes are rejected before any
     evaluation.  The memory derivatives of all live modes are evaluated
-    together, one history call per segment and group of times; a mode
+    together, one history call per segment for all probe times; a mode
     that is not live has a zero defect, because ``solve`` makes every
     forced mode live.  Each probe sums its ``evaluation_matrix`` row
     against its time's modal defect, all probes at once.

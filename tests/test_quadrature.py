@@ -162,6 +162,19 @@ class TestScaledPowerHistory:
                      for t in row] for row in times]
             np.testing.assert_array_equal(got, want)
             assert isinstance(want[0][0], float)
+        # one exponent per time, each time equal to its scalar-exponent
+        # call: far and near times alternate 0.45 with kappa = 1, whose
+        # float power numpy takes as a reciprocal (pow differs in the
+        # last bit for some bases, and so would two of these results),
+        # 0.41 twice with two exponents, and t == b on kappa = 0.5
+        times = np.append(b + np.geomspace(1e-9, 2.6, 40), [0.41, 0.41, b])
+        kappa = np.append(np.resize([0.45, 1.0], 40), [0.45, 1.45, 0.5])
+        got = scaled_power_history(self._profile, 0.0, b,
+                                   times.reshape(-1, 1), kappa[:, None],
+                                   SCALED_ORDER)
+        np.testing.assert_array_equal(got[:, 0], [
+            scaled_power_history(self._profile, 0.0, b, t, k, SCALED_ORDER)
+            for t, k in zip(times, kappa)])
 
     def test_rows_match_one_row_calls(self, monkeypatch):
         # one profile row per eigenvalue, one of them a zero row; far
@@ -206,6 +219,16 @@ class TestScaledPowerHistory:
             np.testing.assert_array_equal(at_b, [
                 scaled_power_history(one(m), 0.0, b, b, 0.45, SCALED_ORDER)
                 for m in range(4)])
+            # one exponent per time: row by row and time by time
+            times = np.array([0.9, b + 1e-9, 0.41, 0.41, b, 2.0])
+            kappa = np.array([1.45, 0.45, 0.45, 1.45, 0.45, 1.0])
+            got = scaled_power_history(rows, 0.0, b, times, kappa,
+                                       SCALED_ORDER)
+            for m in range(4):
+                np.testing.assert_array_equal(got[m], [
+                    scaled_power_history(one(m), 0.0, b, t, k,
+                                         SCALED_ORDER)
+                    for t, k in zip(times, kappa)])
 
     def test_per_time_limits_match_scalar_limit_calls(self, monkeypatch):
         # each time with its own limit equals a call with that limit as
@@ -235,6 +258,16 @@ class TestScaledPowerHistory:
                         got[(slice(None),) + i],
                         scaled_power_history(rows, 0.0, limits[i], times[i],
                                              kappa, SCALED_ORDER))
+                # and with one exponent per time as well
+                mixed = np.where(limits == times, 0.45, 1.45)
+                mixed[0, 1] = kappa
+                got = scaled_power_history(rows, 0.0, limits, times, mixed,
+                                           SCALED_ORDER)
+                for i in np.ndindex(times.shape):
+                    np.testing.assert_array_equal(
+                        got[(slice(None),) + i],
+                        scaled_power_history(rows, 0.0, limits[i], times[i],
+                                             mixed[i], SCALED_ORDER))
                 # one limit given per time is the scalar limit's call
                 above = times[times > 0.4]
                 shared = np.full(above.shape, 0.4)
@@ -288,6 +321,28 @@ class TestScaledPowerHistory:
         got = scaled_power_history(one, 0.0, np.array([0.5, 0.6]), times,
                                    0.5, 0.5)
         assert np.all(np.isfinite(got))
+        # per-time exponents are checked time by time, the first bad one
+        # named: kappa >= 1 on t == b, outside (0, 2), or NaN
+        for kappa, named in [([0.5, 1.5, 1.25], "1.25"),
+                             ([0.5, 2.0, 0.5], "2.0"),
+                             ([0.5, np.nan, 0.5], "nan")]:
+            with pytest.raises(DomainError, match=rf"exponent.* {named}"):
+                scaled_power_history(one, 0.0, 0.4,
+                                     np.array([0.6, 0.9, 0.4]),
+                                     np.array(kappa), 0.5)
+
+    @pytest.mark.parametrize("b,t,named", [
+        (0.4, math.nan, "time nan"),
+        (0.4, math.inf, "time inf"),
+        (math.nan, 0.5, "nan"),
+        (np.array([0.4, math.nan]), 0.5, "nan")])
+    def test_rejects_non_finite_times_and_limits(self, b, t, named):
+        # NaN fails every comparison, so each is rejected by name, alone
+        # or among good times, not integrated to NaN or 0.0
+        one = lambda xi: np.ones_like(xi)
+        for times in (t, np.array([0.9, t])):
+            with pytest.raises(DomainError, match=named):
+                scaled_power_history(one, 0.0, b, times, 0.5, 0.5)
 
 
 class TestPowerKernelConvolve:
@@ -343,6 +398,17 @@ class TestPowerKernelConvolve:
                      for t in row] for row in times]
             np.testing.assert_array_equal(got, want)
             assert isinstance(want[0][0], float)
+        # one exponent per time, 0.71 twice with two of them, kappa = 1
+        # and t == end on kappa = 0.5, whose float power 1 - kappa numpy
+        # takes as a square root: each time equals its scalar-exponent
+        # call
+        times = np.array([[self.B + 1e-9, 0.71, 1.5],
+                          [0.71, 0.9, self.B]])
+        kappa = np.array([[0.45, 1.45, 1.0], [0.45, 1.45, 0.5]])
+        got = power_kernel_convolve(nodes, samples, times, kappa)
+        np.testing.assert_array_equal(got, [
+            [power_kernel_convolve(nodes, samples, float(t), float(k))
+             for t, k in zip(*row)] for row in zip(times, kappa)])
         # a budget of 600 mesh nodes holds 15 or 16 meshes of 38 nodes,
         # so 51 times make four blocks, the last one short
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 600)
@@ -378,6 +444,14 @@ class TestPowerKernelConvolve:
             np.testing.assert_array_equal(at, [
                 power_kernel_convolve(nodes, row, 0.9, kappa)
                 for row in samples])
+            # one exponent per time: the times past 0.8 take the other one
+            mixed = np.where(times > 0.8, 1.45 if kappa < 1.0 else 0.45,
+                             kappa)
+            got = power_kernel_convolve(nodes, samples, times, mixed)
+            for row, values in zip(samples, got):
+                np.testing.assert_array_equal(values, [
+                    [power_kernel_convolve(nodes, row, t, k)
+                     for t, k in zip(*pair)] for pair in zip(times, mixed)])
 
     @staticmethod
     def _check_cell_moments(kappa, ratios):
@@ -437,6 +511,23 @@ class TestPowerKernelConvolve:
             power_kernel_convolve(nodes, np.ones(8), 1.1, 0.5)
         with pytest.raises(DomainError):
             power_kernel_convolve(nodes[::-1], ones, 1.1, 0.5)
+        # per-time exponents are checked time by time, the first bad one
+        # named: kappa >= 1 on t == end, outside (0, 2), or NaN
+        for kappa, named in [([0.5, 1.5, 1.25], "1.25"),
+                             ([0.5, 0.0, 0.5], "0.0"),
+                             ([0.5, np.nan, 0.5], "nan")]:
+            with pytest.raises(DomainError, match=rf"exponent.* {named}"):
+                power_kernel_convolve(nodes, ones, np.array([1.1, 2.0, 1.0]),
+                                      np.array(kappa))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, t):
+        # NaN fails every comparison and inf overflows the moments: each
+        # is rejected by name, alone or among good times
+        nodes = np.linspace(0.0, 1.0, 9)
+        for times in (t, np.array([1.1, t])):
+            with pytest.raises(DomainError, match=f"time {t}"):
+                power_kernel_convolve(nodes, np.ones(9), times, 0.5)
 
 
 class TestDuhamelConvolve:

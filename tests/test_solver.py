@@ -539,8 +539,8 @@ class TestZeroModes:
 
         monkeypatch.setattr(solver_module, "_memory", always_convolved)
         convolved = solve(prob, n_cells=16, n_quad=16).mode_values(TIMES)
-        # one call per (past segment, kernel exponent) for both modes
-        assert len(calls) == 2
+        # one call per past segment for both modes and both exponents
+        assert len(calls) == 1
         assert np.array_equal(skipped, convolved)
 
     def test_all_zero_data_gives_zero_field(self):
@@ -553,12 +553,15 @@ class TestZeroModes:
 
 
 def _scalar_limit_nodes(a, b, times, kappa, power, n):
-    """Profile nodes of a history call with one scalar limit ``b``, in the
-    order it evaluates them: the far-field and left-half node sets in
-    the scaled variable, then each near time's right half in ``u = t - s``
-    (one Jacobi cell at ``t == b``, stretched cells above it)."""
+    """Profile nodes of a history call with one scalar limit ``b`` and
+    per-time exponents ``kappa``, in the order it evaluates them: the
+    far-field and left-half node sets in the scaled variable, shared by
+    every exponent, then each near time's right half in ``u = t - s``
+    (one Jacobi cell at ``t == b`` per exponent, ascending, stretched
+    cells above it)."""
     x = quadrature._legendre_rule(n)[0]
     flat = np.ravel(times)
+    kappa = np.broadcast_to(kappa, flat.shape)
     mid = 0.5 * (a + b)
     near = flat - b < quadrature.FAR_FIELD_FRACTION * (b - a)
     parts = []
@@ -567,11 +570,12 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n):
             edges = quadrature.graded_mesh(0.0, (s_hi - a) ** power,
                                            quadrature.HISTORY_CELLS, 3.0)
             parts.append(quadrature._cell_nodes(edges, x)[0])
-    on = flat[near & (flat == b)]
-    if on.size:
-        xj = quadrature._jacobi_rule(n, -kappa, 0.0)[0]
-        u = 0.5 * (on - mid)[:, None] * (xj + 1.0)
-        parts.append((on[:, None] - u - a) ** power)
+    on = near & (flat == b)
+    for k in np.unique(kappa[on]):
+        xj = quadrature._jacobi_rule(n, -float(k), 0.0)[0]
+        t = flat[on & (kappa == k)]
+        u = 0.5 * (t - mid)[:, None] * (xj + 1.0)
+        parts.append((t[:, None] - u - a) ** power)
     index = np.flatnonzero(near & (flat > b))
     for group, edges in quadrature._stretched_cells(flat[index] - b,
                                                     flat[index] - mid):
@@ -585,7 +589,9 @@ class TestHistoryNodes:
             self, monkeypatch):
         # the solver integrates every past segment up to its end, one
         # scalar limit per call, so per-time limits leave the nodes its
-        # profiles are evaluated on as they were
+        # profiles are evaluated on as they were; one call per past
+        # segment takes the load's exponent beta at every node and the
+        # rate's 1 + beta past the first, on the same left node sets
         real = solver_module.scaled_power_history
         calls = []
 
@@ -604,11 +610,18 @@ class TestHistoryNodes:
             source=SeparableSource((1.0, 1.0), lambda t: 1.0 + 0.5 * t,
                                    lambda t: np.full_like(t, 0.5)))
         solve(prob, n_cells=8, n_quad=8)
-        assert len(calls) == 6
-        for (a, b, times, *rest), w in calls:
+        assert len(calls) == 3
+        for (a, b, times, kappa, *rest), w in calls:
             assert np.ndim(b) == 0
+            # the times are the current segment's mesh, then all its
+            # nodes but the first
+            m = times.size // 2 + 1
+            assert np.array_equal(times[1:m], times[m:])
+            beta = sched.orders[sched.segment_of(times[0])]
             np.testing.assert_array_equal(
-                w, _scalar_limit_nodes(a, b, times, *rest))
+                kappa, [beta] * m + [1.0 + beta] * (m - 1))
+            np.testing.assert_array_equal(
+                w, _scalar_limit_nodes(a, b, times, kappa, *rest))
         # the calls hold t == b, near times above b and far times
         gaps = np.concatenate([(np.ravel(times) - b) / (b - a)
                                for (a, b, times, *_), _ in calls])
@@ -649,6 +662,14 @@ class TestSolutionField:
     def test_mode_index_validation(self, single_run):
         with pytest.raises(DomainError):
             single_run.mode_trajectory(2, TIMES)
+        # a non-integer index passes the range check but names no mode:
+        # rejected, not read as a mode without a row
+        for n in (1.5, 1.0, True, np.float64(1.0)):
+            with pytest.raises(DomainError, match="not an integer"):
+                single_run.mode_trajectory(n, TIMES)
+        np.testing.assert_array_equal(
+            single_run.mode_trajectory(np.int64(1), TIMES),
+            single_run.mode_trajectory(1, TIMES))
 
     def test_zero_tails_are_not_interpolated(self, single_run, mixed_run,
                                              monkeypatch):

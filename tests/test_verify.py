@@ -369,8 +369,8 @@ class TestModeBatchedHistory:
                     field, [n - 1], k, times[times >= 0.625], 0.5, 12)[0])
 
     def test_history_calls_do_not_grow_with_modes(self, monkeypatch):
-        # one scaled_power_history call per (past segment, kernel
-        # exponent) in the solve, and as many in the report for any
+        # one scaled_power_history call per past segment in the solve,
+        # for both kernel exponents, and as many in the report for any
         # number of modes
         counts = []
 
@@ -392,11 +392,11 @@ class TestModeBatchedHistory:
             V.build_report(field, n_quad=8)
         segments = 3
         past = sum(range(segments))
-        # the report: the source fits and the residual's past segments
-        # once per (segment, past segment), and the residual's current
-        # segment once per segment for all of its probe times
-        report = 2 * past + segments
-        assert counts == [{S.__name__: 2 * past, V.__name__: report}] * 2
+        # the report: the source fits once per (segment, past segment),
+        # and the residual once per segment for the probe times of every
+        # segment from it on, each time with its own segment's order
+        report = past + segments
+        assert counts == [{S.__name__: past, V.__name__: report}] * 2
 
 
 class TestInitialLimit:
