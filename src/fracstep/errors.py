@@ -4,10 +4,13 @@ Every failure mode falls into one of four buckets: bad inputs (domain),
 a non-finite or failed computation inside the solver (numeric), declared
 regularity of the source data contradicted by its samples, and malformed
 run configuration.  Callers that need to distinguish them can catch the
-specific type; ``FracstepError`` catches them all.
+specific type; ``FracstepError`` catches them all.  ``check_count``
+is the one check of an integer count argument.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class FracstepError(Exception):
@@ -53,3 +56,12 @@ class ConfigError(FracstepError, ValueError):
 
     def to_json(self) -> dict:
         return {"error": "config", "pointer": self.pointer, "message": str(self)}
+
+
+def check_count(value, minimum: int, what: str) -> None:
+    """Raise ``DomainError`` unless ``value`` is an integer of at least
+    ``minimum``; a bool or an integer-valued float is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"need at least {minimum} {what}, got {value}")

@@ -9,25 +9,26 @@ the fractional derivative at ``t_m`` into a weighted sum of increments,
 
 At step ``m`` the exponent is the order at the *current* time ``t_m``,
 so crossing a breakpoint reweights the entire history - exactly the
-operator the segment recursion solves.  While the order is constant the
-implicit steps of one scalar equation form a lower-triangular Toeplitz
-system, so ``solve_mode_l1`` solves each run of equal order with a few
-series products (Hairer, Lubich and Schlichte 1985), for a whole column
-of eigenvalues at once.  A product of few outputs times terms is formed
-by direct sums, where the fixed cost of a transform would exceed the
-arithmetic, and a larger one by FFT convolution.  A run that passes a
-power of two by a small overhang is solved as the overhang and then the
-power of two, so its transforms are sized by the power of two, not the
-next one.  The series
-reciprocal of each distinct order's Toeplitz column is computed once per
-call, by Newton's iteration (Kung 1974), and the orders of a schedule
-share one stacked chain as long as its transforms stay small.  It is the
-module's one L1 engine.  The finite-difference field solve
-``solve_full_l1_fd`` reduces to it exactly: the discrete sine vectors
-diagonalize the three-point stencil, so the sine-transformed field obeys
-one scalar L1 equation per discrete mode.  The oracle uses no
-Mittag-Leffler value and no quadrature, so it stays independent of the
-spectral construction it cross-checks.
+operator the segment recursion solves.  One grid check puts every
+breakpoint on a node, so the order jumps where the schedule says.
+While the order is constant the implicit steps of one scalar equation
+form a lower-triangular Toeplitz system, so ``solve_mode_l1`` solves
+each run of equal order with a few series products (Hairer, Lubich and
+Schlichte 1985), for a whole column of eigenvalues at once.  One
+product routine makes them all: it forms a product by direct sums where
+the fixed cost of a transform would exceed the arithmetic and by FFT
+convolution past that, and transforms a factor used twice only once.
+A run that passes a power of two by a small overhang is solved as the
+overhang and then the power of two, so its transforms are sized by the
+power of two.  The series reciprocal of each distinct order's Toeplitz
+column is computed once per call, by Newton's iteration (Kung 1974),
+and one stacking test decides whether the orders share one chain.  The
+finite-difference field solve ``solve_full_l1_fd`` reduces to the same
+engine exactly: the discrete sine vectors diagonalize the three-point
+stencil, so the sine-transformed field obeys one scalar L1 equation
+per discrete mode.  The oracle uses no Mittag-Leffler value and no
+quadrature, so it stays independent of the spectral construction it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_count
 from .operator import GridOperator, ModalBasis
 from .schedule import OrderSchedule
 from .solver import ProblemSpec
@@ -50,8 +51,8 @@ __all__ = [
     "solve_full_l1_fd",
 ]
 
-#: Largest admissible defect when checking that the step divides every
-#: segment length.
+#: Largest admissible distance of a breakpoint from its grid node
+#: (``_grid_steps``).
 ALIGNMENT_TOLERANCE = 1e-12
 
 #: Most elements one stacked reciprocal chain holds: the orders times
@@ -70,11 +71,12 @@ STACK_ELEMENTS = 8192
 #: and 11, and 2-7% slower at p = 5 to 7.
 OVERHANG_SHARE = 8
 
-#: Largest outputs times terms of a series product formed by direct sums
-#: rather than FFTs (``_series_product``).  On a 2-core Xeon, one row: a
-#: Newton pass from 45 to 90 coefficients took 45 us direct against 53
-#: us by FFT, and from 64 to 128 took 74 against 56; a Toeplitz solve of
-#: 45 steps 69-76 against 92, of 64 steps 113-117 against 59-92.
+#: Outputs times terms up to which a series product is formed by direct
+#: sums rather than FFTs, whatever its transform size
+#: (``_series_product``).  On a 2-core Xeon, one row: a Newton pass from
+#: 45 to 90 coefficients took 45 us direct against 53 us by FFT, and
+#: from 64 to 128 took 74 against 56; a Toeplitz solve of 45 steps 69-76
+#: against 92, of 64 steps 113-117 against 59-92.
 DIRECT_TERMS = 2048
 
 
@@ -88,9 +90,7 @@ class L1Grid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and self.step > 0.0):
             raise DomainError(f"step must be positive, got {self.step}")
-        if self.num_steps < 1:
-            raise DomainError(
-                f"need at least one step, got {self.num_steps}")
+        check_count(self.num_steps, 1, "steps")
 
     @property
     def times(self) -> np.ndarray:
@@ -102,22 +102,31 @@ class L1Grid:
 
     @classmethod
     def for_schedule(cls, schedule: OrderSchedule, step: float) -> "L1Grid":
-        """Grid over the schedule's horizon, breakpoint-aligned.
-
-        Every breakpoint must fall on a grid node: the order jump happens
-        exactly there, and a step straddling it would smear the jump.
-        """
-        if not isinstance(schedule, OrderSchedule):
-            raise DomainError("schedule must be an OrderSchedule")
+        """Grid over the schedule's horizon, every breakpoint a node."""
         step = float(step)
         if not step > 0.0:
             raise DomainError(f"step must be positive, got {step}")
-        for t in schedule.breakpoints:
-            if abs(round(t / step) * step - t) > ALIGNMENT_TOLERANCE:
-                raise DomainError(
-                    f"step {step} does not hit breakpoint {t} "
-                    f"within {ALIGNMENT_TOLERANCE}")
-        return cls(step=step, num_steps=round(schedule.horizon / step))
+        return cls(step=step, num_steps=_grid_steps(schedule, step))
+
+
+def _grid_steps(schedule: OrderSchedule, step: float,
+                num_steps: int | None = None) -> int:
+    """Steps of ``step`` to the horizon of ``schedule``, an
+    ``OrderSchedule`` whose every breakpoint, horizon included, must lie
+    on a node (and the horizon on node ``num_steps``, if given); a step
+    straddling a breakpoint would move the order jump to the nearest
+    node.  The one grid check: anything else raises ``DomainError``."""
+    if not isinstance(schedule, OrderSchedule):
+        raise DomainError("schedule must be an OrderSchedule")
+    for t in schedule.breakpoints:
+        if abs(round(t / step) * step - t) > ALIGNMENT_TOLERANCE:
+            raise DomainError(f"step {step} does not hit breakpoint {t} "
+                              f"within {ALIGNMENT_TOLERANCE}")
+    steps = round(schedule.horizon / step)
+    if num_steps not in (None, steps):
+        raise DomainError(f"grid of {num_steps} steps does not end at the "
+                          f"schedule's horizon {schedule.horizon}")
+    return steps
 
 
 def _segment_of_step(grid: L1Grid, schedule: OrderSchedule) -> np.ndarray:
@@ -155,35 +164,45 @@ def _moments(orders, n: int, tau: float) -> np.ndarray:
     return out
 
 
-def _series_product(a: np.ndarray, b: np.ndarray, n: int,
-                    skip: int = 0) -> np.ndarray:
+def _series_product(a: np.ndarray, b: np.ndarray, n: int, skip: int = 0,
+                    spectra: dict | None = None) -> np.ndarray:
     """Coefficients ``skip .. n-1`` of the power-series product ``a * b``.
 
     Coefficient ``k`` is ``sum_j a_{k-j} b_j`` over the terms of ``b``.
-    Where the outputs times the terms stay within ``DIRECT_TERMS`` the
-    sums are formed directly: ``a`` is gathered into one row per output,
+    The one product routine, and the one place that chooses its form.
+    The FFT form is one real FFT convolution along the last axis,
+    zero-padded to a power of two just long enough that the wrapped tail
+    lands below ``skip``, where no coefficient is returned; it multiplies
+    in place in the spectrum of ``a``.  Where the outputs times the terms
+    stay within ``DIRECT_TERMS`` or that transform size, the sums are
+    formed directly: ``a`` is gathered into one row per output,
     multiplied by ``b``, and the last entry of a running sum taken, so
-    the terms add in a fixed order whatever the leading shape.  Past
-    that, one real FFT convolution along the last axis, zero-padded to a
-    power of two just long enough that the wrapped-around tail of the
-    product lands below ``skip``, where no coefficient is returned; the
-    product is formed in place in the spectrum of ``a``, which holds one
-    spectrum fewer.  Rows of series multiply row by row, and the leading
-    axes of ``b`` must broadcast into those of ``a``; numpy raises a
-    ``ValueError`` for any other shape.
+    the terms add in a fixed order whatever the leading shape.  Calls
+    that share a ``spectra`` dict multiply by one series ``b`` and
+    transform it once per size and number of terms.  Rows of series
+    multiply row by row; the leading axes of ``b`` must broadcast into
+    those of ``a``, else numpy raises a ``ValueError``.
     """
     a, b = a[..., :n], b[..., :n]
-    terms = b.shape[-1]
-    if (n - skip) * terms <= DIRECT_TERMS:
-        index, pad = _product_index(skip, n, a.shape[-1], terms)
+    length, terms = a.shape[-1], b.shape[-1]
+    work = (n - skip) * terms
+    if work <= DIRECT_TERMS or work <= (
+            size := _fft_size(length + terms - 1 - skip, n)):
+        index, pad = _product_index(skip, n, length, terms)
         if pad:
             a = np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
         rows = np.take(a, index, axis=-1)
         rows *= b[..., None, :]
         return np.add.accumulate(rows, axis=-1, out=rows)[..., -1]
-    size = _fft_size(a.shape[-1] + terms - 1 - skip, n)
-    prod = np.fft.rfft(a, size)
-    prod *= np.fft.rfft(b, size)
+    if spectra is None:
+        prod = np.fft.rfft(a, size)
+        prod *= np.fft.rfft(b, size)
+    else:
+        key = size, terms
+        if key not in spectra:
+            spectra[key] = np.fft.rfft(b, size)
+        prod = np.fft.rfft(a, size)
+        prod *= spectra[key]
     return np.fft.irfft(prod, size)[..., skip:n]
 
 
@@ -201,15 +220,6 @@ def _product_index(skip: int, n: int, length: int,
     return index, bool(outside.any())
 
 
-def _times_hat(a: np.ndarray, b_hat: np.ndarray, size: int) -> np.ndarray:
-    """Cyclic convolution of ``a`` with the series whose real FFT of
-    ``size`` is ``b_hat``; the spectra are multiplied in place, so a
-    large call holds one spectrum fewer."""
-    prod = np.fft.rfft(a, size)
-    prod *= b_hat
-    return np.fft.irfft(prod, size)
-
-
 def _fft_size(*lengths: int) -> int:
     """Smallest power of two that holds every length."""
     return 1 << (max(lengths) - 1).bit_length()
@@ -221,31 +231,23 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     Newton's iteration ``g <- g - g (a g - 1)`` doubles the number of
     correct coefficients per pass (Kung 1974) and leaves the earlier
     ones as they are.  A pass from ``n`` to ``k`` coefficients takes the
-    defect ``a g`` at ``n .. k-1`` and its product with ``g``.  Early
-    passes form both in ``_series_product``, by direct sums; a later
-    pass forms both at one transform size of at least ``k``: the first
-    product's wrapped tail lands below ``n``, the second has no tail, so
-    the transform of ``g`` serves both (five transforms per pass).  When
-    the length of ``a`` is a power of two every pass doubles, so the
-    first ``m`` coefficients are those of a call on ``a[..., :m]`` bit
-    for bit, for every power of two ``m``.  Each row of ``a``, along any
-    number of leading axes, is one series and equals a one-row call bit
-    for bit.
+    defect ``a g`` at ``n .. k-1`` and its product with ``g``; when both
+    are FFT products they share the transform of ``g`` (five transforms
+    per pass).  When the length of ``a`` is a power of two every pass
+    doubles, so the first ``m`` coefficients are those of a call on
+    ``a[..., :m]`` bit for bit, for every power of two ``m``.  Each row
+    of ``a``, along any number of leading axes, is one series and equals
+    a one-row call bit for bit.
     """
     g = np.empty(a.shape)
     np.divide(1.0, a[..., :1], out=g[..., :1])
     n = 1
     while n < a.shape[-1]:
         k = min(2 * n, a.shape[-1])
-        if (k - n) * n <= DIRECT_TERMS:   # direct in _series_product
-            defect = _series_product(a, g[..., :n], k, skip=n)
-            step = _series_product(g, defect, k - n)
-        else:
-            size = _fft_size(k)
-            g_hat = np.fft.rfft(g[..., :n], size)
-            defect = _times_hat(a[..., :k], g_hat, size)[..., n:k]
-            step = _times_hat(defect, g_hat, size)[..., :k - n]
-        np.negative(step, out=g[..., n:k])
+        head, spectra = g[..., :n], {}
+        defect = _series_product(a, head, k, n, spectra)
+        np.negative(_series_product(defect, head, k - n, 0, spectra),
+                    out=g[..., n:k])
         n = k
     return g
 
@@ -258,38 +260,14 @@ def _toeplitz_solve(col: np.ndarray, recip: np.ndarray,
     ``rhs`` has entries.  The product with it solves the lower-triangular
     Toeplitz system; one refinement step with the residual removes most
     of the rounding, whose size follows the norms of the factors rather
-    than the entries.  A short system forms the three products by direct
-    sums (``_series_product``); a longer one by FFTs, where both products
-    with the reciprocal share its transform (eight transforms per solve).
-    Each row is one system.
+    than the entries.  When the products are FFT products, both with the
+    reciprocal share its transform (eight transforms per solve).  Each
+    row is one system.
     """
-    n = rhs.shape[-1]
-    if n * n <= DIRECT_TERMS:
-        def times_recip(b):
-            return _series_product(recip, b, n)
-    else:
-        size = _fft_size(2 * n - 1)
-        g_hat = np.fft.rfft(recip[..., :n], size)
-
-        def times_recip(b):
-            return _times_hat(b, g_hat, size)[..., :n]
-    x = times_recip(rhs)
+    n, spectra = rhs.shape[-1], {}
+    x = _series_product(rhs, recip, n, 0, spectra)
     residual = rhs - _series_product(col, x, n)
-    return x + times_recip(residual)
-
-
-def _stack_blocks(lengths: list[int], rows: int) -> list[list[int]]:
-    """Orders grouped for stacked reciprocal chains.
-
-    ``lengths[o]`` is the number of reciprocal coefficients order ``o``
-    needs.  All orders share one chain while orders times rows times the
-    longest length stay within ``STACK_ELEMENTS``; past that, one large
-    transform costs more than several smaller ones, and each order has a
-    chain of its own.
-    """
-    if len(lengths) * rows * max(lengths) <= STACK_ELEMENTS:
-        return [list(range(len(lengths)))]
-    return [[o] for o in range(len(lengths))]
+    return x + _series_product(residual, recip, n, 0, spectra)
 
 
 def _run_pieces(start: int, stop: int) -> list[tuple[int, int]]:
@@ -319,17 +297,17 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     ``sum_k (b_{m-1-k} + lam) w_k = f(t_m) - lam u0``, so a run of steps
     with one order is a lower-triangular Toeplitz system whose column
     ``b_j + lam`` is positive and decreasing.  The moments of every
-    distinct order are built once, and the series reciprocals of all the
-    orders' columns come from one stacked Newton chain, or from one chain
-    per order where the stack would be large (``_stack_blocks``); each
-    chain runs to a power of two, so an order's coefficients do not
-    depend on whether it is stacked.  Each maximal run of equal order is
-    solved in one piece, or, when it passes a power of two ``2**p`` by a
-    small overhang, as the overhang and then ``2**p`` steps
-    (``_run_pieces``), so the order's chain and the run's transforms are
-    sized by ``2**p``.  For each piece the earlier steps' history is
-    subtracted in one series product, and the piece's system is solved
-    with its order's reciprocal cut to the piece's length.  The values
+    distinct order are built once.  The orders' series reciprocals come
+    from one stacked Newton chain while orders times rows times the
+    longest piece stay within ``STACK_ELEMENTS``, and from one chain per
+    order past that, where one large transform costs more than several
+    small ones; each chain runs to a power of two, so an order's
+    coefficients do not depend on whether it is stacked.  Each maximal
+    run of equal order is solved in one piece, or, when it passes a power
+    of two ``2**p`` by a small overhang, as the overhang and then
+    ``2**p`` steps (``_run_pieces``).  For each piece the earlier steps'
+    history is subtracted in one series product, and the piece's system
+    is solved with its order's reciprocal cut to its length.  The values
     are ``u0`` plus the running sum of the increments, so a zero
     right-hand side gives exactly ``u0``.  A non-finite load or initial
     value, checked before any product, or a non-finite value after the
@@ -344,6 +322,7 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     """
     if not isinstance(grid, L1Grid):
         raise DomainError("grid must be an L1Grid")
+    _grid_steps(schedule, grid.step, grid.num_steps)
     lam = np.asarray(lam, dtype=float)
     if lam.ndim > 1:
         raise DomainError(f"eigenvalues must be a scalar or 1-d, got "
@@ -355,8 +334,6 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     if u0.shape != lam.shape:
         raise DomainError(f"initial values of shape {u0.shape} do not "
                           f"match eigenvalues of shape {lam.shape}")
-    if abs(grid.horizon - schedule.horizon) > ALIGNMENT_TOLERANCE:
-        raise DomainError("grid horizon does not match the schedule")
 
     times = grid.times
     loads = np.asarray(f_n(times), dtype=float)
@@ -380,19 +357,15 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     first_orders = step_orders[[start for start, _ in pieces]].tolist()
     orders = sorted(set(first_orders))
     piece_order = [orders.index(b) for b in first_orders]
-    lengths = [max(stop - start
-                   for (start, stop), o in zip(pieces, piece_order)
-                   if o == row) for row in range(len(orders))]
-    blocks = _stack_blocks(lengths, max(lam.size, 1))
-    chain = {o: (block, _fft_size(max(lengths[m] for m in block)))
-             for block in blocks for o in block}
-    longest = max(size for _, size in chain.values())
-    moments = _moments(orders, max(grid.num_steps, longest), grid.step)
+    longest = max(stop - start for start, stop in pieces)
+    stack = len(orders) * max(lam.size, 1) * longest <= STACK_ELEMENTS
+    moments = _moments(orders, max(grid.num_steps, _fft_size(longest)),
+                       grid.step)
 
-    # w[..., k] = u_{k+1} - u_k, filled piece by piece.  A block's
-    # reciprocal columns come from one chain at the first piece that
-    # needs one, and each is dropped after its order's last piece, so a
-    # large call holds few of them at a time.
+    # w[..., k] = u_{k+1} - u_k, filled piece by piece.  A chain runs at
+    # the first piece that needs it, to the power of two that holds its
+    # longest piece, and each order's column is dropped after its last
+    # piece, so a large call holds few of them at a time.
     lam_col, u0_col = lam[..., None], u0[..., None]
     rhs = loads[..., 1:] - lam_col * u0_col
     del loads   # a large call keeps one copy of the loads
@@ -401,10 +374,12 @@ def solve_mode_l1(lam, f_n, schedule: OrderSchedule, u0_n,
     last_piece = {o: k for k, o in enumerate(piece_order)}
     for k, ((start, stop), o) in enumerate(zip(pieces, piece_order)):
         if o not in recips:
-            block, size = chain[o]
-            cols = moments[block, :size].reshape(
-                (len(block),) + (1,) * lam.ndim + (size,))
-            recips.update(zip(block, _series_reciprocal(cols + lam_col)))
+            chain = list(range(len(orders))) if stack else [o]
+            size = _fft_size(max(end - begin for (begin, end), p
+                                 in zip(pieces, piece_order) if p in chain))
+            cols = moments[chain, :size].reshape(
+                (len(chain),) + (1,) * lam.ndim + (size,))
+            recips.update(zip(chain, _series_reciprocal(cols + lam_col)))
         part = rhs[..., start:stop]
         if start > 0:
             part = part - _series_product(moments[o, :stop] + lam_col,
@@ -464,11 +439,8 @@ def solve_full_l1_fd(spec: ProblemSpec, grid: L1Grid,
         raise DomainError("spec must be a ProblemSpec")
     if not isinstance(grid, L1Grid):
         raise DomainError("grid must be an L1Grid")
-    if spatial_points < 16:
-        raise DomainError(
-            f"need at least 16 interior points, got {spatial_points}")
-    if abs(grid.horizon - spec.schedule.horizon) > ALIGNMENT_TOLERANCE:
-        raise DomainError("grid horizon does not match the schedule")
+    check_count(spatial_points, 16, "interior points")
+    _grid_steps(spec.schedule, grid.step, grid.num_steps)
 
     op = GridOperator(spec.operator, spatial_points)
     times = grid.times

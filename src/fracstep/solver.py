@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_count
 from .operator import ModalBasis, OperatorSpec
 from .quadrature import (
     duhamel_convolve,
@@ -486,14 +486,13 @@ def solve(problem: ProblemSpec, n_cells: int = DEFAULT_CELLS,
 
     Modes with zero initial data and no forcing stay zero and are
     skipped; every other mode is built on segment ``j`` before any mode
-    moves on to segment ``j + 1``.
+    moves on to segment ``j + 1``.  ``n_cells``, at least 8, and
+    ``n_quad``, at least 4, are integers.
     """
     if not isinstance(problem, ProblemSpec):
         raise DomainError("problem must be a ProblemSpec")
-    if n_cells < 8:
-        raise DomainError(f"need at least 8 mesh cells, got {n_cells}")
-    if n_quad < 4:
-        raise DomainError(f"need at least 4 quadrature nodes, got {n_quad}")
+    check_count(n_cells, 8, "mesh cells")
+    check_count(n_quad, 4, "quadrature nodes")
 
     schedule = problem.schedule
     basis = ModalBasis(problem.operator, problem.num_modes)

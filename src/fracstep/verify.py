@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DomainError, NumericError, RegularityError
+from .errors import DomainError, NumericError, RegularityError, check_count
 from .operator import ModalBasis
 from .quadrature import composite_graded_integral, graded_mesh, \
     scaled_power_history
@@ -336,7 +336,10 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     segments; its derivative adds the differentiated memory kernel,
     which is what carries the blow-up for ``j >= 1``.  Each earlier
     segment's memory is one history call for all nonzero modes.
+    ``n_quad``, the nodes per history rule, is an integer of at least 4,
+    as in ``solve``.
     """
+    check_count(n_quad, 4, "quadrature nodes")
     a, b = spec.schedule.segment(j)
     order = spec.schedule.orders[j]
     offsets = _fit_offsets(b - a)
@@ -395,8 +398,10 @@ def residual_check(field: SolutionField, spec: ProblemSpec, probes,
     together, one history call per segment for all probe times; a mode
     that is not live has a zero defect, because ``solve`` makes every
     forced mode live.  Each probe sums its ``evaluation_matrix`` row
-    against its time's modal defect, all probes at once.
+    against its time's modal defect, all probes at once.  ``n_quad`` is
+    an integer of at least 4, as in ``solve``.
     """
+    check_count(n_quad, 4, "quadrature nodes")
     schedule = spec.schedule
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != 2 or probes.shape[0] == 0:
@@ -463,7 +468,9 @@ def default_space_time_probes(spec: ProblemSpec) -> np.ndarray:
 
 
 def build_report(field: SolutionField, n_quad: int = 24) -> RegularityReport:
-    """Run every check against one solved field and collect the results."""
+    """Run every check against one solved field and collect the results;
+    ``n_quad`` is an integer of at least 4, as in ``solve``."""
+    check_count(n_quad, 4, "quadrature nodes")
     spec = field.problem
     segs = range(spec.schedule.num_segments)
     load_norms = tuple(segment_load_norm(spec, k) for k in segs)

@@ -6,7 +6,9 @@ the closed-form kernel moments of the piecewise-linear reconstruction,
     b_k = ((m - k)**(1 - b) - (m - k - 1)**(1 - b)) * tau**(-b) / Gamma(2 - b).
 """
 
+import json
 import math
+import os
 import warnings
 
 import mpmath as mp
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracstep import l1
+from fracstep.config import build_run_config
 from fracstep.errors import DomainError, NumericError
-from fracstep.l1 import (DIRECT_TERMS, STACK_ELEMENTS, L1Grid, _moments,
-                         _run_pieces, _series_product, _series_reciprocal,
-                         _stack_blocks, _toeplitz_solve, solve_full_l1_fd,
-                         solve_mode_l1)
+from fracstep.l1 import (DIRECT_TERMS, STACK_ELEMENTS, L1Grid, _fft_size,
+                         _moments, _run_pieces, _series_product,
+                         _series_reciprocal, _toeplitz_solve,
+                         solve_full_l1_fd, solve_mode_l1)
 from fracstep.operator import GridOperator, ModalBasis, OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource
@@ -71,10 +74,27 @@ class TestL1Grid:
         with pytest.raises(DomainError):
             L1Grid.for_schedule((0.0, 1.0), 0.25)
 
-    @pytest.mark.parametrize("step,num", [(0.0, 4), (-0.1, 4), (0.25, 0)])
+    # 2.5 steps would give four times, True one step
+    @pytest.mark.parametrize("step,num", [(0.0, 4), (-0.1, 4), (0.25, 0),
+                                          (0.25, 2.5), (0.25, 4.0),
+                                          (0.25, True)])
     def test_rejects_degenerate_grid(self, step, num):
         with pytest.raises(DomainError):
             L1Grid(step=step, num_steps=num)
+
+    def test_solve_rejects_a_step_that_misses_a_breakpoint(self):
+        # t = 0.3 is no node of the quarter-step grid, so the order jump
+        # would land at 0.25
+        sched = OrderSchedule(breakpoints=(0.0, 0.3, 1.0), orders=(0.4, 0.6))
+        with pytest.raises(DomainError,
+                           match=r"^step 0\.25 does not hit breakpoint 0\.3 "):
+            solve_mode_l1(1.0, np.zeros_like, sched, 1.0,
+                          L1Grid(step=0.25, num_steps=4))
+
+    def test_solve_rejects_non_schedule(self):
+        with pytest.raises(DomainError, match="OrderSchedule"):
+            solve_mode_l1(1.0, np.zeros_like, (0.0, 1.0), 1.0,
+                          L1Grid(step=0.25, num_steps=4))
 
 
 class TestWeights:
@@ -437,15 +457,6 @@ class TestStackedReciprocal:
                                                          prod.shape),
                                    rtol=0.0, atol=1e-13)
 
-    def test_block_rule(self):
-        # forced_modes at 2^-12: three orders fit one block for one row
-        assert _stack_blocks([1024, 1536, 1536], 1) == [[0, 1, 2]]
-        # 128 rows: each order alone
-        assert _stack_blocks([1024, 1536, 1536], 128) == [[0], [1], [2]]
-        # two 8192-step runs: too large to stack
-        assert _stack_blocks([8192, 8192], 1) == [[0], [1]]
-        assert 3 * 1536 <= STACK_ELEMENTS < 2 * 8192
-
     def test_blocking_does_not_change_the_solve(self, monkeypatch):
         sched = OrderSchedule(
             breakpoints=(0.0, 0.125, 0.3125, 0.5, 0.75, 1.0),
@@ -463,9 +474,136 @@ class TestStackedReciprocal:
         assert np.array_equal(solve(), stacked)
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def workload_grid(name, exponent):
+    """A benchmark workload's problem and one of its compare grids."""
+    path = os.path.join(ROOT, "perfbench", "workloads", f"{name}.json")
+    with open(path, encoding="utf-8") as handle:
+        cfg = build_run_config(json.load(handle))
+    assert exponent in cfg.run["compare_step_exponents"]
+    return cfg.problem, L1Grid.for_schedule(cfg.problem.schedule,
+                                            2.0 ** -exponent)
+
+
+class Spy:
+    """Records the chains, pieces and products of ``solve_mode_l1`` and
+    the transforms each product takes."""
+
+    def __init__(self, monkeypatch):
+        self.chains, self.pieces, self.products = [], [], []
+        self.transforms = 0
+        recip, solve, product = (l1._series_reciprocal, l1._toeplitz_solve,
+                                 l1._series_product)
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def spy_recip(a):
+            self.chains.append(a.shape)
+            return recip(a)
+
+        def spy_solve(col, g, rhs):
+            self.pieces.append(rhs.shape[-1])
+            return solve(col, g, rhs)
+
+        def spy_product(a, b, n, skip=0, spectra=None):
+            before = self.transforms
+            out = product(a, b, n, skip, spectra)
+            self.products.append((n - skip, min(b.shape[-1], n),
+                                  self.transforms - before))
+            return out
+
+        def count(transform):
+            def counted(*args, **kwargs):
+                self.transforms += 1
+                return transform(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(l1, "_series_reciprocal", spy_recip)
+        monkeypatch.setattr(l1, "_toeplitz_solve", spy_solve)
+        monkeypatch.setattr(l1, "_series_product", spy_product)
+        monkeypatch.setattr(np.fft, "rfft", count(rfft))
+        monkeypatch.setattr(np.fft, "irfft", count(irfft))
+
+
+class TestWorkloadGrids:
+    """Each kept constant has a benchmark workload on each side of it.
+
+    The compare phase solves one mode per call, as the benchmark does.
+    """
+
+    @staticmethod
+    def solve_mode(monkeypatch, name, exponent, rows=1):
+        spec, grid = workload_grid(name, exponent)
+        lam = np.linspace(1.0, 1e3, rows) if rows > 1 else np.pi ** 2
+        u0 = np.ones(rows) if rows > 1 else 1.0
+        loads = np.broadcast_to(spec.source.values(grid.times)[0],
+                                np.shape(lam) + grid.times.shape)
+        spy = Spy(monkeypatch)
+        solve_mode_l1(lam, lambda t: loads, spec.schedule, u0, grid)
+        return spy
+
+    def test_readme_check_finest_grid_splits_and_does_not_stack(
+            self, monkeypatch):
+        # a 1-step overhang and 8,192-step chains, too large to stack;
+        # the overhang's 1 x 8,191 history takes direct sums
+        spy = self.solve_mode(monkeypatch, "readme_check", 14)
+        assert spy.pieces == [8191, 1, 8192]
+        assert spy.chains == [(1, 8192), (1, 8192)]
+        assert (1, 8191, 0) in spy.products
+        assert 2 * 8192 > STACK_ELEMENTS
+
+    def test_readme_check_stacks_at_2_to_the_minus_12(self, monkeypatch):
+        spy = self.solve_mode(monkeypatch, "readme_check", 12)
+        assert spy.pieces == [2047, 1, 2048]
+        assert spy.chains == [(2, 2048)]
+
+    def test_forced_modes_keeps_its_runs_whole_and_stacked(self,
+                                                           monkeypatch):
+        spy = self.solve_mode(monkeypatch, "forced_modes", 12)
+        assert spy.pieces == [1023, 1536, 1537]
+        assert spy.chains == [(3, 2048)]
+        assert 3 * 1537 <= STACK_ELEMENTS
+
+    @pytest.mark.parametrize("exponent", [6, 8, 10, 12])
+    def test_single_order_solves_in_one_piece(self, monkeypatch, exponent):
+        spy = self.solve_mode(monkeypatch, "single_order", exponent)
+        assert spy.pieces == [2 ** exponent]
+        assert spy.chains == [(1, 2 ** exponent)]
+
+    def test_128_rows_take_one_chain_per_order(self, monkeypatch):
+        spy = self.solve_mode(monkeypatch, "forced_modes", 12, rows=128)
+        assert spy.pieces == [1023, 1536, 1537]
+        assert spy.chains == [(1, 128, 1024), (1, 128, 2048),
+                              (1, 128, 2048)]
+
+    def test_fft_newton_pass_takes_five_transforms(self, monkeypatch):
+        # passes up to 64 coefficients are direct sums; 64 -> 128 and
+        # 128 -> 256 are FFT passes
+        cols = _moments([0.4], 256, 2.0 ** -8) + np.array([[1.0], [2.0]])
+        for length, fft_passes in [(64, 0), (128, 1), (256, 2)]:
+            spy = Spy(monkeypatch)
+            _series_reciprocal(cols[:, :length])
+            assert spy.transforms == 5 * fft_passes
+
+    def test_fft_toeplitz_solve_takes_eight_transforms(self, monkeypatch):
+        col = _moments([0.6], 64, 2.0 ** -6)[0] + 3.0
+        recip = _series_reciprocal(col)
+        rhs = np.cos(np.arange(64.0))
+        for n, transforms in [(45, 0), (46, 8), (64, 8)]:
+            spy = Spy(monkeypatch)
+            x = _toeplitz_solve(col[:n], recip, rhs[:n])
+            assert spy.transforms == transforms
+            np.testing.assert_allclose(np.convolve(col[:n], x)[:n], rhs[:n],
+                                       rtol=0.0, atol=1e-13)
+
+
 # (outputs, terms) of history products, and lengths of full products,
-# on both sides of DIRECT_TERMS = 2,048
-HISTORIES = [(1, 2047), (1, 2049), (32, 64), (33, 64), (200, 300)]
+# on both sides of DIRECT_TERMS = 2,048 and, for two outputs, of the
+# transform size: 2 x 2,047 fits a 4,096-point transform, 2 x 2,049
+# does not
+HISTORIES = [(1, 2047), (1, 2049), (2, 2047), (2, 2049), (32, 64), (33, 64),
+             (200, 300)]
 LENGTHS = [1, 16, 45, 46, 100]
 
 
@@ -500,8 +638,10 @@ class TestSeriesProduct:
         assert np.all(np.abs(direct - fft).reshape(exact.shape) <= bound)
         assert np.all(np.abs(direct.reshape(exact.shape) - exact) <= bound)
         assert np.all(np.abs(fft.reshape(exact.shape) - exact) <= bound)
-        # the default takes direct sums exactly up to the cut-off
-        on_direct = (n - skip) * b.shape[-1] <= DIRECT_TERMS
+        # the default takes direct sums exactly up to the cut-off or the
+        # transform size, whichever is larger
+        size = _fft_size(a.shape[-1] + b.shape[-1] - 1 - skip, n)
+        on_direct = (n - skip) * b.shape[-1] <= max(DIRECT_TERMS, size)
         assert np.array_equal(default, direct if on_direct else fft)
 
     @pytest.mark.parametrize("outputs,terms", HISTORIES)

@@ -732,6 +732,16 @@ class TestSolveValidation:
         with pytest.raises(DomainError):
             solve(prob, n_quad=2)
 
+    @pytest.mark.parametrize("counts", [
+        {"n_cells": 8.5}, {"n_cells": 32.0}, {"n_quad": 4.7},
+        {"n_quad": True}])
+    def test_counts_are_integers(self, counts):
+        # 8.5 cells would run 8 and 4.7 nodes 4, without a word
+        prob = ProblemSpec(schedule=self.SCHED, operator=OP,
+                           initial_coefficients=(1.0,))
+        with pytest.raises(DomainError, match="must be an integer"):
+            solve(prob, **counts)
+
     def test_rejects_non_problem(self):
         with pytest.raises(DomainError):
             solve("not a problem")

@@ -419,6 +419,36 @@ class TestInitialLimit:
         assert np.all(V.initial_limit_check(field) == 0.0)
 
 
+class TestQuadratureNodes:
+    """Verify takes ``n_quad`` by the rule ``solve`` does: an integer of
+    at least 4."""
+
+    @pytest.mark.parametrize("n_quad", [0, 1, 3, 4.5, 24.0, True])
+    def test_residual_check(self, relax_run, n_quad):
+        spec, field = relax_run
+        with pytest.raises(DomainError, match="quadrature nodes"):
+            V.residual_check(field, spec, np.array([[0.5, 0.3]]),
+                             n_quad=n_quad)
+
+    @pytest.mark.parametrize("n_quad", [1, 3.9])
+    def test_build_report(self, relax_run, n_quad):
+        _, field = relax_run
+        with pytest.raises(DomainError, match="quadrature nodes"):
+            V.build_report(field, n_quad=n_quad)
+
+    @pytest.mark.parametrize("n_quad", [2, 8.0])
+    def test_source_fit_samples(self, mixed_run, n_quad):
+        spec, field = mixed_run
+        with pytest.raises(DomainError, match="quadrature nodes"):
+            V.source_fit_samples(spec, field, 1, n_quad)
+
+    def test_four_nodes_are_enough(self, relax_run):
+        spec, field = relax_run
+        assert np.isfinite(V.residual_check(field, spec,
+                                            np.array([[0.5, 0.3]]),
+                                            n_quad=np.int64(4)))
+
+
 class TestReport:
     def test_build_report_mixed(self, mixed_run):
         spec, field = mixed_run
