@@ -3,10 +3,10 @@
 
 Writes ``tests/data/jacobi_reference.csv``: the nodes and weights of
 mpmath's 40-digit Gauss-Jacobi rule for the weight
-``(1+x)**p (1-x)**q`` on (-1, 1), rounded to float64, for every
-``n`` in {1, 2, 6, 12, 16, 24, 32, 48}, ``p`` in {-0.95, -0.7, -0.5,
--0.2, 0, 0.3, 0.7, 1.5} and ``q`` in {0, -0.5}, nodes in increasing
-order.  ``tests/test_quadrature.py`` compares the package's Golub-Welsch
+``(1+x)**p`` on (-1, 1), rounded to float64, for every ``n`` in {1, 2,
+6, 12, 16, 24, 32, 48} and ``p`` in {-0.95, -0.7, -0.5, -0.2, 0, 0.3,
+0.7, 1.5}, nodes in increasing order.  The ``q`` column, the exponent
+of ``(1-x)``, is 0 on every row.  ``tests/test_quadrature.py`` compares the package's Golub-Welsch
 rule against this file at 1e-15 absolute (nodes) and 2e-13 relative
 (weights); regenerating must be a no-op unless mpmath itself changed.
 Requires mpmath; run from the repository root:
@@ -23,7 +23,6 @@ import mpmath as mp
 
 SIZES = (1, 2, 6, 12, 16, 24, 32, 48)
 LEFT = (-0.95, -0.7, -0.5, -0.2, 0.0, 0.3, 0.7, 1.5)
-RIGHT = (0.0, -0.5)
 OUT = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
                    "jacobi_reference.csv")
 
@@ -35,16 +34,14 @@ def main() -> int:
         handle.write("n,p,q,node,weight\n")
         for n in SIZES:
             for p in LEFT:
-                for q in RIGHT:
-                    # mpmath's (alpha, beta) weights (1-x)**alpha (1+x)**beta
-                    with mp.workdps(40):
-                        nodes, weights = mp.gauss_quadrature(n, "jacobi",
-                                                             q, p)
-                        rule = sorted(zip(nodes, weights))
-                    for x, w in rule:
-                        handle.write(f"{n},{p:.17g},{q:.17g},"
-                                     f"{float(x):.17g},{float(w):.17g}\n")
-                        rows += 1
+                # mpmath's (alpha, beta) weights (1-x)**alpha (1+x)**beta
+                with mp.workdps(40):
+                    nodes, weights = mp.gauss_quadrature(n, "jacobi", 0, p)
+                    rule = sorted(zip(nodes, weights))
+                for x, w in rule:
+                    handle.write(f"{n},{p:.17g},0,"
+                                 f"{float(x):.17g},{float(w):.17g}\n")
+                    rows += 1
     print(f"wrote {rows} rows to {os.path.normpath(OUT)}")
     return 0
 

@@ -24,7 +24,6 @@ from . import __version__
 from .config import RunConfig, build_run_config, load_config
 from .errors import ConfigError, DomainError, FracstepError
 from .l1 import L1Grid, solve_full_l1_fd, solve_mode_l1
-from .operator import ModalBasis
 from .solver import DEFAULT_CELLS, DEFAULT_QUAD, solve
 from .special import ml_values
 from . import verify as verify_mod
@@ -90,7 +89,7 @@ def _mode_l1(cfg: RunConfig, grid: L1Grid) -> np.ndarray:
     """L1 values of every mode on ``grid``, one row per mode."""
     spec = cfg.problem
     loads = spec.source.values(grid.times)
-    eigenvalues = ModalBasis(spec.operator, spec.num_modes).eigenvalues
+    eigenvalues = spec.operator.eigenvalues(spec.num_modes)
     return solve_mode_l1(eigenvalues, lambda t: loads, spec.schedule,
                          spec.initial_coefficients, grid)
 

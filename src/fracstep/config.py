@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, partial
 from importlib import resources
 from operator import ge, gt, le, lt
 
@@ -30,16 +31,12 @@ from .solver import ProblemSpec, SeparableSource
 
 __all__ = ["RunConfig", "load_config", "build_run_config", "schema"]
 
-_SCHEMA_CACHE: dict = {}
 
-
+@cache
 def schema() -> dict:
     """The published configuration schema, loaded once per process."""
-    if "schema" not in _SCHEMA_CACHE:
-        text = resources.files("fracstep").joinpath(
-            "config_schema.json").read_text()
-        _SCHEMA_CACHE["schema"] = json.loads(text)
-    return _SCHEMA_CACHE["schema"]
+    return json.loads(resources.files("fracstep").joinpath(
+        "config_schema.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -215,23 +212,10 @@ def _build_source(block: dict | None,
             pointer="/problem/source/coefficients")
     profile = block["time_profile"]
     if profile["kind"] == "polynomial":
-        poly = list(profile["coefficients"])
-
-        def value(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for c in reversed(poly):
-                out = out * t + c
-            return out
-
-        def rate(t):
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for k in range(len(poly) - 1, 0, -1):
-                out = out * t + k * poly[k]
-            return out
-
-        return SeparableSource(coeffs, value, rate)
+        # highest power first, as numpy's Horner rule takes it
+        poly = np.array(profile["coefficients"][::-1], dtype=float)
+        return SeparableSource(coeffs, partial(np.polyval, poly),
+                               partial(np.polyval, np.polyder(poly)))
     scale = float(profile["scale"])
     exponent = float(profile["exponent"])
 

@@ -5,7 +5,7 @@ a non-finite or failed computation inside the solver (numeric), declared
 regularity of the source data contradicted by its samples, and malformed
 run configuration.  Callers that need to distinguish them can catch the
 specific type; ``FracstepError`` catches them all.  ``check_count``
-is the one check of an integer count argument.
+is the one check of an integer argument, a count or an index.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class ConfigError(FracstepError, ValueError):
 
 
 def check_count(value, minimum: int, what: str) -> None:
-    """Raise ``DomainError`` unless ``value`` is an integer of at least
-    ``minimum``; a bool or an integer-valued float is not a count."""
+    """Raise ``DomainError`` unless ``value``, an integer argument with a
+    lower bound (a count or an index), is an integer of at least
+    ``minimum``; a bool or an integer-valued float is not an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if value < minimum:

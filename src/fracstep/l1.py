@@ -43,7 +43,6 @@ from .errors import DomainError, NumericError, check_count
 from .operator import GridOperator, ModalBasis
 from .schedule import OrderSchedule
 from .solver import ProblemSpec
-from .special import gamma_fn
 
 __all__ = [
     "L1Grid",
@@ -95,10 +94,6 @@ class L1Grid:
     @property
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.num_steps + 1)
-
-    @property
-    def horizon(self) -> float:
-        return self.step * self.num_steps
 
     @classmethod
     def for_schedule(cls, schedule: OrderSchedule, step: float) -> "L1Grid":
@@ -160,7 +155,7 @@ def _moments(orders, n: int, tau: float) -> np.ndarray:
         diffs = np.multiply(log_step, a, out=row[1:])
         np.expm1(diffs, out=diffs)
         diffs *= j ** a
-        row *= tau ** -b / gamma_fn(2.0 - b)
+        row *= tau ** -b / math.gamma(2.0 - b)
     return out
 
 

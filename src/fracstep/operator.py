@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = ["OperatorSpec", "ModalBasis", "GridOperator"]
 
@@ -58,9 +58,8 @@ class OperatorSpec:
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """Eigenvalues ``a (n pi / L)**2 + c`` of the first ``count`` sine
-        modes, ``n = 1 .. count``."""
-        if count < 1:
-            raise DomainError(f"need at least one mode, got {count}")
+        modes, ``n = 1 .. count``, an integer of at least 1."""
+        check_count(count, 1, "modes")
         n = np.arange(1, count + 1)
         return self.diffusion * (n * math.pi / self.length) ** 2 \
             + self.reaction
@@ -72,11 +71,10 @@ class ModalBasis:
     def __init__(self, spec: OperatorSpec, size: int):
         if not isinstance(spec, OperatorSpec):
             raise DomainError("spec must be an OperatorSpec")
-        if size < 1:
-            raise DomainError(f"basis size must be >= 1, got {size}")
+        check_count(size, 1, "basis modes")
         self.spec = spec
-        self.size = int(size)
-        self.eigenvalues = spec.eigenvalues(self.size)
+        self.size = size
+        self.eigenvalues = spec.eigenvalues(size)
 
     def evaluation_matrix(self, x) -> np.ndarray:
         """Matrix ``B[i, n-1] = X_n(x_i)`` for synthesis at many points."""
@@ -130,13 +128,11 @@ class GridOperator:
     def __init__(self, spec: OperatorSpec, interior_points: int):
         if not isinstance(spec, OperatorSpec):
             raise DomainError("spec must be an OperatorSpec")
-        if interior_points < 2:
-            raise DomainError(
-                f"need at least two interior points, got {interior_points}")
+        check_count(interior_points, 2, "interior points")
         self.spec = spec
-        self.interior_points = int(interior_points)
-        self.h = spec.length / (self.interior_points + 1)
-        self.x = self.h * np.arange(1, self.interior_points + 1)
+        self.interior_points = interior_points
+        self.h = spec.length / (interior_points + 1)
+        self.x = self.h * np.arange(1, interior_points + 1)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues ``mu_k``, ``k = 1 .. P``, of the stencil matrix.

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .special import ml_values
 
 __all__ = [
@@ -63,34 +63,33 @@ _FAR_TERMS = 10
 
 
 @functools.lru_cache(maxsize=256)
-def _jacobi_rule(n: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi rule for the weight ``(1+x)**p (1-x)**q`` on (-1, 1).
+def _jacobi_rule(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight ``(1+x)**p`` on (-1, 1).
 
     Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the symmetric tridiagonal Jacobi matrix of the three-term recurrence,
     polished by one Newton step on the orthonormal polynomial ``p_n``;
     the weights are ``mu0 / sum_{k<n} p_k(x_i)**2`` with ``p_0 = 1`` and
     ``mu0`` the weight's total mass.  Against 40-digit mpmath rules for
-    n <= 48, p in [-0.95, 1.5] and q in {0, -0.5}, nodes are within
-    2.2e-16 absolute and weights within 9.9e-14 relative (scipy's
-    ``roots_jacobi``: 3.3e-16 and 5.2e-11).
+    n <= 48 and p in [-0.95, 1.5], nodes are within 2.2e-16 absolute and
+    weights within 9.9e-14 relative (scipy's ``roots_jacobi``: 3.3e-16
+    and 2.4e-11).
     """
-    # a = q multiplies (1-x), b = p multiplies (1+x): the left exponent p
-    # of (s-a) becomes the (1+x) exponent after the map to (-1, 1)
-    a, b = float(q), float(p)
-    s = a + b
+    # the left exponent p of (s-a) becomes the (1+x) exponent after the
+    # map to (-1, 1); the Jacobi recurrence's (1-x) exponent is 0
+    b = float(p)
     k = np.arange(n + 1, dtype=float)
-    # diagonal (b**2 - a**2) / (m (m+2)) with m = 2k+s; at k = 0 the
-    # (b+a)/m factor is 1, written out so that s == 0 never divides by 0
-    m = 2.0 * k[:n] + s
-    diag = (np.where(k[:n] == 0, b - a, (b - a) * (b + a))
+    # diagonal b**2 / (m (m+2)) with m = 2k+b; at k = 0 the b/m factor
+    # is 1, written out so that b == 0 never divides by 0
+    m = 2.0 * k[:n] + b
+    diag = (np.where(k[:n] == 0, b, b * b)
             / (np.where(k[:n] == 0, 1.0, m) * (m + 2.0)))
-    # squared off-diagonal 4k(k+a)(k+b)(k+s) / (m**2 (m+1)(m-1)) for
-    # k = 1..n; at k = 1 the (k+s)/(m-1) factor is 1, so p+q == -1
+    # squared off-diagonal 4 k**2 (k+b)**2 / (m**2 (m+1)(m-1)) for
+    # k = 1..n; at k = 1 the (k+b)/(m-1) factor is 1, so p == -1
     # never divides by 0 either
     k = k[1:]
-    m = 2.0 * k + s
-    off2 = (4.0 * k * (k + a) * (k + b) * np.where(k == 1, 1.0, k + s)
+    m = 2.0 * k + b
+    off2 = (4.0 * k * k * (k + b) * np.where(k == 1, 1.0, k + b)
             / (m * m * (m + 1.0) * np.where(k == 1, 1.0, m - 1.0)))
     off = np.sqrt(off2)
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1)
@@ -113,8 +112,8 @@ def _jacobi_rule(n: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     value, slope, _ = recurrence(x)
     x = x - value / slope
     _, _, total = recurrence(x)
-    mu0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                   + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
+    mu0 = math.exp((b + 1.0) * math.log(2.0) + math.lgamma(b + 1.0)
+                   - math.lgamma(b + 2.0))
     return x, mu0 / total
 
 
@@ -130,14 +129,12 @@ def graded_mesh(a: float, b: float, n: int,
     The nodes are ``a + (b-a) * (i/n)**grading``.  The effective grading
     is reduced if the requested one would compress the smallest cell
     below ``MIN_CELL_FRACTION`` of the interval, which keeps all nodes
-    distinct in double precision.
+    distinct in double precision.  ``n`` is an integer of at least 1.
     """
     a, b = float(a), float(b)
-    n = int(n)
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise DomainError(f"need a finite interval with a < b, got [{a}, {b}]")
-    if n < 1:
-        raise DomainError(f"need at least one cell, got n={n}")
+    check_count(n, 1, "mesh cells")
     if grading < 1.0:
         raise DomainError(f"grading must be >= 1, got {grading}")
 
@@ -229,6 +226,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     and an exponent in (0, 2), below 1 where ``t == b``.  Times that
     share a limit share its far-field and left-half node sets whatever
     their exponents, so a scalar ``b`` builds one of each for all times.
+    ``n``, the nodes of each Gauss rule, is an integer of at least 1.
 
     ``profile`` must act elementwise; it is called once, on every node
     set together.  It may return one row per integrand, for example one
@@ -253,6 +251,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
                                   "b")
     if not 0.0 < power < 1.0:
         raise DomainError(f"power must be in (0, 1), got {power}")
+    check_count(n, 1, "quadrature nodes")
 
     def kernel(base, index):
         # base ** -kappa, row i of base at time index[i], one float power
@@ -269,7 +268,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
         return out
 
     inv = 1.0 / power
-    x, w = _legendre_rule(int(n))
+    x, w = _legendre_rule(n)
     mid = 0.5 * (a + limits)
     near = flat - limits < FAR_FIELD_FRACTION * (limits - a)
 
@@ -302,7 +301,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     for k in exponents:
         index = np.flatnonzero(at_b & (kappa == k))
         if index.size:
-            xj, wj = _jacobi_rule(int(n), -k, 0.0)
+            xj, wj = _jacobi_rule(n, -k)
             half = 0.5 * (flat[index] - mid[index])
             right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
                   half[:, None] ** (1.0 - k))
@@ -315,7 +314,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     values = np.asarray(profile(np.concatenate(
         [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
     rows = values.shape[:-1]
-    values = values.reshape(math.prod(rows), -1)
+    values = values.reshape(math.prod(rows), values.shape[-1])
     out = np.zeros((values.shape[0], flat.size))
     start = 0
     for index, nodes, factor, scale, post in parts:
@@ -323,8 +322,8 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
             values[:, start:start + nodes.size].reshape(
                 (-1,) + nodes.shape), (values.shape[0],) + factor.shape)
         start += nodes.size
-        # blocks of times hold about _BLOCK_NODES products over all rows
-        step = max(1, _BLOCK_NODES // (piece.shape[0] * factor[0].size))
+        # time blocks of about _BLOCK_NODES products over all (or one) rows
+        step = max(1, _BLOCK_NODES // (max(1, len(piece)) * factor[0].size))
         for lo in range(0, index.size, step):
             block = slice(lo, lo + step)
             cells = (piece[:, block] * factor[block]).sum(axis=-1)
@@ -571,13 +570,15 @@ def composite_graded_integral(smooth, a: float, b: float,
     factor; the remaining cells use plain Gauss-Legendre on the full
     integrand, which the grading keeps accurate.  ``smooth`` must act
     elementwise: it is called once, on the nodes of every cell.
+    ``n_cells`` and ``n_gauss`` are integers of at least 1.
     """
     p = float(left_exponent)
     if p <= -1.0:
         raise DomainError(f"left exponent must exceed -1, got {p}")
+    check_count(n_gauss, 1, "quadrature nodes")
     nodes = graded_mesh(a, b, n_cells, grading)
-    xj, wj = _jacobi_rule(int(n_gauss), p, 0.0)
-    x, w = _legendre_rule(int(n_gauss))
+    xj, wj = _jacobi_rule(n_gauss, p)
+    x, w = _legendre_rule(n_gauss)
     first = 0.5 * (float(nodes[1]) - float(nodes[0]))
     s, half = _cell_nodes(nodes[1:], x)
     values = np.asarray(smooth(np.concatenate(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 #: Smallest admissible segment width, relative to the horizon length.
 MIN_SEGMENT_FRACTION = 1e-12
@@ -76,8 +76,9 @@ class OrderSchedule:
         return self.breakpoints[-1]
 
     def segment(self, j: int) -> tuple[float, float]:
-        """Endpoints ``(t_j, t_{j+1})`` of segment ``j``."""
-        if not 0 <= j < self.num_segments:
+        """Endpoints ``(t_j, t_{j+1})`` of segment ``j``, an integer."""
+        check_count(j, 0, "segment index")
+        if j >= self.num_segments:
             raise DomainError(
                 f"segment index {j} out of range [0, {self.num_segments})")
         return self.breakpoints[j], self.breakpoints[j + 1]

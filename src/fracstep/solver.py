@@ -53,7 +53,7 @@ from .quadrature import (
     scaled_power_history,
 )
 from .schedule import OrderSchedule
-from .special import gamma_fn, ml_values
+from .special import ml_values
 
 __all__ = [
     "SeparableSource",
@@ -188,7 +188,6 @@ class Segment:
     filled in last.
     """
 
-    index: int
     order: float
     start: float
     end: float
@@ -310,7 +309,7 @@ def _segment_load(nodes: np.ndarray, beta: float, past: list[Segment],
     for the memory rate.
     """
     a = nodes[0]
-    inv_gamma = 1.0 / gamma_fn(1.0 - beta)
+    inv_gamma = 1.0 / math.gamma(1.0 - beta)
     load = values.copy()
     memory_amplitude = np.zeros(values.shape[0])
     rate_remainder = np.zeros_like(values)
@@ -362,7 +361,7 @@ def _build_segment(j: int, schedule: OrderSchedule, source: SeparableSource,
     tails = np.zeros((len(live), nodes.size))
     hit = amplitudes != 0.0
     if hit.any():
-        tails[hit] = amplitudes[hit, None] * gamma_fn(1.0 - beta) \
+        tails[hit] = amplitudes[hit, None] * math.gamma(1.0 - beta) \
             * ml_values(beta, 1.0, -lam[hit, None] * (nodes - a) ** beta)
     # rows with no load rate, such as every row of an unforced first
     # segment, have no Duhamel part
@@ -371,7 +370,7 @@ def _build_segment(j: int, schedule: OrderSchedule, source: SeparableSource,
         tails[moving, 1:] += duhamel_convolve(beta, lam[moving], nodes,
                                               rates[moving], nodes[1:])
 
-    seg = Segment(index=j, order=beta, start=a, end=b, nodes=nodes,
+    seg = Segment(order=beta, start=a, end=b, nodes=nodes,
                   eigenvalues=lam, entry_values=entry,
                   density=loads - lam[:, None] * entry[:, None], tails=tails)
     end = np.asarray(b, dtype=float)
@@ -444,9 +443,8 @@ class SolutionField:
     def mode_trajectory(self, n: int, times):
         """Values of mode ``n``, an integer, from its row alone; a scalar
         time gives a float."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise DomainError(f"mode index {n!r} is not an integer")
-        if not 1 <= n <= self.problem.num_modes:
+        check_count(n, 1, "mode index")
+        if n > self.problem.num_modes:
             raise DomainError(
                 f"mode index {n} outside [1, {self.problem.num_modes}]")
         t = np.asarray(times, dtype=float)

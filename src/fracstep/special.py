@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler evaluation on the negative real axis.
+"""Mittag-Leffler evaluation on the negative real axis.
 
 The two-parameter Mittag-Leffler function is the workhorse: relaxation
 profiles, convolution kernels, and exact kernel primitives all go through
@@ -54,10 +54,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = [
-    "gamma_fn",
     "ml",
     "ml_values",
     "measured_envelope",
@@ -81,14 +80,6 @@ _LOOP_POINTS = 32768
 # Arguments beyond this are evaluated here, so that the squares in the
 # rule cannot overflow; every value past it is below 1e-149 in size.
 _X_CAP = 1e150
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half-line."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def ml(params, z: float) -> float:
@@ -226,8 +217,10 @@ def measured_envelope(params, z_max: float = 1e6,
     ``params`` is the pair ``(alpha, beta)``.  The theoretical bound
     guarantees this is finite for any admissible pair; the measured
     constant is what the verification suite compares against.
+    ``n_points``, the grid size with ``x = 0``, is an integer >= 1.
     """
     alpha, beta = params
+    check_count(n_points, 1, "envelope points")
     grid = np.concatenate([[0.0], np.logspace(-6, math.log10(z_max),
                                               n_points - 1)])
     values = ml_values(alpha, beta, -grid)

@@ -11,6 +11,7 @@ ratios, never as fixed-constant assertions.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .quadrature import composite_graded_integral, graded_mesh, \
     scaled_power_history
 from .schedule import OrderSchedule
 from .solver import ProblemSpec, SolutionField
-from .special import gamma_fn
 
 __all__ = [
     "RegularityReport",
@@ -87,16 +87,11 @@ class RegularityReport:
                         f"report field {name} holds a non-finite entry")
 
     def as_dict(self) -> dict:
-        return {
-            "derivative_rates": list(self.derivative_rates),
-            "source_rates": list(self.source_rates),
-            "c0_dL": self.c0_dL,
-            "w11": self.w11,
-            "segment_load_norms": list(self.segment_load_norms),
-            "data_functionals": list(self.data_functionals),
-            "residual_max": self.residual_max,
-            "junction_gaps": list(self.junction_gaps),
-        }
+        """The compared fields, tuples as lists, in declaration order."""
+        values = ((f.name, getattr(self, f.name))
+                  for f in dataclasses.fields(self) if f.compare)
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in values}
 
 
 def _fit_slope(offsets: np.ndarray, values: np.ndarray):
@@ -343,7 +338,7 @@ def source_fit_samples(spec: ProblemSpec, field: SolutionField, j: int,
     a, b = spec.schedule.segment(j)
     order = spec.schedule.orders[j]
     offsets = _fit_offsets(b - a)
-    prefac = order / gamma_fn(1.0 - order)
+    prefac = order / math.gamma(1.0 - order)
     times = a + offsets
 
     per_mode = spec.source.derivatives(times)
@@ -368,21 +363,16 @@ def _vo_caputo_rows(field: SolutionField, rows: list[int], t: np.ndarray,
     one history call for all rows and for every time beyond its start,
     each time with its own segment's order, the time's own segment
     integrated up to the time; a time on its segment's start has no
-    current-segment part.  Times must lie in ``(0, T]``; the result has
-    shape ``(len(rows),) + t.shape``.
+    current-segment part.  Times must lie in ``(0, T]``, which the
+    caller checks; the result has shape ``(len(rows),) + t.shape``.
     """
     schedule = field.problem.schedule
     flat = t.reshape(-1)
-    outside = ~((0.0 < flat) & (flat <= schedule.horizon))
-    if outside.any():
-        raise DomainError(
-            f"time {flat[outside][0]} outside the half-open horizon "
-            f"(0, {schedule.horizon}]")
     current = schedule.segment_of(flat)
     out = _with_memory(np.zeros((len(rows), flat.size)), field, rows,
                        range(current.max(initial=-1) + 1), flat,
                        np.asarray(schedule.orders)[current], n_quad)
-    out /= np.array([gamma_fn(1.0 - b) for b in schedule.orders])[current]
+    out /= np.array([math.gamma(1.0 - b) for b in schedule.orders])[current]
     return out.reshape((len(rows),) + t.shape)
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 import copy
 import json
 import random
+import subprocess
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from fracstep import config
@@ -182,3 +185,51 @@ class TestSchemaInterpreter:
             rejected += expected is not None
         # the corpus exercises both outcomes, not just one
         assert 0.05 * len(raws) < rejected < 0.95 * len(raws)
+
+
+def _horner(coefficients, t):
+    """The loop a polynomial profile is held to: lowest power first."""
+    out = np.zeros_like(t)
+    for c in reversed(coefficients):
+        out = out * t + c
+    return out
+
+
+class TestPolynomialProfile:
+    def test_value_and_rate_match_the_horner_loop(self):
+        # numpy's Horner rule runs the same loop, so values and rates are
+        # equal bit for bit, signed zeros and integer coefficients included
+        rng = np.random.default_rng(20261020)
+        for draw in range(300):
+            degree = int(rng.integers(1, 8))
+            coefficients = (rng.normal(size=degree)
+                            * 10.0 ** rng.integers(-3, 4, size=degree))
+            coefficients[rng.random(degree) < 0.25] = -0.0
+            coefficients = coefficients.tolist()
+            if draw % 5 == 0:
+                coefficients = [int(round(c)) for c in coefficients]
+            source = config._build_source(
+                {"kind": "separable", "coefficients": [1.0],
+                 "time_profile": {"kind": "polynomial",
+                                  "coefficients": coefficients}}, 1)
+            t = np.concatenate([[0.0, -0.0], rng.uniform(-2.0, 3.0, 7)])
+            rate = [k * c for k, c in enumerate(coefficients)][1:]
+            assert source.time_value(t).tobytes() \
+                == _horner(coefficients, t).tobytes(), coefficients
+            assert source.time_derivative(t).tobytes() \
+                == _horner(rate, t).tobytes(), coefficients
+
+    def test_building_a_config_loads_no_numpy_polynomial(self):
+        # the set-up every command pays: the profile takes numpy's
+        # top-level Horner rule, not the numpy.polynomial package
+        script = "\n".join([
+            "import json, sys",
+            "from fracstep import config",
+            "config.build_run_config(json.loads(sys.argv[1]))",
+            "print('numpy.polynomial' in sys.modules)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(BASES[1])],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

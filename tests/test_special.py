@@ -18,13 +18,10 @@ from oracles import ml_oracle
 from fracstep import special
 from fracstep.errors import DomainError
 from fracstep.special import (
-    gamma_fn,
     measured_envelope,
     ml,
     ml_values,
 )
-
-GAMMA_4_7 = 15.431411600047431712
 
 # (alpha, beta, z) -> E_{alpha,beta}(z), from small to large arguments
 ML_REFERENCE = {
@@ -58,23 +55,6 @@ def integrated_kernel(alpha, lam, tau):
     return tau ** alpha * ml((alpha, alpha + 1.0), -lam * tau ** alpha)
 
 
-class TestGammaBeta:
-    def test_integer_factorials(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(5.0) == 24.0
-
-    def test_half_integer(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-
-    def test_frozen_reference(self):
-        assert gamma_fn(4.7) == pytest.approx(GAMMA_4_7, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(DomainError):
-            gamma_fn(x)
-
-
 class TestMLParams:
     """``ml_values`` rejects an ``(alpha, beta)`` pair outside its range."""
 
@@ -103,7 +83,7 @@ class TestMLPointValues:
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.7, 0.7)])
     def test_value_at_origin(self, alpha, beta):
-        assert ml((alpha, beta), 0.0) == 1.0 / gamma_fn(beta)
+        assert ml((alpha, beta), 0.0) == 1.0 / math.gamma(beta)
 
     @pytest.mark.parametrize("z", [1e-8, 1.0, math.nan])
     def test_rejects_positive_or_nonfinite(self, z):
@@ -259,7 +239,7 @@ class TestDuhamelKernel:
 
     def test_undamped_power_law(self):
         s = 0.37
-        expected = s ** (-0.3) / gamma_fn(0.7)
+        expected = s ** (-0.3) / math.gamma(0.7)
         assert duhamel_kernel(0.7, 0.0, s) == pytest.approx(expected,
                                                             rel=1e-12)
 

@@ -7,6 +7,7 @@ adaptive quadrature plus the closed-form weighted sup of a power load.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -18,7 +19,7 @@ from fracstep.errors import DomainError, NumericError, RegularityError
 from fracstep.operator import OperatorSpec
 from fracstep.schedule import OrderSchedule
 from fracstep.solver import ProblemSpec, SeparableSource, solve
-from fracstep.special import gamma_fn, ml_values
+from fracstep.special import ml_values
 import fracstep.solver as S
 import fracstep.verify as V
 
@@ -99,7 +100,7 @@ def trapezoid_w11(field):
         vals = np.linalg.norm(field.mode_derivatives(t), axis=0)
         integrand = vals * y ** (1.0 / order - 1.0) / order
         amps = field.segments[j].impulse_strengths
-        start = np.linalg.norm(amps) / (order * gamma_fn(order))
+        start = np.linalg.norm(amps) / (order * math.gamma(order))
         total += np.trapezoid(np.concatenate(([start], integrand)),
                               np.concatenate(([0.0], y)))
     return total
@@ -328,12 +329,6 @@ class TestResidual:
             V.residual_check(field, spec, np.array([0.5, 0.3]))
         with pytest.raises(DomainError):
             V.residual_check(field, spec, np.empty((0, 2)))
-
-    def test_caputo_rejects_times_outside_horizon(self, relax_run):
-        _, field = relax_run
-        for t in (0.0, 1.5, [0.5, 1.5]):
-            with pytest.raises(DomainError):
-                V._vo_caputo_rows(field, [0], np.array(t), 24)
 
     def test_caputo_array_matches_scalar_calls(self, mixed_run):
         # times on both segments, the breakpoint and the horizon; each
