@@ -158,7 +158,7 @@ def _stretched_cells(lo: np.ndarray, hi: np.ndarray):
     """
     span = np.log(hi / lo)
     cells = np.maximum(1, np.ceil(span / _EXP_CELL_SPAN)).astype(int)
-    for c in np.unique(cells).tolist():
+    for c in sorted(set(cells.tolist())):
         index = np.flatnonzero(cells == c)
         edges = lo[index, None] * np.exp(np.arange(c + 1)
                                          * (span[index, None] / c))
@@ -193,13 +193,33 @@ def _exponents(kernel_exponent, times, at_end, end: str):
     if bad.any():
         raise DomainError(
             f"kernel exponent must be in (0, 2), got {kappa[bad][0]}")
-    distinct = np.unique(kappa).tolist() if kappa.ndim else [float(kappa)]
+    distinct = sorted(set(kappa.ravel().tolist()))
     kappa = np.broadcast_to(kappa, times.shape).reshape(-1)
     heavy = at_end & (kappa >= 1.0)
     if heavy.any():
         raise DomainError(f"kernel exponent {kappa[heavy][0]} is not "
                           f"integrable up to t == {end}")
     return kappa, distinct
+
+
+def _repeats(t: np.ndarray, lim: np.ndarray):
+    """Where some ``(t, lim)`` pairs repeat, one row per distinct pair,
+    ascending, holding the positions of its entries in order, its first
+    entry again where it has fewer than another pair; else None."""
+    order = np.lexsort((lim, t))
+    t, lim = t[order], lim[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (t[1:] != t[:-1]) | (lim[1:] != lim[:-1])
+    first = np.flatnonzero(new)
+    if first.size == order.size:
+        return None
+    if not order.size % first.size and new[::order.size // first.size].all():
+        return order.reshape(first.size, -1)   # as many entries each
+    pair = np.cumsum(new) - 1
+    slot = np.arange(order.size) - first[pair]
+    table = np.repeat(order[first, None], slot.max() + 1, axis=1)
+    table[pair, slot] = order
+    return table
 
 
 def scaled_power_history(profile, a: float, b, times, kernel_exponent,
@@ -226,7 +246,13 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     and an exponent in (0, 2), below 1 where ``t == b``.  Times that
     share a limit share its far-field and left-half node sets whatever
     their exponents, so a scalar ``b`` builds one of each for all times.
-    ``n``, the nodes of each Gauss rule, is an integer of at least 1.
+    Near times above their limit share their right half too: with more
+    than one exponent in the call, each distinct ``(t, b)`` pair builds
+    its stretched grid, profile nodes and peeled weight once, and each
+    of its times applies its own kernel factor to them (the solver asks
+    for every node under two exponents).  A time at ``t == b`` takes one
+    Jacobi cell per exponent.  ``n``, the nodes of each Gauss rule, is
+    an integer of at least 1.
 
     ``profile`` must act elementwise; it is called once, on every node
     set together.  It may return one row per integrand, for example one
@@ -260,11 +286,14 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
         if len(exponents) == 1:
             return base ** -exponents[0]
         here = kappa[index]
-        if (here == here[0]).all():
-            return base ** -float(here[0])
-        out = np.empty_like(base)
+        if (here == here.flat[0]).all():
+            return base ** -float(here.flat[0])
+        # C order: the node sums follow the layout, and empty_like of a
+        # broadcast base need not be C-ordered
+        out = np.empty(base.shape)
         for k in exponents:
-            out[here == k] = base[here == k] ** -k
+            mask = here == k
+            out[mask] = base[mask] ** -k
         return out
 
     inv = 1.0 / power
@@ -277,7 +306,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     # scaled variable share one node set per limit b, [a, b] for far
     # times and [a, mid] for near ones
     parts = []
-    for lim in np.unique(limits).tolist():
+    for lim in sorted(set(b.ravel().tolist())):
         for s_hi, here in ((lim, ~near), (0.5 * (a + lim), near)):
             index = np.flatnonzero(here & (limits == lim))
             if index.size:
@@ -289,10 +318,10 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
                               np.broadcast_to(half, (index.size, half.size)),
                               inv))
 
-    def right(index, u, kern, weights, scale):
+    def right(index, t, u, kern, weights, scale):
         # the near times' right halves in u = t - s, the peeled weight
         # (s-a)**(power-1) folded into the kernel factor
-        ds = (flat[index, None, None] - u) - a
+        ds = (t - u) - a
         parts.append((index, ds ** power,
                       weights * kern * ds ** (power - 1.0), scale, 1.0))
 
@@ -303,13 +332,34 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
         if index.size:
             xj, wj = _jacobi_rule(n, -k)
             half = 0.5 * (flat[index] - mid[index])
-            right(index, half[:, None, None] * (xj + 1.0), 1.0, wj,
+            right(index, flat[index, None, None],
+                  half[:, None, None] * (xj + 1.0), 1.0, wj,
                   half[:, None] ** (1.0 - k))
+    # above b, stretched cells: (t, b) pairs that repeat, as a time
+    # asked for under several exponents does, share one grid, node set
+    # and peeled weight, each pair's entries a row of times on them
     index = np.flatnonzero(near & (flat > limits))
-    for group, edges in _stretched_cells(flat[index] - limits[index],
-                                         flat[index] - mid[index]):
+    table = _repeats(flat[index], limits[index]) \
+        if len(exponents) > 1 and index.size > 1 else None
+    pairs = index if table is None else index[table[:, 0]]
+    if table is not None:
+        # one power per column where each column holds one exponent
+        slot = kappa[index[table]]
+        columns = slot[0].tolist() if (slot == slot[0]).all() else None
+    for group, edges in _stretched_cells(flat[pairs] - limits[pairs],
+                                         flat[pairs] - mid[pairs]):
         u, scale = _cell_nodes(edges, x)
-        right(index[group], u, kernel(u, index[group]), w, scale)
+        t = flat[pairs[group], None, None]
+        if table is None:
+            here = index[group]
+            kern = kernel(u, here)
+        else:
+            here = index[table[group]]
+            u, t, scale = u[:, None], t[:, None], scale[:, None]
+            kern = np.concatenate([u ** -k for k in columns], axis=1) \
+                if columns else kernel(np.broadcast_to(
+                    u, here.shape + u.shape[2:]), here)
+        right(here, t, u, kern, w, scale)
 
     values = np.asarray(profile(np.concatenate(
         [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
@@ -322,9 +372,11 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
             values[:, start:start + nodes.size].reshape(
                 (-1,) + nodes.shape), (values.shape[0],) + factor.shape)
         start += nodes.size
-        # time blocks of about _BLOCK_NODES products over all (or one) rows
+        # blocks of about _BLOCK_NODES products over all (or one) rows,
+        # of whole rows of times: a time that pads its pair's row gets
+        # the same sum each time in one +=, which stores it once
         step = max(1, _BLOCK_NODES // (max(1, len(piece)) * factor[0].size))
-        for lo in range(0, index.size, step):
+        for lo in range(0, len(index), step):
             block = slice(lo, lo + step)
             cells = (piece[:, block] * factor[block]).sum(axis=-1)
             out[:, index[block]] += (cells * scale[block]).sum(axis=-1) \

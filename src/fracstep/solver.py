@@ -112,9 +112,14 @@ class SeparableSource:
                                  self._profile("time_derivative", times))
 
     def mode_values(self, n: int, times) -> np.ndarray:
-        """Row ``n - 1`` of :meth:`values`, bit for bit; kept for the
-        benchmark worker in ``perfbench/worker.py``, which samples the
-        load mode by mode."""
+        """Row ``n - 1`` of :meth:`values`, bit for bit, for the mode
+        ``n``, an integer in ``[1, num_modes]``; kept for the benchmark
+        worker in ``perfbench/worker.py``, which samples the load mode by
+        mode."""
+        check_count(n, 1, "mode index")
+        if n > self.num_modes:
+            raise DomainError(
+                f"mode index {n} outside [1, {self.num_modes}]")
         return self.coefficients[n - 1] * self._profile("time_value", times)
 
 

@@ -112,9 +112,12 @@ def _fit_slope(offsets: np.ndarray, values: np.ndarray):
     return float(slope)
 
 
+# nine offsets per unit of segment width, spread geometrically
+_FIT_UNIT = np.geomspace(*FIT_OFFSET_RANGE, 9)
+
+
 def _fit_offsets(width: float) -> np.ndarray:
-    lo, hi = FIT_OFFSET_RANGE
-    return width * np.geomspace(lo, hi, 9)
+    return width * _FIT_UNIT
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fracstep.quadrature import (
     scaled_power_history,
 )
 from fracstep.schedule import OrderSchedule
-from fracstep.solver import ProblemSpec, solve
+from fracstep.solver import ProblemSpec, SeparableSource, solve
 from fracstep.special import measured_envelope
 
 OP = OperatorSpec()
@@ -31,6 +31,9 @@ def _field():
     return solve(ProblemSpec(schedule=SCHEDULE, operator=OP,
                              initial_coefficients=(1.0, 0.5, 0.25)),
                  n_cells=8, n_quad=4)
+
+
+SOURCE = SeparableSource((1.0, 0.5, 0.25), np.cos, lambda t: -np.sin(t))
 
 
 # site -> (call with the integer argument, its minimum, a valid value)
@@ -51,6 +54,8 @@ SITES = {
     "measured_envelope": (
         lambda n: measured_envelope((0.5, 1.0), n_points=n), 1, 3),
     "OrderSchedule.segment": (SCHEDULE.segment, 0, 3),
+    "SeparableSource.mode_values": (
+        lambda n: SOURCE.mode_values(n, [0.1, 0.6, 1.0]), 1, 3),
     "SolutionField.mode_trajectory": (
         lambda n: _field().mode_trajectory(n, [0.1, 0.6, 1.0]), 1, 3),
 }
@@ -76,3 +81,12 @@ def test_rejects_value_below_minimum(site):
 def test_numpy_integer_is_the_same_integer(site):
     call, _, valid = SITES[site]
     np.testing.assert_array_equal(call(np.int64(valid)), call(valid))
+
+
+def test_mode_values_rejects_a_mode_past_the_last():
+    # index 0 used to wrap to the last mode's row; index 4 of three
+    # modes names no mode
+    with pytest.raises(DomainError, match=r"mode index 4 outside \[1, 3\]"):
+        SOURCE.mode_values(4, [0.1, 0.6, 1.0])
+    np.testing.assert_array_equal(SOURCE.mode_values(3, [0.1, 0.6, 1.0]),
+                                  SOURCE.values([0.1, 0.6, 1.0])[2])

@@ -268,6 +268,57 @@ class TestScaledPowerHistory:
                     scaled_power_history(rows, 0.0, 0.4, above, kappa,
                                          SCALED_ORDER))
 
+    def test_repeated_times_share_their_right_halves(self, monkeypatch):
+        # a (t, b) pair asked for under several exponents builds its
+        # stretched right half and evaluates the profile on it once:
+        # the call takes as many profile nodes as one with each pair
+        # once, plus one Jacobi cell of n = 24 nodes per further exponent
+        # at t == b; each result equals its one-time, one-exponent call
+        lams = np.array([9.0, 2.5])
+        counts = []
+
+        def rows(xi):
+            counts.append(np.size(xi))
+            return ml_values(SCALED_ORDER, SCALED_ORDER, -lams[:, None] * xi)
+
+        def nodes(b, times, kappa):
+            counts.clear()
+            got = scaled_power_history(rows, 0.0, b, times, kappa,
+                                       SCALED_ORDER)
+            return got, counts[0]
+
+        b, near = 0.4, 0.4 + 1e-6
+        cases = [
+            # every near time above b under the same two exponents, the
+            # far time and t == b once
+            (b, [0.41, near, 0.41, near, 0.9, b],
+             [0.45, 0.45, 1.45, 1.45, 1.0, 0.45], 0),
+            # near times above b thrice, twice and once, t == b under
+            # two exponents, a far time twice
+            (b, [0.41, 0.41, 0.41, near, near, 0.43, b, b, 0.9, 0.9],
+             [0.45, 1.45, 1.0, 1.45, 0.45, 0.45, 0.45, 0.5, 1.45, 0.45], 1),
+            # per-time limits: a time with two limits, a pair twice, t
+            # == b under two exponents, a far time twice
+            ([0.4, 0.4, 0.405, 0.47, 0.47, 0.4, 0.4, 0.4, 0.4, 0.4],
+             [0.41, 0.41, 0.41, 0.5, 0.5, 0.43, 0.4, 0.4, 2.0, 2.0],
+             [0.45, 1.45, 0.45, 1.0, 0.45, 1.45, 0.45, 0.5, 0.45, 1.45], 1),
+        ]
+        for limits, times, kappa, jacobi in cases:
+            pairs = sorted(set(zip(np.broadcast_to(limits, len(times)),
+                                   times)))
+            once = nodes(np.array([p[0] for p in pairs]),
+                         np.array([p[1] for p in pairs]), 0.45)[1]
+            for budget in (quadrature._BLOCK_NODES, 50):
+                monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+                got, count = nodes(np.array(limits), np.array(times),
+                                   np.array(kappa))
+                assert count == once + 24 * jacobi
+                for i, (lim, t, k) in enumerate(zip(
+                        np.broadcast_to(limits, len(times)), times, kappa)):
+                    np.testing.assert_array_equal(
+                        got[:, i], scaled_power_history(
+                            rows, 0.0, lim, t, k, SCALED_ORDER))
+
     def test_empty_times(self):
         # no times give an empty result with the profile's rows, shaped
         # as the times are, and no error

@@ -557,7 +557,8 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n):
     far-field and left-half node sets in the scaled variable, shared by
     every exponent, then each near time's right half in ``u = t - s``
     (one Jacobi cell at ``t == b`` per exponent, ascending, stretched
-    cells above it)."""
+    cells above it, one per distinct time, ascending, where the call
+    has several exponents)."""
     x = quadrature._legendre_rule(n)[0]
     flat = np.ravel(times)
     kappa = np.broadcast_to(kappa, flat.shape)
@@ -576,6 +577,8 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n):
         u = 0.5 * (t - mid)[:, None] * (xj + 1.0)
         parts.append((t[:, None] - u - a) ** power)
     index = np.flatnonzero(near & (flat > b))
+    if np.unique(kappa).size > 1:
+        index = index[np.unique(flat[index], return_index=True)[1]]
     for group, edges in quadrature._stretched_cells(flat[index] - b,
                                                     flat[index] - mid):
         u = quadrature._cell_nodes(edges, x)[0]
