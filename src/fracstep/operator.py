@@ -77,9 +77,14 @@ class ModalBasis:
         self.eigenvalues = spec.eigenvalues(size)
 
     def evaluation_matrix(self, x) -> np.ndarray:
-        """Matrix ``B[i, n-1] = X_n(x_i)`` for synthesis at many points."""
+        """Matrix ``B[i, n-1] = X_n(x_i)`` for synthesis at many points,
+        each in ``[0, length]``: the first one outside, NaN included, is
+        named in a ``DomainError``.  The package's one check of x."""
         L = self.spec.length
         x = np.asarray(x, dtype=float).reshape(-1)
+        outside = ~((0.0 <= x) & (x <= L))   # NaN fails both
+        if outside.any():
+            raise DomainError(f"x {x[outside][0]} outside [0, {L}]")
         n = np.arange(1, self.size + 1)
         out = math.sqrt(2.0 / L) * np.sin(np.outer(x, n) * math.pi / L)
         out[x == L] = 0.0   # the Dirichlet value, which sin(n pi) misses

@@ -399,10 +399,11 @@ def _product_integrate(moments, nodes: np.ndarray, samples: np.ndarray,
     mass_i + (g_{i+1} - g_i) right_weight_i``.  Returns (rows, times).
 
     The meshes lie end to end in blocks of about ``_BLOCK_NODES`` nodes
-    over all rows, one ``moments`` call each.  One ``np.add.reduceat``
-    per block sums each mesh's cells, and apart from them the cell that
-    bridges two meshes, in an order fixed by the cell count: each result
-    depends on its own row and ``t`` alone, bit for bit.
+    over all rows, one ``moments`` call each; a block of one time slices
+    its mesh and samples.  One ``np.add.reduceat`` per block sums each
+    mesh's cells, and apart from them the cell that bridges two meshes,
+    in an order fixed by the cell count: each result depends on its own
+    row and ``t`` alone, bit for bit.
     """
     rows = samples.shape[0]
     if not flat.size or not rows:
@@ -418,26 +419,36 @@ def _product_integrate(moments, nodes: np.ndarray, samples: np.ndarray,
                 flat.size]
     out = np.empty((rows, flat.size))
     for lo, hi in zip(cuts, cuts[1:]):
-        ends = np.cumsum(counts[lo:hi])
-        starts = ends - counts[lo:hi]
-        ends -= 1
-        pos = np.arange(ends[-1] + 1) - np.repeat(starts, counts[lo:hi])
-        mesh = nodes[pos]
-        density = samples[:, pos]
-        if last is not None:
-            mesh[ends] = last[lo:hi]
-            density[:, ends] = last_samples[:, lo:hi]
-        mass, right_weight = moments(np.repeat(flat[lo:hi], counts[lo:hi])
-                                     - mesh, mesh[1:] - mesh[:-1])
+        if hi - lo == 1:   # one time: slices, one sum and no bridge
+            n = int(below[lo])
+            mesh, density = nodes[:n + 1], samples[:, :n + 1]
+            if last is not None:
+                mesh = np.concatenate((nodes[:n], last[lo:hi]))
+                density = np.concatenate(
+                    (samples[:, :n], last_samples[:, lo:hi]), axis=1)
+            u = flat[lo] - mesh
+            bounds = [0]
+        else:
+            ends = np.cumsum(counts[lo:hi])
+            starts = ends - counts[lo:hi]
+            ends -= 1
+            pos = np.arange(ends[-1] + 1) - np.repeat(starts, counts[lo:hi])
+            mesh = nodes[pos]
+            density = samples[:, pos]
+            if last is not None:
+                mesh[ends] = last[lo:hi]
+                density[:, ends] = last_samples[:, lo:hi]
+            u = np.repeat(flat[lo:hi], counts[lo:hi]) - mesh
+            bounds = np.empty(2 * starts.size - 1, dtype=int)
+            bounds[0::2], bounds[1::2] = starts, ends[:-1]  # odd: bridges
+        mass, right_weight = moments(u, mesh[1:] - mesh[:-1])
         # density is F-ordered, as is a product of it formed without
         # out=, and reduceat along the rows of an F-ordered array sums in
         # an order that changes with the row count: contrib is C-ordered
         contrib = np.subtract(density[:, 1:], density[:, :-1],
-                              out=np.empty((rows, pos.size - 1)))
+                              out=np.empty((rows, mesh.size - 1)))
         contrib *= right_weight
         contrib += density[:, :-1] * mass
-        bounds = np.empty(2 * starts.size - 1, dtype=int)
-        bounds[0::2], bounds[1::2] = starts, ends[:-1]  # odd sums: bridges
         out[:, lo:hi] = np.add.reduceat(contrib, bounds, axis=1)[:, ::2]
     return out
 
@@ -587,7 +598,15 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     if not ((nodes[0] < flat) & (flat <= nodes[-1])).all():
         raise DomainError(
             f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
-    column = lam.reshape(-1, 1)
+    out = _duhamel(alpha, lam.reshape(-1, 1), nodes, samples,
+                   flat).reshape(lam.shape + times.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _duhamel(alpha: float, column: np.ndarray, nodes: np.ndarray,
+             samples: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """:func:`duhamel_convolve` on checked arrays, eigenvalues as a column
+    and 1-d times, to (rows, times); the solver's sampling calls it."""
 
     def moments(u, h):
         # IK(u) = u**a E_{a,a+1}(-lam u**a) integrates the kernel from 0
@@ -606,11 +625,9 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
         return mass, right_weight
 
     # np.interp returns a node's own sample exactly, as slicing would
-    out = _product_integrate(
-        moments, nodes, samples, flat, np.searchsorted(nodes, flat), flat,
+    return _product_integrate(
+        moments, nodes, samples, flat, nodes.searchsorted(flat), flat,
         np.array([np.interp(flat, nodes, row) for row in samples]))
-    out = out.reshape(lam.shape + times.shape)
-    return float(out) if out.ndim == 0 else out
 
 
 def composite_graded_integral(smooth, a: float, b: float,

@@ -92,7 +92,7 @@ class OrderSchedule:
         ``"left"`` to the one that ends there.  Times at or below 0 fall
         in the first segment and times at or beyond ``T`` in the last.
         """
-        return np.searchsorted(self.breakpoints[1:-1], times, side)
+        return np.asarray(self.breakpoints[1:-1]).searchsorted(times, side)
 
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)

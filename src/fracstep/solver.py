@@ -47,6 +47,8 @@ import numpy as np
 from .errors import DomainError, NumericError, check_count
 from .operator import ModalBasis, OperatorSpec
 from .quadrature import (
+    _duhamel,
+    _times,
     duhamel_convolve,
     graded_mesh,
     power_kernel_convolve,
@@ -221,8 +223,8 @@ def _values(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
     """Values of the modes in ``rows`` of one schedule segment.
 
     ``rows`` is a slice or a list of row indices.  Evaluated as ``entry +
-    int K(t - s) * density(s) ds`` with one ``duhamel_convolve`` call for
-    all rows, each of which depends on its own mode alone, bit for bit.
+    int K(t - s) * density(s) ds`` with one ``quadrature._duhamel`` call
+    for all rows, each of which depends on its own mode alone, bit for bit.
     The convolution integrates affine densities exactly, so a steady
     state, whose density is zero, returns ``entry`` exactly.  Valid on
     the closed segment; the result has one row per selected mode, then
@@ -233,18 +235,15 @@ def _values(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
     if not inside.all():
         raise DomainError(f"time {flat[~inside][0]} outside segment "
                           f"[{seg.start}, {seg.end}]")
-    lam = seg.eigenvalues[rows]
     entry = seg.entry_values[rows, None]
     later = flat > seg.start
     if later.all():   # the common case needs no mask
-        out = entry + duhamel_convolve(seg.order, lam, seg.nodes,
-                                       seg.density[rows], flat)
-    else:
+        out = entry + _duhamel(seg.order, seg.eigenvalues[rows, None],
+                               seg.nodes, seg.density[rows], flat)
+    else:   # a time at the start takes its entry value alone
         out = np.repeat(entry, flat.size, axis=1)
-        if later.any():
-            out[:, later] += duhamel_convolve(seg.order, lam, seg.nodes,
-                                              seg.density[rows], flat[later])
-    return out.reshape(lam.shape + t.shape)
+        out[:, later] = _values(seg, rows, flat[later])
+    return out.reshape(entry.shape[:1] + t.shape)
 
 
 def _derivatives(seg: Segment, rows, t: np.ndarray) -> np.ndarray:
@@ -385,20 +384,26 @@ def _build_segment(j: int, schedule: OrderSchedule, source: SeparableSource,
 
 def _sample(field: SolutionField, rows, t, side: str,
             evaluate) -> np.ndarray:
-    """``evaluate(segment, rows, times)`` once per schedule segment.
-
-    A breakpoint goes to the segment on its ``side``; times outside the
-    horizon reach an end segment, which rejects them.  The result has
-    one row per selected mode, then the shape of ``t``.
+    """The one sampling entry: ``evaluate(segment, rows, times)`` on the
+    rows ``rows`` of each segment that holds some of ``t``, converted and
+    checked once (a time that is not finite is named as such).  A
+    breakpoint goes to the segment on its ``side``; finite times outside
+    the horizon reach an end segment, which rejects them.  A segment
+    holding every time takes them with no mask.  The result has one row
+    per selected row (none for no row or live mode), then ``t``'s shape.
     """
-    flat = t.reshape(-1)
+    t, flat = _times(t)
+    if not field.segments or rows == []:
+        return np.empty((0,) + t.shape)
     index = field.problem.schedule.segment_of(flat, side)
-    parts = sorted(set(index.tolist()))
-    out = np.empty((field.segments[0].eigenvalues[rows].size, flat.size))
-    for j in parts:
-        # a segment that holds every time takes them without a mask
-        here = index == j if len(parts) > 1 else slice(None)
-        out[:, here] = evaluate(field.segments[j], rows, flat[here])
+    j = int(index[0]) if flat.size else 0
+    if flat.size < 2 or (index == j).all():
+        out = evaluate(field.segments[j], rows, flat)
+    else:
+        out = np.empty((field.segments[0].eigenvalues[rows].size, flat.size))
+        for j in sorted(set(index.tolist())):
+            here = index == j
+            out[:, here] = evaluate(field.segments[j], rows, flat[here])
     return out.reshape(out.shape[:1] + t.shape)
 
 
@@ -420,20 +425,19 @@ class SolutionField:
 
     def _all_modes(self, t, side: str, evaluate) -> np.ndarray:
         """Every mode at ``t``: the live rows sampled, the others zero."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((self.problem.num_modes,) + t.shape)
-        if self.live:
-            out[list(self.live)] = _sample(self, slice(None), t, side,
-                                           evaluate)
+        sampled = _sample(self, slice(None), t, side, evaluate)
+        if len(self.live) == self.problem.num_modes:
+            return sampled
+        out = np.zeros((self.problem.num_modes,) + sampled.shape[1:])
+        out[list(self.live)] = sampled
         return out
 
     def mode_values(self, t) -> np.ndarray:
         """Mode coefficients at ``t``, one column per time for an array.
 
         At interior junctions the later segment's entry.  Each segment
-        evaluates every live mode at its times with one
-        ``duhamel_convolve`` call; row ``n - 1`` equals
-        ``mode_trajectory(n, t)`` bit for bit.
+        evaluates every live mode at its times with one Duhamel call;
+        row ``n - 1`` equals ``mode_trajectory(n, t)`` bit for bit.
         """
         return self._all_modes(t, "right", _values)
 
@@ -452,12 +456,10 @@ class SolutionField:
         if n > self.problem.num_modes:
             raise DomainError(
                 f"mode index {n} outside [1, {self.problem.num_modes}]")
-        t = np.asarray(times, dtype=float)
-        if n - 1 in self.live:
-            out = _sample(self, [self.live.index(n - 1)], t, "right",
-                          _values)[0]
-        else:
-            out = np.zeros(t.shape)
+        live = n - 1 in self.live
+        out = _sample(self, [self.live.index(n - 1)] if live else [], times,
+                      "right", _values)
+        out = out[0] if live else np.zeros(out.shape[1:])
         return float(out) if out.ndim == 0 else out
 
     def evaluate_grid(self, xs, ts) -> np.ndarray:

@@ -67,9 +67,9 @@ _CONTOUR_NODES = 20
 
 # Calls of at most this many points evaluate every contour node at once;
 # larger ones loop over the nodes.  On a 2-core Xeon the array form was
-# faster than the loop up to 832 points and slower from 896, with one
-# beta and with two (alternated best-of timings)
-_BROADCAST_POINTS = 512
+# faster than the loop up to 960 points with one beta and 672 with two;
+# past that its cost jumps with glibc's allocation state (CHANGES.md)
+_BROADCAST_POINTS = 640
 
 # Points the node loop works through at a time, so that its work arrays
 # stay in cache.  On a 2-core Xeon a 250k-point, two-beta call took 102

@@ -1,6 +1,7 @@
 """Tests for the Dirichlet interval operator and its two backends."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestModalBasis:
             want, rel=1e-13)
         # eigenvalues exceed one, so the norm grows with the power
         assert basis.fractional_norm(c, 1.0) > basis.fractional_norm(c, 0.5)
+
+    @pytest.mark.parametrize("x", [np.nan, -0.1, 1.5 + 1e-9])
+    def test_evaluation_points_outside_the_domain_are_rejected(self, x):
+        small = ModalBasis(OperatorSpec(length=1.5), 4)
+        with pytest.raises(DomainError,
+                           match=re.escape(f"x {x} outside [0, 1.5]")):
+            small.evaluation_matrix([0.5, x, -1.0])
+
+    def test_evaluation_points_on_the_closed_domain_are_accepted(self):
+        small = ModalBasis(OperatorSpec(length=1.5), 4)
+        matrix = small.evaluation_matrix([0.0, -0.0, 1.5])
+        assert not matrix.any()   # every sine mode vanishes at both ends
 
     @pytest.mark.parametrize("size", [1, 8])
     @pytest.mark.parametrize("x", [0.37, np.linspace(0.0, 1.0, 33),

@@ -6,7 +6,9 @@ multi-segment runs must reproduce the former through the memory
 machinery whenever all segment orders coincide.
 """
 
+import functools
 import math
+import re
 import subprocess
 import sys
 
@@ -661,6 +663,45 @@ class TestSolutionField:
             np.testing.assert_array_equal(
                 out[:, k], field.basis.synthesize(field.mode_values(t), xs))
 
+    @pytest.mark.parametrize("x", [np.nan, 2.0, -0.1, 1.0 + 1e-9])
+    def test_evaluate_grid_rejects_x_outside_the_domain(self, single_run, x):
+        # NaN gave a NaN field and 2.0 a value of the sine extension
+        with pytest.raises(DomainError,
+                           match=re.escape(f"x {x} outside [0, 1.0]")):
+            single_run.evaluate_grid([0.5, x], [0.5])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, None])
+    @pytest.mark.parametrize("entry", ["mode_values", "mode_derivatives",
+                                       "mode_trajectory"])
+    def test_non_finite_time_is_named_as_such(self, mixed_run, entry, t):
+        # each named the last segment: "time nan outside segment [0.5,
+        # 1.0]"; a field with no live mode checks its times too
+        idle = solve(ProblemSpec(schedule=mixed_run.problem.schedule,
+                                 operator=OP, initial_coefficients=(0.0,)),
+                     n_cells=8, n_quad=4)
+        for field in (mixed_run, idle):
+            sample = getattr(field, entry)
+            if entry == "mode_trajectory":
+                sample = functools.partial(sample, 1)
+            for times in (t, [0.3, t]):
+                with pytest.raises(DomainError,
+                                   match=r"time -?(nan|inf) is not finite"):
+                    sample(times)
+
+    def test_finite_times_outside_the_horizon_keep_their_messages(
+            self, mixed_run):
+        for call, t, message in (
+                (mixed_run.mode_values, 1.5,
+                 "time 1.5 outside segment [0.5, 1.0]"),
+                (mixed_run.mode_values, -0.25,
+                 "time -0.25 outside segment [0.0, 0.5]"),
+                (mixed_run.mode_derivatives, 0.0,
+                 "time 0.0 outside half-open segment (0.0, 0.5]"),
+                (functools.partial(mixed_run.mode_trajectory, 1), 2.0,
+                 "time 2.0 outside segment [0.5, 1.0]")):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call(t)
+
     def test_mode_index_validation(self, single_run):
         with pytest.raises(DomainError):
             single_run.mode_trajectory(2, TIMES)
@@ -835,6 +876,35 @@ class TestBatchIndependence:
                     values[n - 1], alone.mode_values(ts)[n - 1])
                 np.testing.assert_array_equal(
                     slopes[n - 1], alone.mode_derivatives(ts[1:])[n - 1])
+        assert np.all(field.junction_gaps() == 0.0)
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_scalar_times_equal_their_column(self, monkeypatch, budget):
+        """The sampling the benchmark loops over: ``mode_values`` at one
+        time, a float or a 0-d array, equals that time's column of the
+        many-time call, every row at once, on a forced three-segment
+        field, breakpoints, 0 and T included.  One time takes the
+        product integration's sliced layout; at a budget of 40 nodes the
+        many-time call takes it block by block too."""
+        sched = OrderSchedule((0.0, 0.25, 0.625, 1.0), (0.3, 0.8, 0.5))
+        spec = ProblemSpec(
+            schedule=sched, operator=OP, initial_coefficients=(0.9, 0.5, 0.2),
+            source=SeparableSource(
+                (1.0, 0.8, 1.1),
+                lambda t: 1.0 + np.sin(3.0 * np.asarray(t, dtype=float)),
+                lambda t: 3.0 * np.cos(3.0 * np.asarray(t, dtype=float))))
+        field = solve(spec, n_cells=16, n_quad=8)
+        if budget is not None:
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+        ts = np.linspace(0.0, 1.0, 33)   # holds every breakpoint
+        values = field.mode_values(ts)
+        for k, t in enumerate(ts):
+            for time in (float(t), np.array(t)):
+                np.testing.assert_array_equal(field.mode_values(time),
+                                              values[:, k])
+            np.testing.assert_array_equal(
+                [field.mode_trajectory(n, float(t)) for n in (1, 2, 3)],
+                values[:, k])
         assert np.all(field.junction_gaps() == 0.0)
 
     @settings(max_examples=6, deadline=None, derandomize=True,
