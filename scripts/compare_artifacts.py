@@ -6,7 +6,8 @@ example configuration (its json block) and on every
 ``src`` on ``PYTHONPATH``, and reports for every artifact but
 ``meta.json`` (which records timings and versions) whether the two
 trees wrote it byte-identical, or else the largest absolute difference
-between its numbers:
+between its numbers and the largest relative one, ``|p - q| / max(|p|,
+|q|)`` over the pairs that are not both zero:
 
     python3 scripts/compare_artifacts.py <tree A> <tree B> [--out DIR]
 
@@ -87,9 +88,13 @@ def difference(a, b):
     x, y = numbers(a), numbers(b)
     if len(x) != len(y):
         return f"differs: {len(x)} numbers against {len(y)}"
-    worst = max((abs(p - q) for p, q in zip(x, y)
-                 if not (math.isnan(p) and math.isnan(q))), default=0.0)
-    return f"differs: largest absolute difference {worst:.3e}"
+    pairs = [(p, q) for p, q in zip(x, y)
+             if not (math.isnan(p) and math.isnan(q))]
+    worst = max((abs(p - q) for p, q in pairs), default=0.0)
+    relative = max((abs(p - q) / max(abs(p), abs(q)) for p, q in pairs
+                    if p or q), default=0.0)
+    return (f"differs: largest absolute difference {worst:.3e}, "
+            f"largest relative {relative:.3e}")
 
 
 def main(argv=None):

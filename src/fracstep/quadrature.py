@@ -6,7 +6,8 @@ Every integral in the segment recursion has one of two shapes:
   analytic ``g``: the memory of a past segment's impulse part, for many
   times at once.  Composite Gauss in a scaled variable where ``t`` is
   well clear of ``b``; nearer, the right part of a split interval goes
-  on an exponentially stretched grid (Gauss-Jacobi when ``t == b``).
+  on one geometric ladder of cells toward ``b`` (Gauss-Jacobi when
+  ``t == b``).
 * ``int (t-s)**(-kappa) * g(s) ds`` and ``int_a^t K(t-s) * g(s) ds``,
   ``K`` the subdiffusive impulse response, for tabulated ``g``: the
   memory of a past segment's forced tail and the Duhamel convolution.
@@ -49,7 +50,7 @@ FAR_FIELD_FRACTION = 0.1
 #: grading strength actually applied for any requested exponent.
 MIN_CELL_FRACTION = 1e-14
 
-_EXP_CELL_SPAN = 1.5  # cell length in log coordinates for stretched grids
+_EXP_CELL_SPAN = 1.5  # log-span of a cell of the near right halves' ladder
 
 #: Graded-mesh cells of each ``scaled_power_history`` scaled-variable part.
 HISTORY_CELLS = 8
@@ -147,25 +148,6 @@ def graded_mesh(a: float, b: float, n: int,
     return nodes
 
 
-def _stretched_cells(lo: np.ndarray, hi: np.ndarray):
-    """Cell edges of stretched grids on ``[lo[k], hi[k]]``, ``0 < lo < hi``.
-
-    Substituting ``u = lo * exp(v)`` moves the origin singularity of
-    ``u**(-kappa)`` to ``v -> -inf``; composite Gauss-Legendre on cells of
-    bounded span in ``v`` then converges rapidly even when ``lo`` is tiny.
-    Yields ``(index, edges)`` per cell count, with one row of edges for
-    each grid in ``index``.
-    """
-    span = np.log(hi / lo)
-    cells = np.maximum(1, np.ceil(span / _EXP_CELL_SPAN)).astype(int)
-    for c in sorted(set(cells.tolist())):
-        index = np.flatnonzero(cells == c)
-        edges = lo[index, None] * np.exp(np.arange(c + 1)
-                                         * (span[index, None] / c))
-        edges[:, -1] = hi[index]
-        yield index, edges
-
-
 def _cell_nodes(edges: np.ndarray, x: np.ndarray):
     """Gauss nodes ``mid + half * x`` of the cells along ``edges``' last
     axis, one row per cell."""
@@ -202,26 +184,6 @@ def _exponents(kernel_exponent, times, at_end, end: str):
     return kappa, distinct
 
 
-def _repeats(t: np.ndarray, lim: np.ndarray):
-    """Where some ``(t, lim)`` pairs repeat, one row per distinct pair,
-    ascending, holding the positions of its entries in order, its first
-    entry again where it has fewer than another pair; else None."""
-    order = np.lexsort((lim, t))
-    t, lim = t[order], lim[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (t[1:] != t[:-1]) | (lim[1:] != lim[:-1])
-    first = np.flatnonzero(new)
-    if first.size == order.size:
-        return None
-    if not order.size % first.size and new[::order.size // first.size].all():
-        return order.reshape(first.size, -1)   # as many entries each
-    pair = np.cumsum(new) - 1
-    slot = np.arange(order.size) - first[pair]
-    table = np.repeat(order[first, None], slot.max() + 1, axis=1)
-    table[pair, slot] = order
-    return table
-
-
 def scaled_power_history(profile, a: float, b, times, kernel_exponent,
                          power: float, n: int = 24):
     """Memory integral of a fractional impulse response shape.
@@ -237,22 +199,27 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
     limited smoothness at zero) integrates this to near machine accuracy
     for ``t - b >= FAR_FIELD_FRACTION * (b - a)``.  Nearer to ``b`` the
     integral is split at the midpoint: the left half is done the same
-    way, the right half in ``u = t - s``, where the peeled weight is
-    smooth, on a stretched grid down to ``u = t - b`` or with an exact
-    Jacobi weight ``u**(-kappa)`` when ``t == b``.
+    way, the right half in ``e = b - s``, where the peeled weight is
+    smooth and the kernel is ``(t - b + e)**(-kappa)``.  Each limit has
+    one geometric ladder of rungs ``e_k = (b - mid) exp(-k *
+    _EXP_CELL_SPAN)``; a time at ``t - b = delta`` takes Gauss cells
+    between the rungs down to ``e_K``, the first at or below ``delta``,
+    and one closing cell ``[0, e_K]``, so the kernel's singularity stays
+    at least ``(r + 1) / (r - 1)`` half-widths (``r = exp(
+    _EXP_CELL_SPAN)``) from every cell's centre.  At ``t == b`` the
+    right half is one cell with the exact Jacobi weight ``u**(-kappa)``
+    in ``u = t - s``.
 
     ``b`` and ``kernel_exponent`` are each one value for every time or
     an array that broadcasts against ``times``: a limit ``a < b <= t``
     and an exponent in (0, 2), below 1 where ``t == b``.  Times that
     share a limit share its far-field and left-half node sets whatever
-    their exponents, so a scalar ``b`` builds one of each for all times.
-    Near times above their limit share their right half too: with more
-    than one exponent in the call, each distinct ``(t, b)`` pair builds
-    its stretched grid, profile nodes and peeled weight once, and each
-    of its times applies its own kernel factor to them (the solver asks
-    for every node under two exponents).  A time at ``t == b`` takes one
-    Jacobi cell per exponent.  ``n``, the nodes of each Gauss rule, is
-    an integer of at least 1.
+    their exponents, so a scalar ``b`` builds one of each for all times,
+    and near times above it that stop at the same rung share that
+    rung's right half: one node set, profile evaluation and peeled
+    weight, each time applying its own kernel factor.  A time at
+    ``t == b`` takes one Jacobi cell per exponent.  ``n``, the nodes of
+    each Gauss rule, is an integer of at least 1.
 
     ``profile`` must act elementwise; it is called once, on every node
     set together.  It may return one row per integrand, for example one
@@ -288,8 +255,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
         here = kappa[index]
         if (here == here.flat[0]).all():
             return base ** -float(here.flat[0])
-        # C order: the node sums follow the layout, and empty_like of a
-        # broadcast base need not be C-ordered
+        # C order, whatever the base's, so the node sums follow the layout
         out = np.empty(base.shape)
         for k in exponents:
             mask = here == k
@@ -298,17 +264,19 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
 
     inv = 1.0 / power
     x, w = _legendre_rule(n)
-    mid = 0.5 * (a + limits)
     near = flat - limits < FAR_FIELD_FRACTION * (limits - a)
 
     # parts (times, profile nodes, kernel factor with the Gauss weights
-    # folded in, cell half-widths, final factor): the left parts in the
-    # scaled variable share one node set per limit b, [a, b] for far
-    # times and [a, mid] for near ones
+    # and any peeled weight folded in, cell half-widths, final factor),
+    # each node set shared by times of one limit b: in the scaled
+    # variable [a, b] for far times and [a, mid] for near ones, in
+    # e = b - s one per rung of b's ladder
     parts = []
     for lim in sorted(set(b.ravel().tolist())):
-        for s_hi, here in ((lim, ~near), (0.5 * (a + lim), near)):
-            index = np.flatnonzero(here & (limits == lim))
+        mid = 0.5 * (a + lim)
+        mine = limits == lim
+        for s_hi, here in ((lim, ~near), (mid, near)):
+            index = np.flatnonzero(here & mine)
             if index.size:
                 edges = graded_mesh(0.0, (s_hi - a) ** power, HISTORY_CELLS,
                                     3.0)
@@ -317,49 +285,36 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
                 parts.append((index, xi[None], w * kern,
                               np.broadcast_to(half, (index.size, half.size)),
                               inv))
+        # near times above b by delta: a time's cells, and so its nodes,
+        # depend on its rung K alone; its kernel base is delta + e, as
+        # t - s would lose digits at small delta
+        index = np.flatnonzero(near & (flat > lim) & mine)
+        delta = flat[index] - lim
+        rung = np.maximum(1, np.ceil(np.log((lim - mid) / delta)
+                                     / _EXP_CELL_SPAN)).astype(int)
+        for k in sorted(set(rung.tolist())):
+            on = rung == k
+            here = index[on]
+            e, half = _cell_nodes(np.append(0.0, (lim - mid) * np.exp(
+                np.arange(-k, 1) * _EXP_CELL_SPAN)), x)
+            ds = (lim - a) - e
+            kern = kernel(delta[on, None, None] + e, here)
+            parts.append((here, ds[None] ** power,
+                          w * kern * ds ** (power - 1.0),
+                          np.broadcast_to(half, (here.size, k + 1)), 1.0))
 
-    def right(index, t, u, kern, weights, scale):
-        # the near times' right halves in u = t - s, the peeled weight
-        # (s-a)**(power-1) folded into the kernel factor
-        ds = (t - u) - a
-        parts.append((index, ds ** power,
-                      weights * kern * ds ** (power - 1.0), scale, 1.0))
-
-    # one cell with the exact Jacobi weight u**(-kappa) per exponent
+    # t == b: one cell in u = t - s with the exact Jacobi weight
+    # u**(-kappa) per exponent, the peeled weight in the kernel factor
     at_b = near & (flat == limits)
     for k in exponents:
         index = np.flatnonzero(at_b & (kappa == k))
         if index.size:
             xj, wj = _jacobi_rule(n, -k)
-            half = 0.5 * (flat[index] - mid[index])
-            right(index, flat[index, None, None],
-                  half[:, None, None] * (xj + 1.0), 1.0, wj,
-                  half[:, None] ** (1.0 - k))
-    # above b, stretched cells: (t, b) pairs that repeat, as a time
-    # asked for under several exponents does, share one grid, node set
-    # and peeled weight, each pair's entries a row of times on them
-    index = np.flatnonzero(near & (flat > limits))
-    table = _repeats(flat[index], limits[index]) \
-        if len(exponents) > 1 and index.size > 1 else None
-    pairs = index if table is None else index[table[:, 0]]
-    if table is not None:
-        # one power per column where each column holds one exponent
-        slot = kappa[index[table]]
-        columns = slot[0].tolist() if (slot == slot[0]).all() else None
-    for group, edges in _stretched_cells(flat[pairs] - limits[pairs],
-                                         flat[pairs] - mid[pairs]):
-        u, scale = _cell_nodes(edges, x)
-        t = flat[pairs[group], None, None]
-        if table is None:
-            here = index[group]
-            kern = kernel(u, here)
-        else:
-            here = index[table[group]]
-            u, t, scale = u[:, None], t[:, None], scale[:, None]
-            kern = np.concatenate([u ** -k for k in columns], axis=1) \
-                if columns else kernel(np.broadcast_to(
-                    u, here.shape + u.shape[2:]), here)
-        right(here, t, u, kern, w, scale)
+            half = 0.5 * (flat[index] - 0.5 * (a + limits[index]))
+            ds = (flat[index, None, None] - half[:, None, None]
+                  * (xj + 1.0)) - a
+            parts.append((index, ds ** power, wj * ds ** (power - 1.0),
+                          half[:, None] ** (1.0 - k), 1.0))
 
     values = np.asarray(profile(np.concatenate(
         [part[1].ravel() for part in parts] or [np.empty(0)])), dtype=float)
@@ -372,9 +327,7 @@ def scaled_power_history(profile, a: float, b, times, kernel_exponent,
             values[:, start:start + nodes.size].reshape(
                 (-1,) + nodes.shape), (values.shape[0],) + factor.shape)
         start += nodes.size
-        # blocks of about _BLOCK_NODES products over all (or one) rows,
-        # of whole rows of times: a time that pads its pair's row gets
-        # the same sum each time in one +=, which stores it once
+        # blocks of about _BLOCK_NODES products over all (or one) rows
         step = max(1, _BLOCK_NODES // (max(1, len(piece)) * factor[0].size))
         for lo in range(0, len(index), step):
             block = slice(lo, lo + step)
@@ -588,16 +541,20 @@ def duhamel_convolve(alpha: float, lam, nodes: np.ndarray,
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"kernel order must be in (0, 1), got {alpha}")
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim > 1 or (lam < 0.0).any():
+    if lam.ndim > 1:
         raise DomainError(
-            f"modal eigenvalues must be a scalar or 1-d, all >= 0, got {lam}")
+            f"modal eigenvalues must be a scalar or 1-d, got {lam.ndim}-d")
+    bad = np.flatnonzero(~(np.isfinite(lam) & (lam >= 0.0)))   # NaN too
+    if bad.size:
+        raise DomainError(f"modal eigenvalue {lam.flat[bad[0]]} (row "
+                          f"{bad[0]}) must be finite and >= 0")
     nodes, samples = _tabulation(nodes, np.asarray(samples, dtype=float),
                                  lam.shape)
-    times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
-    if not ((nodes[0] < flat) & (flat <= nodes[-1])).all():
-        raise DomainError(
-            f"evaluation times must lie in ({nodes[0]}, {nodes[-1]}]")
+    times, flat = _times(times)
+    outside = ~((nodes[0] < flat) & (flat <= nodes[-1]))
+    if outside.any():
+        raise DomainError(f"evaluation time {flat[outside][0]} outside "
+                          f"({nodes[0]}, {nodes[-1]}]")
     out = _duhamel(alpha, lam.reshape(-1, 1), nodes, samples,
                    flat).reshape(lam.shape + times.shape)
     return float(out) if out.ndim == 0 else out

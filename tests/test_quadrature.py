@@ -270,7 +270,7 @@ class TestScaledPowerHistory:
 
     def test_repeated_times_share_their_right_halves(self, monkeypatch):
         # a (t, b) pair asked for under several exponents builds its
-        # stretched right half and evaluates the profile on it once:
+        # right half and evaluates the profile on it once:
         # the call takes as many profile nodes as one with each pair
         # once, plus one Jacobi cell of n = 24 nodes per further exponent
         # at t == b; each result equals its one-time, one-exponent call
@@ -318,6 +318,21 @@ class TestScaledPowerHistory:
                     np.testing.assert_array_equal(
                         got[:, i], scaled_power_history(
                             rows, 0.0, lim, t, k, SCALED_ORDER))
+        # near times whose offsets 6e-4, 1e-3 and 2e-3 all stop at rung
+        # K = 4 of b's ladder (e_4 = 0.2 exp(-6) = 5.0e-4 <= offset <
+        # e_3 = 0.2 exp(-4.5) = 2.2e-3), each under two exponents, share
+        # one right half: the profile sees the near left half's cells
+        # and K + 1 = 5 right-half cells of 24 nodes, nothing more
+        times = np.repeat(b + np.array([6e-4, 1e-3, 2e-3]), 2)
+        kappa = np.resize([0.45, 1.45], times.size)
+        for budget in (quadrature._BLOCK_NODES, 50):
+            monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+            got, count = nodes(b, times, kappa)
+            assert count == (quadrature.HISTORY_CELLS + 5) * 24
+            for i, (t, k) in enumerate(zip(times, kappa)):
+                np.testing.assert_array_equal(
+                    got[:, i], scaled_power_history(rows, 0.0, b, t, k,
+                                                    SCALED_ORDER))
 
     def test_empty_times(self):
         # no times give an empty result with the profile's rows, shaped
@@ -682,6 +697,31 @@ class TestDuhamelConvolve:
         for times in (0.0, -0.5, 1.0 + 1e-12, np.array([0.5, 2.0])):
             with pytest.raises(DomainError):
                 duhamel_convolve(0.5, 1.0, nodes, np.ones(5), times)
+        # the first time outside is named, and a time that is not finite
+        # is named as such, alone or among good times
+        for times, named in [(np.array([0.5, 2.0, -1.0]), "time 2.0 outside"),
+                             (0.0, "time 0.0 outside"),
+                             (math.nan, "time nan is not finite"),
+                             (np.array([0.5, math.inf]),
+                              "time inf is not finite"),
+                             (None, "time nan is not finite")]:
+            with pytest.raises(DomainError, match=named):
+                duhamel_convolve(0.5, 1.0, nodes, np.ones(5), times)
+        # a NaN, infinite or negative eigenvalue is named with its row,
+        # before any Mittag-Leffler evaluation and with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, named in [(math.nan, r"eigenvalue nan \(row 0\)"),
+                               (math.inf, r"eigenvalue inf \(row 0\)"),
+                               (np.array([1.0, math.nan]),
+                                r"eigenvalue nan \(row 1\)"),
+                               (np.array([2.0, 1.0, -math.inf]),
+                                r"eigenvalue -inf \(row 2\)"),
+                               (np.array([0.0, -0.5]),
+                                r"eigenvalue -0.5 \(row 1\)")]:
+                samples = np.ones(np.shape(lam) + (5,))
+                with pytest.raises(DomainError, match=named):
+                    duhamel_convolve(0.5, lam, nodes, samples, 0.5)
 
     def test_no_rows_give_an_empty_result(self):
         # no eigenvalues, or no densities, give (0, times) as any row

@@ -557,10 +557,10 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n):
     """Profile nodes of a history call with one scalar limit ``b`` and
     per-time exponents ``kappa``, in the order it evaluates them: the
     far-field and left-half node sets in the scaled variable, shared by
-    every exponent, then each near time's right half in ``u = t - s``
-    (one Jacobi cell at ``t == b`` per exponent, ascending, stretched
-    cells above it, one per distinct time, ascending, where the call
-    has several exponents)."""
+    every exponent, then the near times' right halves: above ``b`` one
+    set per rung of ``b``'s geometric ladder in ``e = b - s`` that a
+    time stops at, ascending, whatever its exponents, and one Jacobi
+    cell at ``t == b`` per exponent, ascending."""
     x = quadrature._legendre_rule(n)[0]
     flat = np.ravel(times)
     kappa = np.broadcast_to(kappa, flat.shape)
@@ -572,19 +572,19 @@ def _scalar_limit_nodes(a, b, times, kappa, power, n):
             edges = quadrature.graded_mesh(0.0, (s_hi - a) ** power,
                                            quadrature.HISTORY_CELLS, 3.0)
             parts.append(quadrature._cell_nodes(edges, x)[0])
+    span = quadrature._EXP_CELL_SPAN
+    delta = flat[near & (flat > b)] - b
+    for k in np.unique(np.maximum(1, np.ceil(np.log((b - mid) / delta)
+                                             / span))).astype(int):
+        rungs = (b - mid) * np.exp(-span * np.arange(k, -1, -1))
+        e = quadrature._cell_nodes(np.append(0.0, rungs), x)[0]
+        parts.append(((b - a) - e) ** power)
     on = near & (flat == b)
     for k in np.unique(kappa[on]):
         xj = quadrature._jacobi_rule(n, -float(k))[0]
         t = flat[on & (kappa == k)]
         u = 0.5 * (t - mid)[:, None] * (xj + 1.0)
         parts.append((t[:, None] - u - a) ** power)
-    index = np.flatnonzero(near & (flat > b))
-    if np.unique(kappa).size > 1:
-        index = index[np.unique(flat[index], return_index=True)[1]]
-    for group, edges in quadrature._stretched_cells(flat[index] - b,
-                                                    flat[index] - mid):
-        u = quadrature._cell_nodes(edges, x)[0]
-        parts.append((flat[index[group], None, None] - u - a) ** power)
     return np.concatenate([part.ravel() for part in parts])
 
 
