@@ -32,11 +32,25 @@ from fracstep.special import ml_values
 GRADED_REF = 2.541056465464061297
 
 # int_0^0.4 (t-s)**-kappa s**-0.55 E_{0.45,0.45}(-9 s**0.45) ds
-# keyed by (t, kappa): far field, strong rate kernel, coincident endpoint
+# keyed by (t, kappa): far field, strong rate kernel, coincident endpoint,
+# and times 1e-10, 1e-6 and 1e-3 of b - a past b = 0.4 under four
+# exponents (scripts/generate_history_reference.py)
 SCALED_REFS = {
     (0.9, 0.45): 0.1065907604275569161,
     (0.41, 1.45): 0.5675946040807083259,
     (0.4, 0.45): 0.1613633757348885794,
+    (0.40000000004, 0.45): 0.1613633344799052139,
+    (0.40000000004, 0.95): 0.4009132310975618885,
+    (0.40000000004, 1.45): 1260.741555195556509,
+    (0.40000000004, 1.9): 30097944.23103882692,
+    (0.40000040000000003, 0.45): 0.1613567692726187019,
+    (0.40000040000000003, 0.95): 0.3589521352661947877,
+    (0.40000040000000003, 1.45): 20.35910252679734638,
+    (0.40000040000000003, 1.9): 7561.102329825657415,
+    (0.40040000000000003, 0.45): 0.1610025838044547552,
+    (0.40040000000000003, 0.95): 0.3117314351233493363,
+    (0.40040000000000003, 1.45): 1.273294302819846368,
+    (0.40040000000000003, 1.9): 15.81831073501371818,
 }
 SCALED_ORDER = 0.45
 SCALED_LAM = 9.0
@@ -111,7 +125,7 @@ class TestScaledPowerHistory:
     def test_reference_values(self, t, kappa):
         got = scaled_power_history(self._profile, 0.0, 0.4, t, kappa,
                                    SCALED_ORDER)
-        assert got == pytest.approx(SCALED_REFS[(t, kappa)], abs=1e-11)
+        assert got == pytest.approx(SCALED_REFS[(t, kappa)], rel=1e-11)
 
     def test_constant_profile_is_beta_integral(self):
         # profile == 1 turns the far-field integral into
